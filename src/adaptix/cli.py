@@ -28,8 +28,7 @@ from .asymptotics import covariance_integral_oracle, predict
 from .config import RunConfig, canonical_config, load_config
 from .core import Trajectory, run_trajectory
 from .errors import (AdaptixError, ConfigError, DimensionMismatchError,
-                     DivergedTrajectoryError, NonFiniteMeasurementError,
-                     NumericError, StabilityError, TailBoundError)
+                     DivergedTrajectoryError, StabilityError)
 from .montecarlo import (convergence_summary, coupling_gap, normality_check,
                          normality_stats, resolve_e0, run_replicates,
                          step_counter_drift)
@@ -42,6 +41,14 @@ EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 EXIT_STATISTICAL = 4
 EXIT_NUMERIC = 5
+
+#: Exit code per error type, first match wins; any other AdaptixError or
+#: ValueError (LinAlgError included) is a numeric failure.
+_EXIT_CODES = (
+    ((ConfigError, DimensionMismatchError), EXIT_CONFIG),
+    (StabilityError, EXIT_ASSUMPTION),
+    (DivergedTrajectoryError, EXIT_STATISTICAL),
+)
 
 WORKERS_ENV = "ADAPTIX_WORKERS"
 
@@ -271,22 +278,6 @@ def cmd_replicate(args) -> int:
     return code
 
 
-def _witness_jsonable(witness):
-    if witness is None:
-        return None
-    out = {}
-    for key, value in witness.items():
-        if isinstance(value, np.ndarray):
-            out[key] = value.tolist()
-        elif isinstance(value, (np.floating, float)):
-            out[key] = float(value)
-        elif isinstance(value, (np.integer, int)):
-            out[key] = int(value)
-        else:
-            out[key] = value
-    return out
-
-
 def cmd_validate(args) -> int:
     cfg, out_dir = _load(args)
     plan = cfg.plan
@@ -296,9 +287,8 @@ def cmd_validate(args) -> int:
     for item in report:
         entry = {"check_id": item.check_id, "verdict": item.verdict,
                  "detail": item.detail}
-        witness = _witness_jsonable(item.witness)
-        if witness is not None:
-            entry["witness"] = witness
+        if item.witness is not None:
+            entry["witness"] = item.witness
         items.append(entry)
     write_json(os.path.join(out_dir, "validation.json"), {
         "problem": plan.problem.name,
@@ -347,24 +337,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DimensionMismatchError) as exc:
+    except (AdaptixError, ValueError) as exc:
         print(f"adaptix: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StabilityError as exc:
-        print(f"adaptix: error: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except DivergedTrajectoryError as exc:
-        print(f"adaptix: error: {exc}", file=sys.stderr)
-        return EXIT_STATISTICAL
-    except (NumericError, TailBoundError, NonFiniteMeasurementError) as exc:
-        print(f"adaptix: error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except AdaptixError as exc:
-        print(f"adaptix: error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"adaptix: error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next((code for types, code in _EXIT_CODES
+                     if isinstance(exc, types)), EXIT_NUMERIC)
 
 
 if __name__ == "__main__":

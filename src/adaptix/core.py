@@ -204,9 +204,6 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
     ts = np.asarray(sorted({int(t) for t in record_ts}), dtype=np.int64)
     if ts.size and (ts[0] < 0 or ts[-1] > horizon):
         raise ValueError(f"recorded times must lie in [0, {horizon}]")
-    slot_of = np.full(horizon + 1, -1, dtype=np.int64)
-    for i, t in enumerate(ts):
-        slot_of[t] = i
 
     x = np.tile(init.x0, (n_rep, 1))
     s = np.full(n_rep, float(init.s0))
@@ -224,14 +221,20 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
         z = np.tile(init.x0, (n_rep, 1))
         z_rec = np.zeros((n_slots, n_rep, dim))
 
+    # cursor into the sorted record times; the sentinel horizon + 1 is
+    # never reached, so the memory cost follows ts, not the horizon
+    marks = ts.tolist() + [horizon + 1]
+    slot = 0
+
     def record(t):
-        slot = slot_of[t]
-        if slot >= 0:
+        nonlocal slot
+        if t == marks[slot]:
             x_rec[slot] = x
             s_rec[slot] = s
             y_rec[slot] = y_prev
             if z is not None:
                 z_rec[slot] = z
+            slot += 1
 
     record(0)
     noise = problem.noise
@@ -274,8 +277,10 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
                     apply_rows(comparator.alpha, z) + zxi)
             record(tk)
             if not alive.any() and comparator is None:
-                for rest in range(tk + 1, horizon + 1):
-                    record(rest)
+                # every replicate is frozen: later slots repeat this state
+                x_rec[slot:] = x
+                s_rec[slot:] = s
+                y_rec[slot:] = y_prev
                 stopped_early = True
                 break
         t += span

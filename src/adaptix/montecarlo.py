@@ -17,6 +17,7 @@ sup-distance, with the asymptotic 1% band 1.63/sqrt(n_replicates).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -26,12 +27,11 @@ from scipy.stats import chi2
 from ._rowops import norm_rows
 from .asymptotics import AsymptoticPrediction
 from .core import ComparatorConfig, InitialConditions, _simulate
-from .errors import ConfigError, NoClosedFormError
+from .errors import ConfigError
 from .noise import NoiseModel
 from .problems import ProblemSpec
-from .rng import COMPARATOR_LANE, E0_LANE, TRAJECTORY_LANE, substream
-from .schedules import (E0Estimate, SigmoidSpec, StepSchedule, e0_exact,
-                        e0_monte_carlo)
+from .rng import COMPARATOR_LANE, TRAJECTORY_LANE, substream
+from .schedules import E0Estimate, SigmoidSpec, StepSchedule, e0_resolve
 
 DEFAULT_COV_TOL = 0.15
 DEFAULT_KS_SCALE = 1.63
@@ -121,18 +121,10 @@ class ReplicateSet:
 
 
 def resolve_e0(plan: ExperimentPlan) -> E0Estimate:
-    """Closed-form E0 when available, otherwise seeded Monte Carlo."""
-    try:
-        return e0_exact(plan.sigmoid, plan.problem.noise)
-    except NoClosedFormError:
-        estimate = e0_monte_carlo(
-            plan.sigmoid, plan.problem.noise, n_samples=plan.e0_mc_samples,
-            seed=substream(plan.master_seed, E0_LANE, 0))
-        if estimate.value <= 0.0:
-            raise ConfigError(
-                f"estimated E0 = {estimate.value:.6g} is not positive",
-                assumption="B4.2")
-        return estimate
+    """The plan's E0: closed form when available, otherwise seeded Monte
+    Carlo (see :func:`adaptix.schedules.e0_resolve`)."""
+    return e0_resolve(plan.sigmoid, plan.problem.noise, plan.e0_mc_samples,
+                      plan.master_seed)
 
 
 def _run_block(plan: ExperimentPlan, e0_value: float, lo: int, hi: int):
@@ -154,11 +146,14 @@ def _run_block(plan: ExperimentPlan, e0_value: float, lo: int, hi: int):
 
 
 def run_replicates(plan: ExperimentPlan, workers: int = 1) -> ReplicateSet:
-    """Execute the plan; the result is bit-identical for any ``workers``."""
-    workers = max(1, int(workers))
+    """Execute the plan; the result is bit-identical for any ``workers``.
+
+    At most one process per block, and no more blocks than replicates or
+    CPUs this process may run on: the pool forks all its workers up front.
+    """
     e0 = resolve_e0(plan)
     n = plan.n_replicates
-    n_blocks = min(workers, n)
+    n_blocks = max(1, min(int(workers), n, len(os.sched_getaffinity(0))))
     base, extra = divmod(n, n_blocks)
     bounds = []
     lo = 0
@@ -166,10 +161,10 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1) -> ReplicateSet:
         hi = lo + base + (1 if b < extra else 0)
         bounds.append((lo, hi))
         lo = hi
-    if workers == 1:
+    if n_blocks == 1:
         pieces = [_run_block(plan, e0.value, lo, hi) for lo, hi in bounds]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
             futures = [pool.submit(_run_block, plan, e0.value, lo, hi)
                        for lo, hi in bounds]
             pieces = [f.result() for f in futures]

@@ -37,7 +37,7 @@ from .errors import ConfigError, NoClosedFormError
 from .noise import NoiseModel
 from .report import FAIL, PASS, ValidationReport
 from ._rowops import dot_rows
-from .rng import as_generator
+from .rng import E0_LANE, as_generator, substream
 
 SCHEDULE_FAMILIES = ("reciprocal", "power", "constant")
 SIGMOID_FAMILIES = ("constant", "kesten", "plakhov_almeida", "smooth")
@@ -296,3 +296,26 @@ def e0_monte_carlo(sigmoid: SigmoidSpec, noise: NoiseModel,
             assumption="B4.2")
     return E0Estimate(value=value, stderr=stderr, method="monte_carlo",
                       n_samples=int(n_samples))
+
+
+def e0_resolve(sigmoid: SigmoidSpec, noise: NoiseModel, n_samples: int,
+               master_seed: int) -> E0Estimate:
+    """The E0 every prediction and check uses.
+
+    Closed form when :func:`e0_exact` has one, otherwise
+    :func:`e0_monte_carlo` over ``n_samples`` pairs drawn from the
+    (master_seed, E0 lane, 0) substream. Any non-positive estimate raises a
+    ConfigError citing B4.2: the increment must be positive for s_t/t to
+    grow towards E0.
+    """
+    try:
+        return e0_exact(sigmoid, noise)
+    except NoClosedFormError:
+        estimate = e0_monte_carlo(
+            sigmoid, noise, n_samples=n_samples,
+            seed=substream(master_seed, E0_LANE, 0))
+        if estimate.value <= 0.0:
+            raise ConfigError(
+                f"estimated E0 = {estimate.value:.6g} is not positive",
+                assumption="B4.2")
+        return estimate

@@ -1,11 +1,17 @@
 """Command-line harness: config parsing, artifacts, exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptix.cli import main
 from adaptix.config import canonical_config, parse_config
@@ -326,6 +332,42 @@ def test_validate_flags_constant_schedule(tmp_path):
     assert "B2.3" in doc["failed"]
 
 
+@pytest.mark.parametrize("u_minus, seed", [
+    (-5.0, 11),   # Monte Carlo E0 many standard errors below zero
+    (-1.0, 1),    # estimate -0.006 within noise of zero, still not positive
+])
+def test_validate_nonpositive_e0_is_an_assumption_failure(tmp_path, u_minus,
+                                                          seed):
+    path = make_config(tmp_path, **{
+        "schedule.s_floor": 4.0,
+        "sigmoid": {"family": "plakhov_almeida", "u_minus": u_minus,
+                    "u_plus": 1.0}})
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", path, "--out", out,
+                   "--seed", seed) == 3
+    doc = json.loads((out / "validation.json").read_text())
+    items = {item["check_id"]: item for item in doc["items"]}
+    assert doc["failed"] == ["B4.2"]
+    assert isinstance(items["B4.2"]["witness"], str)
+    assert "not positive" in items["B4.2"]["witness"]
+    assert items["B3.3"]["verdict"] == "not_checked"
+
+
+def test_validate_dict_witness_bytes(tmp_path):
+    # W = 1/2 - 0.2/E0 with E0 = 1/2 is unstable; the witness is a dict
+    path = make_config(tmp_path, **{
+        "problem": {"kind": "linear", "dim": 1, "matrix": 0.2,
+                    "noise": {"kind": "gaussian", "cov": 1.0}}})
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", path, "--out", out) == 3
+    text = (out / "validation.json").read_text()
+    assert ('      "witness": {\n'
+            '        "real_parts": [\n'
+            '          0.099999999999999978\n'
+            '        ]\n'
+            '      }\n') in text
+
+
 def test_console_script_entry_point(tmp_path):
     path = make_config(tmp_path)
     proc = subprocess.run(
@@ -333,3 +375,75 @@ def test_console_script_entry_point(tmp_path):
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+
+NOISE_SIZE_KEY = {"gaussian": "cov", "uniform_ball": "radius",
+                  "scaled_rademacher": "scale"}
+
+
+@st.composite
+def small_configs(draw):
+    def number(lo, hi):
+        return draw(st.floats(lo, hi).map(lambda v: round(v, 2)))
+
+    kind = draw(st.sampled_from(["linear", "tanh", "cubic1d"]))
+    dim = 1 if kind == "cubic1d" else draw(st.integers(1, 3))
+    noise_kind = draw(st.sampled_from(sorted(NOISE_SIZE_KEY)))
+    noise = {"kind": noise_kind, "dim": dim,
+             NOISE_SIZE_KEY[noise_kind]: draw(st.sampled_from([0.0, 0.5, 1.0,
+                                                               2.0]))}
+    if kind == "cubic1d":
+        problem = {"kind": kind, "a": number(0.1, 3.0), "c": number(0.1, 3.0),
+                   "noise": noise}
+    else:
+        problem = {"kind": kind, "dim": dim, "noise": noise,
+                   "matrix": [[number(-0.5, 3.0) if i == j else 0.0
+                               for j in range(dim)] for i in range(dim)]}
+    family = draw(st.sampled_from(["constant", "kesten", "plakhov_almeida",
+                                   "smooth"]))
+    u_plus = number(0.1, 2.0)
+    sigmoid = {"family": family, "u_plus": u_plus}
+    if family == "constant":
+        sigmoid = {"family": family, "c": u_plus}
+    elif family == "plakhov_almeida":
+        sigmoid["u_minus"] = number(-6.0, -0.01)
+    elif family == "smooth":
+        sigmoid["u_minus"] = round(u_plus - number(0.0, 3.0), 2)
+        sigmoid["beta"] = number(0.1, 2.0)
+    schedule = draw(st.sampled_from([
+        {"family": "reciprocal", "s_floor": 2.0},
+        {"family": "reciprocal", "s_floor": 0.5},
+        {"family": "power", "gamma0": 0.5, "p": 0.8},
+        {"family": "power", "gamma0": 1.0, "p": 1.5},
+        {"family": "constant", "gamma0": 0.3},
+        {"family": "constant", "gamma0": 2.5},
+    ]))
+    experiment = {
+        "horizon": draw(st.integers(1, 300)),
+        "n_replicates": draw(st.integers(2, 20)),
+        "master_seed": draw(st.integers(0, 3)),
+        "couple_comparator": draw(st.booleans()),
+        "comparator_noise": draw(st.sampled_from(["shared", "independent"])),
+        "divergence_bound": draw(st.sampled_from([10.0, 1e12])),
+        "e0_mc_samples": 2000,
+    }
+    return {"problem": problem, "sigmoid": sigmoid, "schedule": schedule,
+            "experiment": experiment}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=small_configs(),
+       command=st.sampled_from(["predict", "run", "replicate", "validate"]))
+def test_every_outcome_is_a_documented_exit_code(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(command, "--config", path,
+                           "--out", os.path.join(tmp, "out"))
+    assert code in (0, 2, 3, 4, 5)

@@ -1,5 +1,7 @@
 """Single-step semantics, trajectory engine, and the comparator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from adaptix import (AlgoState, ConfigError, DimensionMismatchError,
                      kesten_gate, linear_problem, plakhov_almeida_gate,
                      reciprocal_schedule, run_comparator, run_trajectory,
                      sa_step, smooth_gate, uniform_ball_noise)
-from adaptix.core import NOISE_CHUNK
+from adaptix.core import NOISE_CHUNK, _simulate
 from adaptix.rng import TRAJECTORY_LANE, substream
 
 RECIPROCAL = reciprocal_schedule()
@@ -223,6 +225,28 @@ def test_divergence_raises_with_last_finite_state():
     assert err.state.y_prev[0] == 2.0 * (-3.0)**11
     recorded = err.trajectory.ts()
     assert recorded.max() <= 12
+
+
+def test_early_stop_memory_follows_recorded_times():
+    # every replicate diverges at step 13 of a 1e7-step horizon; the kernel
+    # stops there and fills the remaining slot with the last finite state
+    problem = linear_problem(matrix=2.0, dim=1, noise=ZERO_NOISE_1D)
+    init = InitialConditions(x0=np.array([1.0]))
+    rngs = [substream(5, TRAJECTORY_LANE, r) for r in range(2)]
+    tracemalloc.start()
+    try:
+        res = _simulate(problem, init, constant_schedule(2.0), KESTEN,
+                        10**7, rngs, [0, 7, 10**7], divergence_bound=1e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert list(res.diverged_at) == [13, 13]
+    assert np.all(res.x[1] == (-3.0)**7)
+    assert np.all(res.x[2] == (-3.0)**12)
+    assert np.all(res.y[2] == 2.0 * (-3.0)**11)
+    assert np.all(res.s[2] == 12.0)
+    assert np.array_equal(res.x[2], res.final_x)
 
 
 # ---------------------------------------------------------------------------

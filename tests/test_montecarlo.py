@@ -1,5 +1,7 @@
 """Replicate experiments: determinism, statistics, coupling."""
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from adaptix import (ConfigError, ExperimentPlan, InitialConditions,
                      normality_check, normality_stats, plakhov_almeida_gate,
                      predict, reciprocal_schedule, resolve_e0, run_comparator,
                      run_replicates, run_trajectory, step_counter_drift)
+from adaptix import montecarlo
 from adaptix.montecarlo import _ks_distance
 from adaptix.rng import TRAJECTORY_LANE, substream
 
@@ -66,6 +69,46 @@ def test_worker_count_never_changes_bits():
         assert np.array_equal(baseline.x, other.x)
         assert np.array_equal(baseline.s, other.s)
         assert np.array_equal(baseline.diverged_at, other.diverged_at)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records the requested size and
+    runs each submitted block in this process."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers, n_rep, cpus, pool_size", [
+    (100_000, 2, 8, 2),      # bounded by the replicates
+    (100_000, 7, 3, 3),      # bounded by the CPUs this process may use
+    (5, 7, 8, 5),
+    (5, 7, 1, None),         # one CPU: runs inline, no pool
+])
+def test_pool_size_is_bounded_by_work_and_cpus(monkeypatch, workers, n_rep,
+                                               cpus, pool_size):
+    plan = scalar_plan(n_replicates=n_rep, horizon=60, checkpoints=(10, 60))
+    baseline = run_replicates(plan, workers=1)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    other = run_replicates(plan, workers=workers)
+    assert InlinePool.sizes == ([] if pool_size is None else [pool_size])
+    assert np.array_equal(baseline.x, other.x)
+    assert np.array_equal(baseline.s, other.s)
 
 
 def test_each_row_is_its_own_substream():
