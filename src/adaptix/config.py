@@ -1,41 +1,49 @@
 """Strict JSON run configuration.
 
 Every key is checked: unknown keys are rejected with their dotted path,
-wrong types name the offending path, and omitted keys fall back to
-documented defaults. ``canonical_config`` renders the fully resolved
-configuration back to a plain dict (all defaults explicit) so the echoed
-config.json is a faithful, replayable record of the run.
+wrong types and non-finite numbers name the offending path, and omitted
+keys fall back to documented defaults. The keys and defaults of each
+schedule, gate and noise family are declared once, next to the family
+(``schedules.SCHEDULE_FAMILIES``, ``schedules.SIGMOID_FAMILIES``,
+``noise.KINDS``); parsing and the echo both read those tables, and the spec
+classes make every value check. ``canonical_config`` renders the fully
+resolved configuration back to a plain dict (all defaults explicit) so the
+echoed config.json is a faithful, replayable record of the run.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import InitialConditions
 from .errors import ConfigError
-from .montecarlo import (DEFAULT_COV_TOL, DEFAULT_KS_SCALE, ExperimentPlan,
-                         default_checkpoints)
-from .noise import (NoiseModel, gaussian_noise, scaled_rademacher_noise,
-                    uniform_ball_noise)
-from .problems import ProblemSpec, cubic_problem, linear_problem, tanh_problem
-from .schedules import SigmoidSpec, StepSchedule
+from .montecarlo import DEFAULT_COV_TOL, DEFAULT_KS_SCALE, ExperimentPlan
+from .noise import KINDS as NOISE_KINDS
+from .noise import NoiseModel
+from .problems import (PROBLEM_KINDS, ProblemSpec, cubic_problem,
+                       linear_problem, tanh_problem)
+from .schedules import (SCHEDULE_FAMILIES, SIGMOID_FAMILIES, SigmoidSpec,
+                        StepSchedule)
 
 DEFAULT_MAX_DIVERGED_FRACTION = 0.01
 NORMALITY_MIN_REPLICATES = 500
-
-_MISSING = object()
 
 
 def _dotted(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _check_keys(data: dict, path: str, allowed) -> None:
+def _check_object(data, path: str) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
+
+
+def _check_keys(data: dict, path: str, allowed) -> None:
+    _check_object(data, path)
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         names = ", ".join(_dotted(path, k) for k in unknown)
@@ -45,6 +53,10 @@ def _check_keys(data: dict, path: str, allowed) -> None:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
+    # false for NaN and +-Infinity, which json accepts, and for ints too
+    # large for a float
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{path} must be finite, got {value!r}")
     return float(value)
 
 
@@ -82,45 +94,62 @@ def _matrix(value, path: str) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _parse_noise(data, path: str, default_dim: int | None) -> NoiseModel:
-    kind = _string(data.get("kind", "gaussian"), _dotted(path, "kind"))
-    if kind == "gaussian":
-        _check_keys(data, path, ("kind", "dim", "cov"))
-        dim = data.get("dim")
-        if dim is not None:
-            dim = _integer(dim, _dotted(path, "dim"))
-        cov = data.get("cov", 1.0)
-        cov_path = _dotted(path, "cov")
-        if isinstance(cov, list):
-            if cov and isinstance(cov[0], list):
-                cov = _matrix(cov, cov_path)
-            else:
-                cov = np.diag(_vector(cov, cov_path))
+def _choice(data, path: str, tag: str, names, default=None) -> str:
+    """The family or kind named under ``tag``, checked against ``names``."""
+    _check_object(data, path)
+    if default is None and tag not in data:
+        raise ConfigError(f"missing required key: {_dotted(path, tag)}")
+    name = _string(data.get(tag, default), _dotted(path, tag))
+    if name not in names:
+        raise ConfigError(f"{_dotted(path, tag)} must be one of "
+                          f"{', '.join(names)}; got {name!r}")
+    return name
+
+
+def _parse_family(data, path: str, table: dict, default=None):
+    """A schedule or gate family and the values of its declared keys.
+
+    A key is read where given, else filled by the first given key its
+    declaration names, else defaulted; a key declared None is required.
+    Every given key is type-checked, also one that fills nothing.
+    """
+    family = _choice(data, path, "family", table, default)
+    keys = table[family]
+    fills = {key: d for key, d in keys.items() if isinstance(d, tuple)}
+    _check_keys(data, path, ("family", *keys, *sum(fills.values(), ())))
+    values = {}
+    for key, declared in keys.items():
+        names = (key, *fills.get(key, ()))
+        read = _string if isinstance(declared, str) else _number
+        given = [read(data[name], _dotted(path, name))
+                 for name in names if name in data]
+        if given:
+            values[key] = given[0]
+        elif declared is None or key in fills:
+            raise ConfigError(
+                f"missing required key: {_dotted(path, names[-1])}")
         else:
-            scale = _number(cov, cov_path)
-            cov = scale * np.eye(dim or default_dim or 1)
-        return gaussian_noise(cov)
-    if kind == "uniform_ball":
-        _check_keys(data, path, ("kind", "dim", "radius"))
-        dim = data.get("dim", default_dim)
-        if dim is None:
-            raise ConfigError(f"{_dotted(path, 'dim')} is required")
-        return uniform_ball_noise(
-            _integer(dim, _dotted(path, "dim")),
-            _number(data.get("radius", 1.0), _dotted(path, "radius")))
-    if kind == "scaled_rademacher":
-        _check_keys(data, path, ("kind", "dim", "scale"))
-        dim = data.get("dim", default_dim)
-        if dim is None:
-            raise ConfigError(f"{_dotted(path, 'dim')} is required")
-        return scaled_rademacher_noise(
-            _integer(dim, _dotted(path, "dim")),
-            _number(data.get("scale", 1.0), _dotted(path, "scale")))
-    raise ConfigError(f"{_dotted(path, 'kind')} must be one of gaussian, "
-                      f"uniform_ball, scaled_rademacher; got {kind!r}")
+            values[key] = declared
+    return family, values
 
 
-def _infer_dim(data: dict, path: str) -> int | None:
+def _parse_noise(data, path: str, default_dim: int) -> NoiseModel:
+    """A noise model; only a gaussian ``cov`` may also be a list."""
+    kind = _choice(data, path, "kind", NOISE_KINDS, "gaussian")
+    (key, default), = NOISE_KINDS[kind].items()
+    _check_keys(data, path, ("kind", "dim", key))
+    dim = _integer(data.get("dim", default_dim), _dotted(path, "dim"))
+    size, size_path = data.get(key, default), _dotted(path, key)
+    if kind != "gaussian" or not isinstance(size, list):
+        size = _number(size, size_path)
+    elif size and isinstance(size[0], list):
+        size = _matrix(size, size_path)
+    else:
+        size = _vector(size, size_path)
+    return NoiseModel(kind=kind, dim=dim, **{key: size})
+
+
+def _infer_dim(data: dict, path: str) -> int:
     if "dim" in data:
         return _integer(data["dim"], _dotted(path, "dim"))
     matrix = data.get("matrix")
@@ -136,15 +165,13 @@ def _infer_dim(data: dict, path: str) -> int | None:
         cov = noise.get("cov")
         if isinstance(cov, list):
             return len(cov)
-    return None
+    return 1
 
 
-def _parse_problem(data: dict, path: str = "problem") -> ProblemSpec:
-    if "kind" not in data:
-        raise ConfigError(f"missing required key: {_dotted(path, 'kind')}")
-    kind = _string(data["kind"], _dotted(path, "kind"))
+def _parse_problem(data, path: str = "problem") -> ProblemSpec:
+    kind = _choice(data, path, "kind", PROBLEM_KINDS)
     if kind == "cubic1d":
-        _check_keys(data, path, ("kind", "a", "c", "root", "noise"))
+        _check_keys(data, path, ("kind", "dim", "a", "c", "root", "noise"))
         noise = None
         if "noise" in data:
             noise = _parse_noise(data["noise"], _dotted(path, "noise"), 1)
@@ -152,13 +179,11 @@ def _parse_problem(data: dict, path: str = "problem") -> ProblemSpec:
             a=_number(data.get("a", 1.0), _dotted(path, "a")),
             c=_number(data.get("c", 1.0), _dotted(path, "c")),
             root=_number(data.get("root", 0.0), _dotted(path, "root")),
-            noise=noise)
-    if kind not in ("linear", "tanh"):
-        raise ConfigError(f"{_dotted(path, 'kind')} must be one of linear, "
-                          f"tanh, cubic1d; got {kind!r}")
+            noise=noise,
+            dim=_integer(data.get("dim", 1), _dotted(path, "dim")))
     _check_keys(data, path, ("kind", "dim", "matrix", "root", "noise",
                              "lyap_matrix", "b32_radius", "b32_beta0"))
-    dim = _infer_dim(data, path) or 1
+    dim = _infer_dim(data, path)
     matrix = data.get("matrix", 1.0)
     if isinstance(matrix, list):
         matrix = _matrix(matrix, _dotted(path, "matrix"))
@@ -174,91 +199,23 @@ def _parse_problem(data: dict, path: str = "problem") -> ProblemSpec:
     if "noise" in data:
         noise = _parse_noise(data["noise"], _dotted(path, "noise"), dim)
     kwargs = dict(matrix=matrix, dim=dim, root=root, noise=noise)
-    if "lyap_matrix" in data:
-        kwargs["lyap_matrix"] = _matrix(data["lyap_matrix"],
-                                        _dotted(path, "lyap_matrix"))
-    if "b32_radius" in data:
-        kwargs["b32_radius"] = _number(data["b32_radius"],
-                                       _dotted(path, "b32_radius"))
-    if "b32_beta0" in data:
-        kwargs["b32_beta0"] = _number(data["b32_beta0"],
-                                      _dotted(path, "b32_beta0"))
+    for key, read in (("lyap_matrix", _matrix), ("b32_radius", _number),
+                      ("b32_beta0", _number)):
+        if key in data:
+            kwargs[key] = read(data[key], _dotted(path, key))
     builder = linear_problem if kind == "linear" else tanh_problem
     return builder(**kwargs)
 
 
-def _parse_sigmoid(data: dict, path: str = "sigmoid") -> SigmoidSpec:
-    if "family" not in data:
-        raise ConfigError(f"missing required key: {_dotted(path, 'family')}")
-    family = _string(data["family"], _dotted(path, "family"))
-    at_zero = _string(data.get("at_zero", "right"), _dotted(path, "at_zero"))
-    if family == "constant":
-        _check_keys(data, path, ("family", "c", "u_minus", "u_plus", "at_zero"))
-        if "c" in data:
-            c = _number(data["c"], _dotted(path, "c"))
-        elif "u_plus" in data:
-            c = _number(data["u_plus"], _dotted(path, "u_plus"))
-            if "u_minus" in data and _number(
-                    data["u_minus"], _dotted(path, "u_minus")) != c:
-                raise ConfigError(
-                    f"{path}: constant gate needs u_minus == u_plus")
-        else:
-            raise ConfigError(f"missing required key: {_dotted(path, 'c')}")
-        return SigmoidSpec(family="constant", u_minus=c, u_plus=c,
-                           at_zero=at_zero)
-    if family == "kesten":
-        _check_keys(data, path, ("family", "u_minus", "u_plus", "at_zero"))
-        if "u_minus" in data and _number(
-                data["u_minus"], _dotted(path, "u_minus")) != 0.0:
-            raise ConfigError(f"{path}: kesten gate fixes u_minus = 0")
-        return SigmoidSpec(
-            family="kesten", u_minus=0.0,
-            u_plus=_number(data.get("u_plus", 1.0), _dotted(path, "u_plus")),
-            at_zero=at_zero)
-    if family == "plakhov_almeida":
-        _check_keys(data, path, ("family", "u_minus", "u_plus", "at_zero"))
-        for key in ("u_minus", "u_plus"):
-            if key not in data:
-                raise ConfigError(f"missing required key: {_dotted(path, key)}")
-        return SigmoidSpec(
-            family="plakhov_almeida",
-            u_minus=_number(data["u_minus"], _dotted(path, "u_minus")),
-            u_plus=_number(data["u_plus"], _dotted(path, "u_plus")),
-            at_zero=at_zero)
-    if family == "smooth":
-        _check_keys(data, path, ("family", "u_minus", "u_plus", "beta"))
-        for key in ("u_minus", "u_plus", "beta"):
-            if key not in data:
-                raise ConfigError(f"missing required key: {_dotted(path, key)}")
-        return SigmoidSpec(
-            family="smooth",
-            u_minus=_number(data["u_minus"], _dotted(path, "u_minus")),
-            u_plus=_number(data["u_plus"], _dotted(path, "u_plus")),
-            beta=_number(data["beta"], _dotted(path, "beta")))
-    raise ConfigError(f"{_dotted(path, 'family')} must be one of constant, "
-                      f"kesten, plakhov_almeida, smooth; got {family!r}")
+def _parse_sigmoid(data, path: str = "sigmoid") -> SigmoidSpec:
+    family, values = _parse_family(data, path, SIGMOID_FAMILIES)
+    return SigmoidSpec(family=family, **values)
 
 
-def _parse_schedule(data: dict, path: str = "schedule") -> StepSchedule:
-    family = _string(data.get("family", "reciprocal"), _dotted(path, "family"))
-    if family == "reciprocal":
-        _check_keys(data, path, ("family", "s_floor"))
-        return StepSchedule(
-            family="reciprocal",
-            s_floor=_number(data.get("s_floor", 1.0), _dotted(path, "s_floor")))
-    if family == "power":
-        _check_keys(data, path, ("family", "gamma0", "p"))
-        return StepSchedule(
-            family="power",
-            gamma0=_number(data.get("gamma0", 1.0), _dotted(path, "gamma0")),
-            p=_number(data.get("p", 1.0), _dotted(path, "p")))
-    if family == "constant":
-        _check_keys(data, path, ("family", "gamma0"))
-        return StepSchedule(
-            family="constant",
-            gamma0=_number(data.get("gamma0", 1.0), _dotted(path, "gamma0")))
-    raise ConfigError(f"{_dotted(path, 'family')} must be one of reciprocal, "
-                      f"power, constant; got {family!r}")
+def _parse_schedule(data, path: str = "schedule") -> StepSchedule:
+    family, values = _parse_family(data, path, SCHEDULE_FAMILIES,
+                                   "reciprocal")
+    return StepSchedule(family=family, **values)
 
 
 def _parse_init(data: dict, problem: ProblemSpec,
@@ -271,10 +228,12 @@ def _parse_init(data: dict, problem: ProblemSpec,
         x0 = _vector(x0, _dotted(path, "x0"))
     else:
         x0 = np.full(problem.dim, _number(x0, _dotted(path, "x0")))
-    return InitialConditions(
-        x0=x0,
-        s0=_number(data.get("s0", 1.0), _dotted(path, "s0")),
-        s1=_number(data.get("s1", 1.0), _dotted(path, "s1")))
+    s0 = _number(data.get("s0", 1.0), _dotted(path, "s0"))
+    s1 = _number(data.get("s1", 1.0), _dotted(path, "s1"))
+    try:
+        return InitialConditions(x0=x0, s0=s0, s1=s1)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,6 +247,15 @@ class RunConfig:
     emit_trajectory: bool = True
     emit_summary: bool = True
     emit_prediction: bool = True
+
+    def __post_init__(self):
+        for key in ("cov_tol", "ks_scale"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"tolerances.{key} must be > 0, "
+                                  f"got {getattr(self, key)}")
+        if not self.max_diverged_fraction >= 0:
+            raise ConfigError("tolerances.max_diverged_fraction must be "
+                              f">= 0, got {self.max_diverged_fraction}")
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -306,24 +274,18 @@ def parse_config(data: dict) -> RunConfig:
                                     "checkpoints", "couple_comparator",
                                     "comparator_noise", "divergence_bound",
                                     "e0_mc_samples"))
-    horizon = _integer(exp.get("horizon", 10_000), "experiment.horizon")
     checkpoints = exp.get("checkpoints")
-    if checkpoints is not None:
-        if not isinstance(checkpoints, list):
-            raise ConfigError("experiment.checkpoints must be a list")
-        checkpoints = tuple(
-            _integer(t, f"experiment.checkpoints[{i}]")
-            for i, t in enumerate(checkpoints))
-    else:
-        checkpoints = default_checkpoints(horizon)
+    if not isinstance(checkpoints, (list, type(None))):
+        raise ConfigError("experiment.checkpoints must be a list")
     plan = ExperimentPlan(
         problem=problem, schedule=schedule, sigmoid=sigmoid, init=init,
-        horizon=horizon,
+        horizon=_integer(exp.get("horizon", 10_000), "experiment.horizon"),
         n_replicates=_integer(exp.get("n_replicates", 100),
                               "experiment.n_replicates"),
         master_seed=_integer(exp.get("master_seed", 0),
                              "experiment.master_seed"),
-        checkpoints=checkpoints,
+        checkpoints=tuple(_integer(t, f"experiment.checkpoints[{i}]")
+                          for i, t in enumerate(checkpoints or ())),
         couple_comparator=_boolean(exp.get("couple_comparator", False),
                                    "experiment.couple_comparator"),
         comparator_noise=_string(exp.get("comparator_noise", "shared"),
@@ -379,15 +341,10 @@ def load_config(path) -> RunConfig:
     return parse_config(data)
 
 
-def _noise_dict(noise: NoiseModel) -> dict:
-    out: dict = {"kind": noise.kind, "dim": noise.dim}
-    if noise.kind == "gaussian":
-        out["cov"] = noise.cov.tolist()
-    elif noise.kind == "uniform_ball":
-        out["radius"] = noise.radius
-    else:
-        out["scale"] = noise.scale
-    return out
+def _declared(spec, tag: str, keys) -> dict:
+    """``spec`` under its ``tag`` and declared keys, arrays as nested lists."""
+    return {tag: getattr(spec, tag),
+            **{key: np.asarray(getattr(spec, key)).tolist() for key in keys}}
 
 
 def canonical_config(cfg: RunConfig) -> dict:
@@ -402,34 +359,20 @@ def canonical_config(cfg: RunConfig) -> dict:
     else:
         prob["matrix"] = problem.matrix.tolist()
         prob["root"] = problem.root.tolist()
-    prob["noise"] = _noise_dict(problem.noise)
+    noise = problem.noise
+    prob["noise"] = _declared(noise, "kind", ("dim", *NOISE_KINDS[noise.kind]))
     if problem.kind != "cubic1d":
         prob["lyap_matrix"] = problem.lyap_matrix.tolist()
         if problem.b32_radius is not None:
             prob["b32_radius"] = problem.b32_radius
             prob["b32_beta0"] = problem.b32_beta0
-
-    sigmoid = plan.sigmoid
-    sig: dict = {"family": sigmoid.family, "u_minus": sigmoid.u_minus,
-                 "u_plus": sigmoid.u_plus}
-    if sigmoid.family == "smooth":
-        sig["beta"] = sigmoid.beta
-    else:
-        sig["at_zero"] = sigmoid.at_zero
-
-    schedule = plan.schedule
-    if schedule.family == "reciprocal":
-        sched = {"family": "reciprocal", "s_floor": schedule.s_floor}
-    elif schedule.family == "power":
-        sched = {"family": "power", "gamma0": schedule.gamma0,
-                 "p": schedule.p}
-    else:
-        sched = {"family": "constant", "gamma0": schedule.gamma0}
-
+    sigmoid, schedule = plan.sigmoid, plan.schedule
     return {
         "problem": prob,
-        "sigmoid": sig,
-        "schedule": sched,
+        "sigmoid": _declared(sigmoid, "family",
+                             SIGMOID_FAMILIES[sigmoid.family]),
+        "schedule": _declared(schedule, "family",
+                              SCHEDULE_FAMILIES[schedule.family]),
         "init": {"x0": plan.init.x0.tolist(), "s0": plan.init.s0,
                  "s1": plan.init.s1},
         "experiment": {

@@ -27,7 +27,7 @@ from scipy.stats import chi2
 from ._rowops import norm_rows
 from .asymptotics import AsymptoticPrediction
 from .core import ComparatorConfig, InitialConditions, _simulate
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .noise import NoiseModel
 from .problems import ProblemSpec
 from .rng import COMPARATOR_LANE, TRAJECTORY_LANE, substream
@@ -81,6 +81,12 @@ class ExperimentPlan:
             raise ConfigError(
                 f"comparator_noise must be 'shared' or 'independent', "
                 f"got {self.comparator_noise!r}")
+        if not self.divergence_bound > 0:
+            raise ConfigError(
+                f"divergence_bound must be > 0, got {self.divergence_bound}")
+        if self.e0_mc_samples < 2:
+            raise ConfigError(
+                f"e0_mc_samples must be >= 2, got {self.e0_mc_samples}")
         if self.init.x0.shape[0] != self.problem.dim:
             raise ConfigError(
                 f"x0 dimension {self.init.x0.shape[0]} does not match problem "
@@ -257,7 +263,11 @@ def normality_stats(rows: np.ndarray, predicted_v: np.ndarray):
     empirical = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
     rel_err = float(np.linalg.norm(empirical - v, "fro")
                     / np.linalg.norm(v, "fro"))
-    solved = np.linalg.solve(v, rows.T)
+    try:
+        solved = np.linalg.solve(v, rows.T)
+    except np.linalg.LinAlgError:
+        raise NumericError("predicted covariance V is singular; the "
+                           "Mahalanobis test needs it invertible") from None
     mahalanobis_sq = np.sum(rows.T * solved, axis=0)
     ks = _ks_distance(mahalanobis_sq, chi2(dim).cdf)
     return empirical, rel_err, ks

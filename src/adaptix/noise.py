@@ -27,14 +27,25 @@ import numpy as np
 from ._rowops import norm_rows
 from .errors import ConfigError, DimensionMismatchError
 
-KINDS = ("gaussian", "uniform_ball", "scaled_rademacher")
+#: Config keys of each noise kind besides ``kind`` and ``dim``, with defaults.
+KINDS = {
+    "gaussian": {"cov": 1.0},
+    "uniform_ball": {"radius": 1.0},
+    "scaled_rademacher": {"scale": 1.0},
+}
 
 
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
+    """A noise law; construction makes every check on its parameters.
+
+    ``cov`` is the target covariance, always a (dim, dim) matrix once
+    built. A gaussian takes it as a variance (times I), a diagonal or a
+    matrix; the other kinds derive it from their radius or scale.
+    """
     kind: str
     dim: int
-    cov: np.ndarray          # target covariance, always a (dim, dim) matrix
+    cov: np.ndarray | None = None
     radius: float | None = None  # uniform_ball only
     scale: float | None = None   # scaled_rademacher only
 
@@ -43,10 +54,27 @@ class NoiseModel:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
         if self.dim < 1:
             raise ConfigError(f"noise dim must be >= 1, got {self.dim}")
-        cov = np.asarray(self.cov, dtype=np.float64)
+        if self.kind == "uniform_ball":
+            if self.radius <= 0:
+                raise ConfigError(
+                    f"ball radius must be > 0, got {self.radius}")
+            cov = self.radius**2 / (self.dim + 2) * np.eye(self.dim)
+        elif self.kind == "scaled_rademacher":
+            if self.scale <= 0:
+                raise ConfigError(
+                    f"rademacher scale must be > 0, got {self.scale}")
+            cov = self.scale**2 * np.eye(self.dim)
+        else:
+            cov = np.asarray(self.cov, dtype=np.float64)
+            if cov.ndim == 0:
+                cov = cov * np.eye(self.dim)
+            elif cov.ndim == 1:
+                cov = np.diag(cov)
         if cov.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
                 f"cov shape {cov.shape} does not match dim {self.dim}")
+        if np.any(np.diag(cov) < 0):
+            raise ConfigError("covariance diagonal must be nonnegative")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ConfigError("noise covariance must be symmetric")
         object.__setattr__(self, "cov", cov)
@@ -117,26 +145,13 @@ class NoiseModel:
 def gaussian_noise(cov) -> NoiseModel:
     """Gaussian model from a scalar variance, diagonal, or full matrix."""
     cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim == 0:
-        cov = cov.reshape(1, 1)
-    elif cov.ndim == 1:
-        cov = np.diag(cov)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise DimensionMismatchError(f"covariance must be square, got {cov.shape}")
-    if np.any(np.diag(cov) < 0):
-        raise ConfigError("covariance diagonal must be nonnegative")
-    return NoiseModel(kind="gaussian", dim=cov.shape[0], cov=cov)
+    return NoiseModel(kind="gaussian", dim=cov.shape[0] if cov.ndim else 1,
+                      cov=cov)
 
 
 def uniform_ball_noise(dim: int, radius: float) -> NoiseModel:
-    if radius <= 0:
-        raise ConfigError(f"ball radius must be > 0, got {radius}")
-    cov = radius**2 / (dim + 2) * np.eye(dim)
-    return NoiseModel(kind="uniform_ball", dim=dim, cov=cov, radius=float(radius))
+    return NoiseModel(kind="uniform_ball", dim=dim, radius=float(radius))
 
 
 def scaled_rademacher_noise(dim: int, scale: float) -> NoiseModel:
-    if scale <= 0:
-        raise ConfigError(f"rademacher scale must be > 0, got {scale}")
-    cov = scale**2 * np.eye(dim)
-    return NoiseModel(kind="scaled_rademacher", dim=dim, cov=cov, scale=float(scale))
+    return NoiseModel(kind="scaled_rademacher", dim=dim, scale=float(scale))

@@ -65,6 +65,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}")
+        if self.kind == "cubic1d" and self.dim != 1:
+            raise ConfigError("cubic1d is scalar only")
         root = np.asarray(self.root, dtype=np.float64).reshape(-1)
         if root.shape != (self.dim,):
             raise DimensionMismatchError(
@@ -74,8 +76,6 @@ class ProblemSpec:
             raise DimensionMismatchError(
                 f"noise dim {self.noise.dim} does not match problem dim {self.dim}")
         if self.kind == "cubic1d":
-            if self.dim != 1:
-                raise ConfigError("cubic1d is scalar only")
             if self.cubic_a is None or self.cubic_c is None:
                 raise ConfigError("cubic1d needs coefficients a and c")
             if self.cubic_a <= 0 or self.cubic_c <= 0:
@@ -163,6 +163,9 @@ def _matrix_problem(kind: str, matrix, dim: int | None, root,
         m = float(m) * np.eye(dim)
     else:
         m = np.atleast_2d(m)
+        if dim is not None and dim != m.shape[0]:
+            raise DimensionMismatchError(
+                f"dim {dim} does not match the {m.shape[0]}-row matrix")
         dim = m.shape[0]
     root_arr = np.zeros(dim) if root is None else np.asarray(root, dtype=np.float64)
     if noise is None:
@@ -196,18 +199,20 @@ _CUBIC_GRID = GridConfig(radii=(0.25, 0.5, 1.0, 1.2))
 
 
 def cubic_problem(a: float = 1.0, c: float = 1.0, root=0.0,
-                  noise: NoiseModel | None = None) -> ProblemSpec:
+                  noise: NoiseModel | None = None,
+                  dim: int = 1) -> ProblemSpec:
     """Scalar cubic field a (x - x*) + c (x - x*)^3.
 
     Ships without drift-margin constants (the superlinear growth makes that
     inequality unsatisfiable at large radii for any positive initial step),
     so B3.2 reports not_checked; its validation grid keeps descent starts
-    inside the basin of the deterministic recursion.
+    inside the basin of the deterministic recursion. ``dim`` is taken so a
+    config may state the dimension its echo carries; only 1 is valid.
     """
     root_arr = np.asarray(root, dtype=np.float64).reshape(-1)
     if noise is None:
         noise = gaussian_noise(np.eye(1))
-    return ProblemSpec(name="cubic1d", kind="cubic1d", dim=1, root=root_arr,
+    return ProblemSpec(name="cubic1d", kind="cubic1d", dim=dim, root=root_arr,
                        noise=noise, cubic_a=float(a), cubic_c=float(c),
                        lyap_matrix=np.array([[0.5]]),
                        b32_radius=None, b32_beta0=None,

@@ -39,8 +39,24 @@ from .report import FAIL, PASS, ValidationReport
 from ._rowops import dot_rows
 from .rng import E0_LANE, as_generator, substream
 
-SCHEDULE_FAMILIES = ("reciprocal", "power", "constant")
-SIGMOID_FAMILIES = ("constant", "kesten", "plakhov_almeida", "smooth")
+#: Config keys of each schedule family, in config.json order, with defaults.
+SCHEDULE_FAMILIES = {
+    "reciprocal": {"s_floor": 1.0},
+    "power": {"gamma0": 1.0, "p": 1.0},
+    "constant": {"gamma0": 1.0},
+}
+#: Config keys of each gate family, in config.json order, with defaults.
+#: None marks a required key. A tuple names the keys whose value fills this
+#: one when it is absent, the first given winning: ``c`` fills whichever
+#: level of a constant gate is not given, and a lone ``u_plus`` fills
+#: ``u_minus``. SigmoidSpec then rejects levels that disagree.
+SIGMOID_FAMILIES = {
+    "constant": {"u_minus": ("c", "u_plus"), "u_plus": ("c",),
+                 "at_zero": "right"},
+    "kesten": {"u_minus": 0.0, "u_plus": 1.0, "at_zero": "right"},
+    "plakhov_almeida": {"u_minus": None, "u_plus": None, "at_zero": "right"},
+    "smooth": {"u_minus": None, "u_plus": None, "beta": None},
+}
 AT_ZERO = ("left", "right", "midpoint")
 
 

@@ -17,6 +17,8 @@ def format_float(value: float) -> str:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value!r} in artifact")
+    if value == 0.0 and math.copysign(1.0, value) < 0.0:
+        return "-0.0"   # "-0" reads back as the integer 0, losing the sign
     return format(value, ".17g")
 
 

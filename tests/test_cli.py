@@ -10,11 +10,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adaptix.cli import main
 from adaptix.config import canonical_config, parse_config
+from adaptix.errors import ConfigError, DimensionMismatchError
+from adaptix.serialize import dumps_json
 
 BASE_CONFIG = {
     "problem": {"kind": "linear", "dim": 2,
@@ -96,6 +98,79 @@ def test_nonpositive_gate_ceiling_rejected(tmp_path, capsys):
     path = make_config(tmp_path, **{"sigmoid.u_plus": -0.5})
     assert run_cli("predict", "--config", path, "--out", tmp_path / "o") == 2
     assert "B4.1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigmoid", [
+    {"family": "constant", "c": 0.7, "u_minus": 0.0, "u_plus": 1.0},
+    {"family": "constant", "c": 0.7, "u_plus": 1.0},
+    {"family": "constant", "c": 0.7, "u_minus": 0.5},
+])
+def test_contradictory_constant_gate_keys_rejected(sigmoid):
+    # c fills only the levels not given, so it cannot hide either of them
+    with pytest.raises(ConfigError, match="B4.1"):
+        parse_config(dict(BASE_CONFIG, sigmoid=sigmoid))
+
+
+def test_constant_gate_keys_that_agree_are_accepted():
+    for sigmoid in ({"family": "constant", "c": 0.7, "u_plus": 0.7},
+                    {"family": "constant", "u_plus": 0.7}):
+        echoed = canonical_config(parse_config(dict(BASE_CONFIG,
+                                                    sigmoid=sigmoid)))
+        assert echoed["sigmoid"]["u_minus"] == echoed["sigmoid"]["u_plus"] \
+            == 0.7
+
+
+@pytest.mark.parametrize("kind", ["linear", "tanh"])
+def test_dim_contradicting_the_matrix_rejected(tmp_path, capsys, kind):
+    # without a noise section nothing else ties the problem to dim 3
+    path = make_config(tmp_path, **{"problem.kind": kind, "problem.dim": 3,
+                                    "problem.noise": None})
+    assert run_cli("predict", "--config", path, "--out", tmp_path / "o") == 2
+    assert "dim 3 does not match the 2-row matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise, message", [
+    ({"kind": "gaussian", "dim": 3, "cov": [1.0, 1.0]},
+     "cov shape (2, 2) does not match dim 3"),
+    ({"kind": "uniform_ball", "dim": -2}, "noise dim must be >= 1"),
+])
+def test_noise_dim_is_checked_before_use(tmp_path, capsys, noise, message):
+    path = make_config(tmp_path, **{"problem.noise": noise})
+    assert run_cli("predict", "--config", path, "--out", tmp_path / "o") == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("experiment.divergence_bound", float("nan"),
+     "experiment.divergence_bound"),
+    ("tolerances.cov_tol", float("nan"), "tolerances.cov_tol"),
+    ("problem.matrix", [[float("nan"), 0.0], [0.0, 3.0]],
+     "problem.matrix[0][0]"),
+    ("init.x0", float("inf"), "init.x0"),
+    ("schedule.s_floor", 10**400, "schedule.s_floor"),
+])
+def test_non_finite_numbers_rejected_with_path(tmp_path, capsys, key, value,
+                                               path):
+    cfg = make_config(tmp_path, **{key: value})
+    assert run_cli("predict", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert f"{path} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, name", [
+    ("experiment.e0_mc_samples", 1, "e0_mc_samples"),
+    ("init.s0", -1.0, "s0"),
+    ("init.s1", -0.5, "s1"),
+    ("experiment.divergence_bound", 0.0, "divergence_bound"),
+    ("experiment.divergence_bound", -1e6, "divergence_bound"),
+    ("tolerances.max_diverged_fraction", -0.01, "max_diverged_fraction"),
+    ("tolerances.cov_tol", 0.0, "cov_tol"),
+    ("tolerances.ks_scale", -1.63, "ks_scale"),
+])
+def test_out_of_range_values_exit_2_and_name_the_key(tmp_path, capsys, key,
+                                                     value, name):
+    path = make_config(tmp_path, **{key: value})
+    assert run_cli("predict", "--config", path, "--out", tmp_path / "o") == 2
+    assert name in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +319,20 @@ def test_replicate_unstable_exits_3(tmp_path):
                                                        [0.0, 0.2]]})
     assert run_cli("replicate", "--config", path,
                    "--out", tmp_path / "o") == 3
+
+
+def test_replicate_names_a_singular_predicted_v(tmp_path, capsys):
+    # noise only along the first axis: V has a zero row and column
+    path = make_config(tmp_path, **{
+        "problem.noise": {"kind": "gaussian", "cov": [[1.0, 0.0],
+                                                      [0.0, 0.0]]},
+        "experiment.horizon": 50, "experiment.n_replicates": 10,
+        "experiment.checkpoints": None, "experiment.e0_mc_samples": 2000})
+    assert run_cli("replicate", "--config", path,
+                   "--out", tmp_path / "o") == 5
+    err = capsys.readouterr().err
+    assert "predicted covariance V is singular" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_replicate_coupling_summary(tmp_path):
@@ -447,3 +536,14 @@ def test_every_outcome_is_a_documented_exit_code(doc, command):
             code = run_cli(command, "--config", path,
                            "--out", os.path.join(tmp, "out"))
     assert code in (0, 2, 3, 4, 5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=small_configs())
+def test_config_echo_is_a_fixed_point(doc):
+    try:
+        first = dumps_json(canonical_config(parse_config(doc)))
+    except (ConfigError, DimensionMismatchError):
+        assume(False)
+    second = dumps_json(canonical_config(parse_config(json.loads(first))))
+    assert second == first

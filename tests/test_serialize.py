@@ -12,6 +12,11 @@ def test_floats_round_trip_exactly():
         assert float(format_float(value)) == value
 
 
+def test_negative_zero_keeps_its_sign_through_json():
+    # json reads "-0" as the integer 0, so config.json would replay +0.0
+    assert np.signbit(json.loads(dumps_json({"x": -0.0}))["x"])
+
+
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         format_float(float("nan"))
