@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NumericError, StabilityError, TailBoundError
 from .schedules import E0Estimate
@@ -39,6 +38,12 @@ LYAPUNOV_RESIDUAL_RTOL = 1e-10
 
 #: The quadrature horizon must damp the propagator to this spectral norm.
 TAIL_NORM_BOUND = 1e-8
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential; scipy.linalg is loaded on the first call only."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 def _as_e0_value(e0) -> float:

@@ -160,7 +160,7 @@ def _infer_dim(data: dict, path: str) -> int:
         return len(root)
     noise = data.get("noise")
     if isinstance(noise, dict):
-        if isinstance(noise.get("dim"), int):
+        if isinstance(noise.get("dim"), int) and noise["dim"] >= 1:
             return noise["dim"]
         cov = noise.get("cov")
         if isinstance(cov, list):
@@ -184,6 +184,8 @@ def _parse_problem(data, path: str = "problem") -> ProblemSpec:
     _check_keys(data, path, ("kind", "dim", "matrix", "root", "noise",
                              "lyap_matrix", "b32_radius", "b32_beta0"))
     dim = _infer_dim(data, path)
+    if dim < 1:
+        raise ConfigError(f"{_dotted(path, 'dim')} must be >= 1, got {dim}")
     matrix = data.get("matrix", 1.0)
     if isinstance(matrix, list):
         matrix = _matrix(matrix, _dotted(path, "matrix"))

@@ -22,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from ._rowops import norm_rows
 from .asymptotics import AsymptoticPrediction
@@ -251,6 +250,16 @@ def _ks_distance(sample: np.ndarray, cdf) -> float:
     return float(max(np.max(upper - reference), np.max(reference - lower)))
 
 
+def chi2_cdf(q, dim: int) -> np.ndarray:
+    """Chi-square CDF with ``dim`` degrees of freedom, 0 below the support.
+
+    Bit for bit ``scipy.stats.chi2(dim).cdf``, whose body is ``chdtr``, but
+    without importing scipy.stats; ``chdtr`` alone is nan below 0.
+    """
+    from scipy.special import chdtr
+    return chdtr(dim, np.maximum(q, 0.0))
+
+
 def normality_stats(rows: np.ndarray, predicted_v: np.ndarray):
     """(empirical covariance, relative Frobenius error, Mahalanobis KS).
 
@@ -269,7 +278,7 @@ def normality_stats(rows: np.ndarray, predicted_v: np.ndarray):
         raise NumericError("predicted covariance V is singular; the "
                            "Mahalanobis test needs it invertible") from None
     mahalanobis_sq = np.sum(rows.T * solved, axis=0)
-    ks = _ks_distance(mahalanobis_sq, chi2(dim).cdf)
+    ks = _ks_distance(mahalanobis_sq, lambda q: chi2_cdf(q, dim))
     return empirical, rel_err, ks
 
 

@@ -156,6 +156,8 @@ def _matrix_problem(kind: str, matrix, dim: int | None, root,
                     noise: NoiseModel | None, lyap_matrix,
                     b32_radius: float | None,
                     b32_beta0: float | None) -> ProblemSpec:
+    if dim is not None and dim < 1:
+        raise ConfigError(f"problem.dim must be >= 1, got {dim}")
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim == 0:
         if dim is None:

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, NoClosedFormError
 from .noise import NoiseModel
@@ -230,6 +229,7 @@ def sigmoid_eval(sigmoid: SigmoidSpec, v):
     if sigmoid.family == "constant":
         out = np.full_like(arr, sigmoid.u_plus)
     elif sigmoid.family == "smooth":
+        from scipy.special import expit
         out = sigmoid.u_minus + (sigmoid.u_plus - sigmoid.u_minus) * expit(
             arr / sigmoid.beta)
     else:

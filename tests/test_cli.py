@@ -165,6 +165,12 @@ def test_non_finite_numbers_rejected_with_path(tmp_path, capsys, key, value,
     ("tolerances.max_diverged_fraction", -0.01, "max_diverged_fraction"),
     ("tolerances.cov_tol", 0.0, "cov_tol"),
     ("tolerances.ks_scale", -1.63, "ks_scale"),
+    ("problem", {"kind": "linear", "dim": -1, "matrix": 1.0}, "problem.dim"),
+    ("problem", {"kind": "tanh", "dim": 0, "matrix": 1.0, "root": 0.5},
+     "problem.dim"),
+    ("problem.dim", -1, "problem.dim"),
+    ("problem", {"kind": "linear", "root": 0.5,
+                 "noise": {"kind": "gaussian", "dim": -2}}, "noise dim"),
 ])
 def test_out_of_range_values_exit_2_and_name_the_key(tmp_path, capsys, key,
                                                      value, name):
@@ -464,6 +470,32 @@ def test_console_script_entry_point(tmp_path):
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+MODULES_PROBE = ("import json, sys\n"
+                 "from adaptix.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print(json.dumps([code, sorted(sys.modules)]))\n")
+
+
+@pytest.mark.parametrize("command, codes, absent", [
+    ("run", {0}, "scipy"),
+    ("validate", {0, 3}, "scipy"),
+    ("predict", {0}, "scipy.stats"),
+    ("replicate", {0}, "scipy.stats"),
+])
+def test_commands_import_only_the_scipy_they_compute_with(tmp_path, command,
+                                                          codes, absent):
+    # A fresh interpreter: this process has long since imported scipy.stats.
+    path = make_config(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE, command, "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code in codes, proc.stderr
+    assert [m for m in modules
+            if m == absent or m.startswith(absent + ".")] == []
 
 
 # ---------------------------------------------------------------------------

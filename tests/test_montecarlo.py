@@ -12,7 +12,7 @@ from adaptix import (ConfigError, ExperimentPlan, InitialConditions,
                      predict, reciprocal_schedule, resolve_e0, run_comparator,
                      run_replicates, run_trajectory, step_counter_drift)
 from adaptix import montecarlo
-from adaptix.montecarlo import _ks_distance
+from adaptix.montecarlo import _ks_distance, chi2_cdf
 from adaptix.rng import TRAJECTORY_LANE, substream
 
 RECIPROCAL = reciprocal_schedule()
@@ -259,6 +259,20 @@ def test_ks_distance_against_known_cdf():
     # (i+0.5)/k is exactly 0.5/k
     pts = (np.arange(10) + 0.5) / 10.0
     assert _ks_distance(pts, lambda x: x) == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_chi2_cdf_is_scipy_stats_chi2_bit_for_bit(dim):
+    from scipy.stats import chi2
+    rng = np.random.default_rng(dim)
+    q = np.concatenate([
+        rng.chisquare(dim, 20_000), rng.uniform(-3.0, 40.0, 2000),
+        [0.0, -0.0, -1e-300, -1.0, 5e-324, 1e300, np.inf, -np.inf, np.nan]])
+    expected = chi2(dim).cdf(q)
+    got = chi2_cdf(q, dim)
+    assert got.dtype == expected.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert np.all(chi2_cdf(np.array([-0.0, -1e-300, -np.inf]), dim) == 0.0)
 
 
 def test_normality_stats_calibrated_and_discriminating():

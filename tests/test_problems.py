@@ -78,6 +78,9 @@ def test_analytic_jacobian_matches_finite_differences(problem):
 def test_problem_construction_errors():
     with pytest.raises(DimensionMismatchError):
         linear_problem(matrix=np.eye(2), noise=gaussian_noise(np.eye(3)))
+    for dim in (-1, 0):
+        with pytest.raises(ConfigError, match="problem.dim"):
+            linear_problem(matrix=1.0, dim=dim)
     with pytest.raises(ConfigError):
         cubic_problem(a=0.0)
     with pytest.raises(ConfigError):
