@@ -27,9 +27,8 @@ from .montecarlo import (ConvergenceSummary, CouplingSummary, ExperimentPlan,
                          step_counter_drift)
 from .noise import (NoiseModel, gaussian_noise, scaled_rademacher_noise,
                     uniform_ball_noise)
-from .problems import (GridConfig, ProblemSpec, cubic_problem, field_eval,
-                       jacobian_eval, linear_problem, tanh_problem,
-                       validate_problem)
+from .problems import (ProblemSpec, cubic_problem, field_eval, jacobian_eval,
+                       linear_problem, tanh_problem, validate_problem)
 from .report import ValidationItem, ValidationReport
 from .schedules import (E0Estimate, SigmoidSpec, StepSchedule, constant_gate,
                         constant_schedule, e0_exact, e0_monte_carlo,
@@ -43,7 +42,7 @@ __all__ = [
     "AdaptixError", "AlgoState", "AsymptoticPrediction", "ConfigError",
     "ConvergenceSummary", "CouplingSummary", "DimensionMismatchError",
     "DivergedTrajectoryError",
-    "E0Estimate", "ExperimentPlan", "GridConfig", "InitialConditions",
+    "E0Estimate", "ExperimentPlan", "InitialConditions",
     "NoClosedFormError", "NoiseModel", "NonFiniteMeasurementError",
     "NormalityReport", "NumericError", "ProblemSpec", "ReplicateSet",
     "RunConfig", "SigmoidSpec", "StabilityError", "StepSchedule",

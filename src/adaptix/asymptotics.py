@@ -39,6 +39,9 @@ LYAPUNOV_RESIDUAL_RTOL = 1e-10
 #: The quadrature horizon must damp the propagator to this spectral norm.
 TAIL_NORM_BOUND = 1e-8
 
+#: Floor on the oracle's total Gauss-Legendre node count.
+ORACLE_MIN_NODES = 384
+
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential; scipy.linalg is loaded on the first call only."""
@@ -114,14 +117,13 @@ def solve_lyapunov(w: np.ndarray, noise_cov: np.ndarray, e0) -> np.ndarray:
 
 
 def covariance_integral_oracle(w: np.ndarray, noise_cov: np.ndarray, e0,
-                               t_max: float | None = None,
-                               n_nodes: int = 384) -> np.ndarray:
+                               t_max: float | None = None) -> np.ndarray:
     """V via quadrature of the integral representation (independent route).
 
     Integrates e^{Wt} (S_xi/E0^2) e^{W^T t} over [0, t_max] with composite
     Gauss-Legendre panels (12 nodes each). Panel width is capped at
-    2/||W||_2 so oscillatory modes (complex spectrum) are resolved;
-    ``n_nodes`` is a floor on the total node count. ``t_max=None`` picks
+    2/||W||_2 so oscillatory modes (complex spectrum) are resolved, with
+    at least ``ORACLE_MIN_NODES`` nodes in total. ``t_max=None`` picks
     log(1e12)/|max real eigenvalue|, then the tail requirement
     ||e^{W t_max}||_2 <= 1e-8 is verified either way; a violation raises
     TailBoundError asking for a larger t_max.
@@ -139,7 +141,7 @@ def covariance_integral_oracle(w: np.ndarray, noise_cov: np.ndarray, e0,
             f"t_max = {t_max:.6g}; increase t_max")
     per_panel = 12
     spread = max(1.0, float(np.linalg.norm(w, 2)))
-    n_panels = max(1, int(np.ceil(n_nodes / per_panel)),
+    n_panels = max(int(np.ceil(ORACLE_MIN_NODES / per_panel)),
                    int(np.ceil(t_max * spread / 2.0)))
     nodes, weights = np.polynomial.legendre.leggauss(per_panel)
     edges = np.linspace(0.0, t_max, n_panels + 1)
@@ -161,7 +163,6 @@ class AsymptoticPrediction:
     eigen_real_parts: np.ndarray
     stable: bool
     v: np.ndarray | None
-    noise_cov: np.ndarray
 
 
 def predict(jacobian: np.ndarray, noise_cov: np.ndarray, e0) -> AsymptoticPrediction:
@@ -169,7 +170,6 @@ def predict(jacobian: np.ndarray, noise_cov: np.ndarray, e0) -> AsymptoticPredic
     estimate = e0 if isinstance(e0, E0Estimate) else E0Estimate(
         value=float(e0), stderr=0.0, method="exact")
     w, real_parts, stable = stability_matrix(jacobian, estimate)
-    cov = np.atleast_2d(np.asarray(noise_cov, dtype=np.float64))
-    v = solve_lyapunov(w, cov, estimate) if stable else None
+    v = solve_lyapunov(w, noise_cov, estimate) if stable else None
     return AsymptoticPrediction(e0=estimate, w=w, eigen_real_parts=real_parts,
-                                stable=stable, v=v, noise_cov=cov)
+                                stable=stable, v=v)

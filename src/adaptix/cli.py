@@ -30,8 +30,7 @@ from .core import Trajectory, run_trajectory
 from .errors import (AdaptixError, ConfigError, DimensionMismatchError,
                      DivergedTrajectoryError, StabilityError)
 from .montecarlo import (convergence_summary, coupling_gap, normality_check,
-                         normality_stats, resolve_e0, run_replicates,
-                         step_counter_drift)
+                         resolve_e0, run_replicates, step_counter_drift)
 from .problems import validate_problem
 from .schedules import gamma_eval
 from .serialize import write_csv, write_json
@@ -147,44 +146,33 @@ def _write_trajectory(path, trajectory: Trajectory, schedule) -> None:
 def cmd_run(args) -> int:
     cfg, out_dir = _load(args)
     plan = cfg.plan
-    stride = _trajectory_stride(plan.horizon)
+    summary = {"command": "run", "seed": plan.master_seed,
+               "horizon": plan.horizon}
     try:
         trajectory = run_trajectory(
             plan.problem, plan.init, plan.schedule, plan.sigmoid,
-            plan.horizon, plan.master_seed, record_stride=stride,
+            plan.horizon, plan.master_seed,
+            record_stride=_trajectory_stride(plan.horizon),
             divergence_bound=plan.divergence_bound)
     except DivergedTrajectoryError as exc:
-        if cfg.emit_trajectory and exc.trajectory is not None:
-            _write_trajectory(os.path.join(out_dir, "trajectory.csv"),
-                              exc.trajectory, plan.schedule)
-        if cfg.emit_summary:
-            write_json(os.path.join(out_dir, "summary.json"), {
-                "command": "run",
-                "seed": plan.master_seed,
-                "horizon": plan.horizon,
-                "diverged": True,
-                "diverged_at": exc.t,
-                "exit_code": EXIT_STATISTICAL,
-            })
+        trajectory = exc.trajectory
+        summary.update(diverged=True, diverged_at=exc.t,
+                       exit_code=EXIT_STATISTICAL)
         print(f"adaptix: trajectory diverged at t={exc.t}", file=sys.stderr)
-        return EXIT_STATISTICAL
-    if cfg.emit_trajectory:
+    else:
+        final = trajectory.final
+        summary.update(
+            diverged=False,
+            final_error_norm=float(np.linalg.norm(final.x - plan.problem.root)),
+            final_s=final.s,
+            final_s_over_t=final.s / final.t if final.t else 0.0,
+            exit_code=EXIT_OK)
+    if cfg.emit_trajectory and trajectory is not None:
         _write_trajectory(os.path.join(out_dir, "trajectory.csv"),
                           trajectory, plan.schedule)
-    final = trajectory.final
-    err = float(np.linalg.norm(final.x - plan.problem.root))
     if cfg.emit_summary:
-        write_json(os.path.join(out_dir, "summary.json"), {
-            "command": "run",
-            "seed": plan.master_seed,
-            "horizon": plan.horizon,
-            "diverged": False,
-            "final_error_norm": err,
-            "final_s": final.s,
-            "final_s_over_t": final.s / final.t if final.t else 0.0,
-            "exit_code": EXIT_OK,
-        })
-    return EXIT_OK
+        write_json(os.path.join(out_dir, "summary.json"), summary)
+    return summary["exit_code"]
 
 
 def cmd_replicate(args) -> int:
@@ -219,18 +207,13 @@ def cmd_replicate(args) -> int:
         return EXIT_STATISTICAL
 
     conv = convergence_summary(rset)
-    quantiles = conv.rows
-    drift = step_counter_drift(rset)
-    ok = ~rset.diverged
-    root = plan.problem.root
     rows = []
-    for i, t in enumerate(rset.ts):
-        scaled = np.sqrt(float(t)) * (rset.x[i][ok] - root)
-        _, rel_err, ks = normality_stats(scaled, prediction.v)
-        rows.append([int(t),
-                     quantiles[i]["quantile_50"], quantiles[i]["quantile_90"],
-                     quantiles[i]["quantile_99"], drift[i]["s_over_t_mean"],
-                     drift[i]["s_over_t_sd"], rel_err, ks])
+    for quantiles, drift in zip(conv.rows, step_counter_drift(rset)):
+        check = normality_check(rset, prediction, t=quantiles["t"])
+        rows.append([quantiles["t"], quantiles["quantile_50"],
+                     quantiles["quantile_90"], quantiles["quantile_99"],
+                     drift["s_over_t_mean"], drift["s_over_t_sd"],
+                     check.cov_rel_err, check.mahalanobis_ks])
     if cfg.emit_summary:
         write_csv(os.path.join(out_dir, "checkpoints.csv"),
                   CHECKPOINT_HEADER, rows)
@@ -258,23 +241,21 @@ def cmd_replicate(args) -> int:
             "decreasing": coupling.decreasing,
         }
 
-    code = EXIT_OK
+    reason = None
     if rset.diverged_fraction > cfg.max_diverged_fraction:
-        code = EXIT_STATISTICAL
+        reason = (f"diverged fraction {rset.diverged_fraction:.4f} "
+                  f"exceeds {cfg.max_diverged_fraction}")
     elif gate_applied and not report.passed:
-        code = EXIT_STATISTICAL
+        reason = ("normality gate failed at "
+                  f"t={report.t}: cov_rel_err={report.cov_rel_err:.4f} "
+                  f"(tol {report.cov_tol}), ks={report.mahalanobis_ks:.4f} "
+                  f"(band {report.ks_band:.4f})")
+    code = EXIT_OK if reason is None else EXIT_STATISTICAL
     summary["exit_code"] = code
     if cfg.emit_summary:
         write_json(os.path.join(out_dir, "summary.json"), summary)
-    if code != EXIT_OK:
-        if rset.diverged_fraction > cfg.max_diverged_fraction:
-            print(f"adaptix: diverged fraction {rset.diverged_fraction:.4f} "
-                  f"exceeds {cfg.max_diverged_fraction}", file=sys.stderr)
-        else:
-            print("adaptix: normality gate failed at "
-                  f"t={report.t}: cov_rel_err={report.cov_rel_err:.4f} "
-                  f"(tol {report.cov_tol}), ks={report.mahalanobis_ks:.4f} "
-                  f"(band {report.ks_band:.4f})", file=sys.stderr)
+    if reason is not None:
+        print(f"adaptix: {reason}", file=sys.stderr)
     return code
 
 
@@ -282,7 +263,8 @@ def cmd_validate(args) -> int:
     cfg, out_dir = _load(args)
     plan = cfg.plan
     report = validate_problem(plan.problem, plan.schedule, plan.sigmoid,
-                              seed=plan.master_seed)
+                              seed=plan.master_seed,
+                              e0_mc_samples=plan.e0_mc_samples)
     items = []
     for item in report:
         entry = {"check_id": item.check_id, "verdict": item.verdict,

@@ -19,15 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InitialConditions
+from .core import DEFAULT_DIVERGENCE_BOUND, InitialConditions
 from .errors import ConfigError
 from .montecarlo import DEFAULT_COV_TOL, DEFAULT_KS_SCALE, ExperimentPlan
 from .noise import KINDS as NOISE_KINDS
 from .noise import NoiseModel
 from .problems import (PROBLEM_KINDS, ProblemSpec, cubic_problem,
                        linear_problem, tanh_problem)
-from .schedules import (SCHEDULE_FAMILIES, SIGMOID_FAMILIES, SigmoidSpec,
-                        StepSchedule)
+from .schedules import (DEFAULT_E0_MC_SAMPLES, SCHEDULE_FAMILIES,
+                        SIGMOID_FAMILIES, SigmoidSpec, StepSchedule)
 
 DEFAULT_MAX_DIVERGED_FRACTION = 0.01
 NORMALITY_MIN_REPLICATES = 500
@@ -292,10 +292,12 @@ def parse_config(data: dict) -> RunConfig:
                                    "experiment.couple_comparator"),
         comparator_noise=_string(exp.get("comparator_noise", "shared"),
                                  "experiment.comparator_noise"),
-        divergence_bound=_number(exp.get("divergence_bound", 1e12),
-                                 "experiment.divergence_bound"),
-        e0_mc_samples=_integer(exp.get("e0_mc_samples", 1_000_000),
-                               "experiment.e0_mc_samples"))
+        divergence_bound=_number(
+            exp.get("divergence_bound", DEFAULT_DIVERGENCE_BOUND),
+            "experiment.divergence_bound"),
+        e0_mc_samples=_integer(
+            exp.get("e0_mc_samples", DEFAULT_E0_MC_SAMPLES),
+            "experiment.e0_mc_samples"))
 
     tol = data.get("tolerances", {})
     _check_keys(tol, "tolerances", ("cov_tol", "ks_scale",

@@ -32,7 +32,7 @@ changes every sampled trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class AlgoState:
                     f"y_prev shape {y.shape} does not match x {x.shape}")
             object.__setattr__(self, "y_prev", y)
 
-    @property
-    def dim(self) -> int:
-        return self.x.shape[0]
-
 
 @dataclass(frozen=True)
 class InitialConditions:
@@ -108,11 +104,8 @@ class InitialConditions:
 
 @dataclass
 class Trajectory:
-    """Recorded states (every ``record_stride``-th one, plus the final)."""
+    """Recorded states, in time order; the last is the final state."""
     states: list[AlgoState]
-    record_stride: int
-    seed: object = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def final(self) -> AlgoState:
@@ -312,22 +305,17 @@ def run_trajectory(problem: ProblemSpec, init: InitialConditions,
     res = _simulate(problem, init, schedule, sigmoid, horizon, [rng],
                     _stride_ts(horizon, record_stride),
                     divergence_bound=divergence_bound)
-    meta = {"kind": "trajectory", "problem": problem.name,
-            "schedule": schedule.family, "sigmoid": sigmoid.family,
-            "horizon": horizon}
     if res.diverged_at[0] >= 0:
         t_div = int(res.diverged_at[0])
         states = _states_from(res, init, upto=t_div - 1)
-        partial = Trajectory(states=states, record_stride=record_stride,
-                             seed=seed, meta=meta)
+        partial = Trajectory(states=states)
         last = AlgoState(t=t_div - 1, x=res.final_x[0], s=float(res.final_s[0]),
                          y_prev=res.final_y[0] if t_div > 1 else None,
                          s_staged=float(init.s1) if t_div == 1 else None)
         raise DivergedTrajectoryError(
             f"iterate norm crossed {divergence_bound:.3g} at step {t_div}",
             state=last, t=t_div, trajectory=partial)
-    return Trajectory(states=_states_from(res, init), record_stride=record_stride,
-                      seed=seed, meta=meta)
+    return Trajectory(states=_states_from(res, init))
 
 
 def _states_from(res: SimResult, init: InitialConditions,
@@ -384,6 +372,4 @@ def run_comparator(alpha, e0: float, x0, noise: NoiseModel, horizon: int,
         t += span
     states = [AlgoState(t=int(t_i), x=z_rec[i], s=0.0)
               for i, t_i in enumerate(ts)]
-    return Trajectory(states=states, record_stride=record_stride, seed=seed,
-                      meta={"kind": "comparator", "e0": float(e0),
-                            "horizon": horizon})
+    return Trajectory(states=states)

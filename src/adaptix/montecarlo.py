@@ -25,12 +25,14 @@ import numpy as np
 
 from ._rowops import norm_rows
 from .asymptotics import AsymptoticPrediction
-from .core import ComparatorConfig, InitialConditions, _simulate
+from .core import (DEFAULT_DIVERGENCE_BOUND, ComparatorConfig,
+                   InitialConditions, _simulate)
 from .errors import ConfigError, NumericError
 from .noise import NoiseModel
 from .problems import ProblemSpec
 from .rng import COMPARATOR_LANE, TRAJECTORY_LANE, substream
-from .schedules import E0Estimate, SigmoidSpec, StepSchedule, e0_resolve
+from .schedules import (DEFAULT_E0_MC_SAMPLES, E0Estimate, SigmoidSpec,
+                        StepSchedule, e0_resolve)
 
 DEFAULT_COV_TOL = 0.15
 DEFAULT_KS_SCALE = 1.63
@@ -56,8 +58,8 @@ class ExperimentPlan:
     checkpoints: tuple = ()
     couple_comparator: bool = False
     comparator_noise: str = "shared"  # or "independent" (negative control)
-    divergence_bound: float = 1e12
-    e0_mc_samples: int = 1_000_000
+    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND
+    e0_mc_samples: int = DEFAULT_E0_MC_SAMPLES
 
     def __post_init__(self):
         if self.horizon < 1:

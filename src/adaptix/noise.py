@@ -137,10 +137,6 @@ class NoiseModel:
         signs = 2.0 * rng.integers(0, 2, size=(count, n)) - 1.0
         return self.scale * signs
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw a single noise vector (a block of one)."""
-        return self.sample_block(rng, 1)[0]
-
 
 def gaussian_noise(cov) -> NoiseModel:
     """Gaussian model from a scalar variance, diagonal, or full matrix."""

@@ -29,22 +29,26 @@ from .errors import ConfigError, DimensionMismatchError
 from .noise import NoiseModel, gaussian_noise
 from .report import FAIL, NOT_CHECKED, PASS, ValidationReport
 from .rng import VALIDATION_LANE, substream
-from .schedules import (SigmoidSpec, StepSchedule, e0_resolve, gamma_eval,
-                        sigmoid_eval, validate_schedule)
+from .schedules import (DEFAULT_E0_MC_SAMPLES, SigmoidSpec, StepSchedule,
+                        e0_resolve, gamma_eval, sigmoid_eval,
+                        validate_schedule)
 
 PROBLEM_KINDS = ("linear", "tanh", "cubic1d")
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    """Sampling grids for the assumption validators."""
-    n_noise_samples: int = 200_000
-    n_directions: int = 16
-    radii: tuple = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-    gamma_fractions: tuple = (0.25, 0.5, 0.9)
-    descent_steps: int = 60
-    shrink_radii: tuple = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
-    e0_mc_samples: int = 200_000
+#: The validators' sampling grid: noise draws for B1.1, random directions
+#: on top of the axes, drift radii (B3.1c, B3.2, the B3.1d start),
+#: fractions of gamma(0) and steps for the B3.1d descent, and the shrinking
+#: radii of B3.4.
+N_NOISE_SAMPLES = 200_000
+N_DIRECTIONS = 16
+RADII = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+#: The cubic's descent starts stay inside the basin of its deterministic
+#: recursion.
+CUBIC_RADII = (0.25, 0.5, 1.0, 1.2)
+GAMMA_FRACTIONS = (0.25, 0.5, 0.9)
+DESCENT_STEPS = 60
+SHRINK_RADII = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +64,6 @@ class ProblemSpec:
     lyap_matrix: np.ndarray | None = None
     b32_radius: float | None = None
     b32_beta0: float | None = None
-    validation_grid: GridConfig | None = None
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
@@ -196,10 +199,6 @@ def tanh_problem(matrix=1.0, dim: int | None = None, root=None,
                            b32_radius, b32_beta0)
 
 
-#: Descent starts for the cubic stay inside its basin; see validate_problem.
-_CUBIC_GRID = GridConfig(radii=(0.25, 0.5, 1.0, 1.2))
-
-
 def cubic_problem(a: float = 1.0, c: float = 1.0, root=0.0,
                   noise: NoiseModel | None = None,
                   dim: int = 1) -> ProblemSpec:
@@ -207,7 +206,7 @@ def cubic_problem(a: float = 1.0, c: float = 1.0, root=0.0,
 
     Ships without drift-margin constants (the superlinear growth makes that
     inequality unsatisfiable at large radii for any positive initial step),
-    so B3.2 reports not_checked; its validation grid keeps descent starts
+    so B3.2 reports not_checked; :func:`validate_problem` starts its descent
     inside the basin of the deterministic recursion. ``dim`` is taken so a
     config may state the dimension its echo carries; only 1 is valid.
     """
@@ -217,24 +216,31 @@ def cubic_problem(a: float = 1.0, c: float = 1.0, root=0.0,
     return ProblemSpec(name="cubic1d", kind="cubic1d", dim=dim, root=root_arr,
                        noise=noise, cubic_a=float(a), cubic_c=float(c),
                        lyap_matrix=np.array([[0.5]]),
-                       b32_radius=None, b32_beta0=None,
-                       validation_grid=_CUBIC_GRID)
+                       b32_radius=None, b32_beta0=None)
 
 
 def _directions(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Axis directions (both signs) plus ``count`` random unit vectors."""
     axes = np.concatenate([np.eye(dim), -np.eye(dim)], axis=0)
-    if count <= 0:
-        return axes
     g = rng.standard_normal((count, dim))
     nrm = norm_rows(g)
     nrm = np.where(nrm == 0.0, 1.0, nrm)
     return np.concatenate([axes, g / nrm[:, None]], axis=0)
 
 
+def _drift(problem: ProblemSpec, p: np.ndarray, dirs: np.ndarray,
+           radius: float):
+    """Points at ``radius`` along ``dirs``, phi there and phi^T grad V."""
+    points = problem.root + radius * dirs
+    phi = field_eval(problem, points)
+    grad_v = 2.0 * apply_rows(p, points - problem.root)
+    return points, phi, np.sum(phi * grad_v, axis=-1)
+
+
 def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
-                     sigmoid: SigmoidSpec, grid: GridConfig | None = None,
-                     seed: int = 0) -> ValidationReport:
+                     sigmoid: SigmoidSpec, seed: int = 0,
+                     e0_mc_samples: int = DEFAULT_E0_MC_SAMPLES
+                     ) -> ValidationReport:
     """Run the full assumption checklist for a problem/schedule/gate triple.
 
     Covers, exactly once each: B1.1 (noise mean zero), B1.2 (noise mass
@@ -243,26 +249,26 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
     curvature bound, drift positivity, deterministic descent), B3.2
     (quantitative drift margin outside radius R), B3.3 (stability of the
     scaled linearisation), B3.4 (local linearity of the field), B4.1 (gate
-    shape), and B4.2 (positive expected gate increment).
+    shape), and B4.2 (positive expected gate increment). E0 is resolved as
+    every prediction resolves it, from ``e0_mc_samples`` Monte Carlo pairs
+    at ``seed`` when there is no closed form.
     """
-    if grid is None:
-        grid = problem.validation_grid or GridConfig()
     report = ValidationReport()
     rng = substream(seed, VALIDATION_LANE, 0)
-    dirs = _directions(problem.dim, grid.n_directions, rng)
+    dirs = _directions(problem.dim, N_DIRECTIONS, rng)
     root = problem.root
 
     # B1.1 -- noise mean zero, empirically.
-    samples = problem.noise.sample_block(rng, grid.n_noise_samples)
+    samples = problem.noise.sample_block(rng, N_NOISE_SAMPLES)
     means = samples.mean(axis=0)
-    stderrs = samples.std(axis=0, ddof=1) / np.sqrt(grid.n_noise_samples)
+    stderrs = samples.std(axis=0, ddof=1) / np.sqrt(N_NOISE_SAMPLES)
     standardized = np.abs(means) / np.where(stderrs == 0.0, 1.0, stderrs)
     worst = int(np.argmax(standardized))
     mean_ok = bool(np.all(np.abs(means) <= 4.0 * stderrs + 1e-15))
     report.add(
         "B1.1", PASS if mean_ok else FAIL,
         f"max |sample mean|/stderr = {standardized[worst]:.2f} over "
-        f"{grid.n_noise_samples} draws (component {worst})",
+        f"{N_NOISE_SAMPLES} draws (component {worst})",
         witness=None if mean_ok else {"component": worst, "mean": float(means[worst])})
 
     # B1.2 -- positive mass on balls around the origin, by construction.
@@ -278,11 +284,10 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
     report.merge(validate_schedule(schedule))
 
     p = problem.lyap_matrix
-    radii = np.asarray(grid.radii, dtype=np.float64)
+    radii = CUBIC_RADII if problem.kind == "cubic1d" else RADII
     if p is None:
         for check_id in ("B3.1a", "B3.1b", "B3.1c", "B3.1d", "B3.2"):
             report.add(check_id, NOT_CHECKED, "no Lyapunov matrix supplied")
-        m_bound = None
     else:
         # B3.1a -- structural: the certificate is a centered quadratic form
         # with P positive definite (verified at construction), so V(x*) = 0
@@ -294,14 +299,20 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
         m_bound = float(np.linalg.eigvalsh(2.0 * p).max())
         report.add("B3.1b", PASS, f"Hessian bound M = {m_bound:.6g}")
 
+        # B3.1c and B3.2 read one drift evaluation per radius.
+        has_margin = (problem.b32_radius is not None
+                      and problem.b32_beta0 is not None)
+        b32_radii = []
+        if has_margin:
+            r0 = float(problem.b32_radius)
+            b32_radii = sorted({r0, *[r for r in radii if r >= r0]})
+        drift = {r: _drift(problem, p, dirs, r) for r in (*radii, *b32_radii)}
+
         # B3.1c -- drift positivity phi^T grad V > 0 away from the root.
         worst_val = np.inf
         worst_point = None
         for r in radii:
-            points = root + r * dirs
-            phi = field_eval(problem, points)
-            grad_v = 2.0 * apply_rows(p, points - root)
-            vals = np.sum(phi * grad_v, axis=-1)
+            points, _, vals = drift[r]
             idx = int(np.argmin(vals))
             if vals[idx] < worst_val:
                 worst_val = float(vals[idx])
@@ -310,7 +321,7 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
         report.add(
             "B3.1c", PASS if ok else FAIL,
             f"min phi^T grad V = {worst_val:.6g} over {len(dirs)} directions "
-            f"x radii {tuple(radii)}",
+            f"x radii {radii}",
             witness=None if ok else {"x": worst_point.tolist(), "value": worst_val})
 
         # B3.1d -- deterministic monotone descent of V under any step below
@@ -318,13 +329,13 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
         gamma0 = gamma_eval(schedule, 0.0)
         descent_ok = True
         descent_witness = None
-        start_radius = float(radii.max())
-        for frac in grid.gamma_fractions:
+        start_radius = max(radii)
+        for frac in GAMMA_FRACTIONS:
             step = frac * gamma0
             for d in dirs:
                 z = root + start_radius * d
                 v_prev = float((z - root) @ p @ (z - root))
-                for k in range(grid.descent_steps):
+                for k in range(DESCENT_STEPS):
                     z = z - step * field_eval(problem, z)
                     v_next = float((z - root) @ p @ (z - root))
                     if v_next > v_prev * (1.0 + 1e-10) + 1e-300:
@@ -341,31 +352,25 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
                 break
         report.add(
             "B3.1d", PASS if descent_ok else FAIL,
-            f"V non-increasing over {grid.descent_steps} deterministic steps, "
-            f"gamma* in {tuple(float(f * gamma0) for f in grid.gamma_fractions)}, "
+            f"V non-increasing over {DESCENT_STEPS} deterministic steps, "
+            f"gamma* in {tuple(float(f * gamma0) for f in GAMMA_FRACTIONS)}, "
             f"starts at radius {start_radius}",
             witness=descent_witness)
 
         # B3.2 -- quantitative drift margin outside radius R.
-        if problem.b32_radius is None or problem.b32_beta0 is None:
+        if not has_margin:
             reason = ("no (R, beta0) supplied"
                       if problem.kind != "cubic1d" else
                       "no (R, beta0) supplied: superlinear field growth beats "
                       "the margin at large radii for any gamma(0) > 0")
             report.add("B3.2", NOT_CHECKED, reason)
         else:
-            r0 = float(problem.b32_radius)
             beta0 = float(problem.b32_beta0)
-            gamma0 = gamma_eval(schedule, 0.0)
             trace_term = m_bound * float(np.trace(problem.noise.cov))
-            b32_radii = sorted({r0, *[float(r) for r in radii if r >= r0]})
             min_margin = np.inf
             min_point = None
             for r in b32_radii:
-                points = root + r * dirs
-                phi = field_eval(problem, points)
-                grad_v = 2.0 * apply_rows(p, points - root)
-                lhs = np.sum(phi * grad_v, axis=-1)
+                points, phi, lhs = drift[r]
                 quad = m_bound * np.sum(phi * phi, axis=-1)
                 margins = lhs - 0.5 * gamma0 * (quad + trace_term)
                 idx = int(np.argmin(margins))
@@ -385,8 +390,7 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
     e0_estimate = None
     e0_error = None
     try:
-        e0_estimate = e0_resolve(sigmoid, problem.noise, grid.e0_mc_samples,
-                                 seed)
+        e0_estimate = e0_resolve(sigmoid, problem.noise, e0_mc_samples, seed)
     except ConfigError as err:
         e0_error = err
     if e0_estimate is None:
@@ -405,7 +409,7 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
     jac = problem.jacobian_at_root
     jac_norm = float(np.linalg.norm(jac, 2))
     ratios = []
-    for r in grid.shrink_radii:
+    for r in SHRINK_RADII:
         points = root + r * dirs
         linearized = apply_rows(jac, points - root)
         err = norm_rows(field_eval(problem, points) - linearized)
@@ -415,7 +419,7 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
     report.add(
         "B3.4", PASS if (shrinking and small) else FAIL,
         f"max ||phi - J (x - x*)||/||x - x*|| over radii "
-        f"{tuple(grid.shrink_radii)}: {[f'{v:.3g}' for v in ratios]}",
+        f"{SHRINK_RADII}: {[f'{v:.3g}' for v in ratios]}",
         witness=None if (shrinking and small) else {"ratios": ratios})
 
     # B4.1 -- gate shape: bounded, non-decreasing, positive right limit.

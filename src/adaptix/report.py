@@ -45,10 +45,7 @@ class ValidationReport:
         self.items.append(ValidationItem(check_id, verdict, detail, witness))
 
     def verdict(self, check_id) -> str:
-        for item in self.items:
-            if item.check_id == check_id:
-                return item.verdict
-        raise KeyError(check_id)
+        return self[check_id].verdict
 
     def __getitem__(self, check_id) -> ValidationItem:
         for item in self.items:

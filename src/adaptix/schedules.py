@@ -273,9 +273,13 @@ def e0_exact(sigmoid: SigmoidSpec, noise: NoiseModel) -> E0Estimate:
 
 _E0_BLOCK = 100_000
 
+#: Noise pairs behind a Monte Carlo E0 (config key experiment.e0_mc_samples).
+DEFAULT_E0_MC_SAMPLES = 1_000_000
+
 
 def e0_monte_carlo(sigmoid: SigmoidSpec, noise: NoiseModel,
-                   n_samples: int = 1_000_000, seed=0) -> E0Estimate:
+                   n_samples: int = DEFAULT_E0_MC_SAMPLES,
+                   seed=0) -> E0Estimate:
     """Monte Carlo E0 over ``n_samples`` independent noise pairs.
 
     Deterministic given ``seed`` (an int, SeedSequence, or Generator).

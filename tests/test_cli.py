@@ -429,7 +429,7 @@ def test_validate_flags_constant_schedule(tmp_path):
 
 @pytest.mark.parametrize("u_minus, seed", [
     (-5.0, 11),   # Monte Carlo E0 many standard errors below zero
-    (-1.0, 1),    # estimate -0.006 within noise of zero, still not positive
+    (-1.0, 1),    # estimate -0.0005 within noise of zero, still not positive
 ])
 def test_validate_nonpositive_e0_is_an_assumption_failure(tmp_path, u_minus,
                                                           seed):
@@ -446,6 +446,43 @@ def test_validate_nonpositive_e0_is_an_assumption_failure(tmp_path, u_minus,
     assert isinstance(items["B4.2"]["witness"], str)
     assert "not positive" in items["B4.2"]["witness"]
     assert items["B3.3"]["verdict"] == "not_checked"
+
+
+def test_validate_judges_with_the_e0_predict_writes(tmp_path):
+    # plakhov_almeida has no closed form: both commands draw a Monte Carlo
+    # E0 of experiment.e0_mc_samples pairs from the same seed
+    path = make_config(tmp_path, **{
+        "schedule.s_floor": 4.0,
+        "sigmoid": {"family": "plakhov_almeida", "u_minus": -0.5,
+                    "u_plus": 1.0},
+        "experiment.e0_mc_samples": 20_000})
+    assert run_cli("predict", "--config", path, "--out",
+                   tmp_path / "predict") == 0
+    assert run_cli("validate", "--config", path, "--out",
+                   tmp_path / "validate") == 0
+    pred = json.loads((tmp_path / "predict" / "prediction.json").read_text())
+    doc = json.loads((tmp_path / "validate" / "validation.json").read_text())
+    items = {item["check_id"]: item for item in doc["items"]}
+    e0 = f"E0 = {pred['e0']:.6g}"
+    assert items["B3.3"]["detail"].endswith(f"with {e0} (monte_carlo)")
+    assert items["B4.2"]["detail"] == (
+        f"{e0} +/- {pred['e0_stderr']:.2g} (monte_carlo)")
+
+
+@pytest.mark.parametrize("problem, radii", [
+    (BASE_CONFIG["problem"], "(0.25, 0.5, 1.0, 2.0, 4.0, 8.0)"),
+    ({"kind": "cubic1d", "a": 1.0, "c": 1.0}, "(0.25, 0.5, 1.0, 1.2)"),
+])
+def test_validate_details_render_plain_floats(tmp_path, problem, radii):
+    path = make_config(tmp_path, problem=problem, **{
+        "schedule.s_floor": 4.0, "init.x0": None})
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", path, "--out", out) == 0
+    doc = json.loads((out / "validation.json").read_text())
+    assert not [item for item in doc["items"]
+                if "np.float64" in item["detail"]]
+    items = {item["check_id"]: item for item in doc["items"]}
+    assert items["B3.1c"]["detail"].endswith(f"x radii {radii}")
 
 
 def test_validate_dict_witness_bytes(tmp_path):
