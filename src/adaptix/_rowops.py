@@ -27,7 +27,7 @@ def apply_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def dot_rows(a: np.ndarray, b: np.ndarray):
     """Per-row inner product over the last axis."""
-    return np.sum(a * b, axis=-1)
+    return (a * b).sum(axis=-1)
 
 
 def norm_rows(a: np.ndarray):

@@ -134,12 +134,11 @@ def _trajectory_stride(horizon: int) -> int:
 
 
 def _write_trajectory(path, trajectory: Trajectory, schedule) -> None:
-    dim = trajectory.states[0].x.shape[0]
-    header = ["t", "s", "gamma"] + [f"x_{i}" for i in range(dim)]
-    rows = []
-    for state in trajectory.states:
-        rows.append([state.t, state.s,
-                     float(gamma_eval(schedule, state.s))] + list(state.x))
+    header = ["t", "s", "gamma"] + [
+        f"x_{i}" for i in range(trajectory.x.shape[1])]
+    rows = [[t, s, gamma_eval(schedule, s)] + x
+            for t, s, x in zip(trajectory.t.tolist(), trajectory.s.tolist(),
+                               trajectory.x.tolist())]
     write_csv(path, header, rows)
 
 

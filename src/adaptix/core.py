@@ -50,6 +50,8 @@ NOISE_CHUNK = 1024
 #: Default guard: a trajectory whose norm exceeds this is declared diverged.
 DEFAULT_DIVERGENCE_BOUND = 1e12
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class AlgoState:
@@ -104,21 +106,44 @@ class InitialConditions:
 
 @dataclass
 class Trajectory:
-    """Recorded states, in time order; the last is the final state."""
-    states: list[AlgoState]
+    """Recorded states as columns, one row per recorded time, in time
+    order; the last row is the final state.
+
+    ``y`` holds the measurement that produced each row (None for the
+    comparator, which has none), and ``s_staged`` the initial counter
+    staged on the t = 0 state. :attr:`states` and :attr:`final` build
+    :class:`AlgoState` objects from the columns on request.
+    """
+    t: np.ndarray                   # (n,) int64
+    x: np.ndarray                   # (n, dim)
+    s: np.ndarray                   # (n,)
+    y: np.ndarray | None = None     # (n, dim)
+    s_staged: float | None = None
+
+    def _state(self, i: int) -> AlgoState:
+        t = int(self.t[i])
+        if t == 0:
+            return AlgoState(t=0, x=self.x[i], s=float(self.s[i]),
+                             s_staged=self.s_staged)
+        return AlgoState(t=t, x=self.x[i], s=float(self.s[i]),
+                         y_prev=None if self.y is None else self.y[i])
+
+    @property
+    def states(self) -> list[AlgoState]:
+        return [self._state(i) for i in range(len(self.t))]
 
     @property
     def final(self) -> AlgoState:
-        return self.states[-1]
+        return self._state(len(self.t) - 1)
 
     def ts(self) -> np.ndarray:
-        return np.array([st.t for st in self.states], dtype=np.int64)
+        return self.t
 
     def xs(self) -> np.ndarray:
-        return np.stack([st.x for st in self.states], axis=0)
+        return self.x
 
     def ss(self) -> np.ndarray:
-        return np.array([st.s for st in self.states], dtype=np.float64)
+        return self.s
 
 
 def sa_step(state: AlgoState, y, schedule: StepSchedule,
@@ -202,8 +227,18 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
     s = np.full(n_rep, float(init.s0))
     y_prev = np.zeros((n_rep, dim))
     alive = np.ones(n_rep, dtype=bool)
+    n_alive = n_rep
     diverged_at = np.full(n_rep, -1, dtype=np.int64)
-    bound_sq = float(divergence_bound) ** 2
+    # ``norm_sq <= bound_sq`` is False for NaN and inf norms, so the one
+    # comparison also checks finiteness. A bound whose square is not a
+    # finite float (above 1.3e154, infinite or NaN) leaves finiteness as
+    # the only check, which the largest float gives.
+    try:
+        bound_sq = float(divergence_bound) ** 2
+    except OverflowError:
+        bound_sq = _FLOAT_MAX
+    if not bound_sq <= _FLOAT_MAX:
+        bound_sq = _FLOAT_MAX
 
     n_slots = ts.size
     x_rec = np.zeros((n_slots, n_rep, dim))
@@ -218,22 +253,16 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
     # never reached, so the memory cost follows ts, not the horizon
     marks = ts.tolist() + [horizon + 1]
     slot = 0
-
-    def record(t):
-        nonlocal slot
-        if t == marks[slot]:
-            x_rec[slot] = x
-            s_rec[slot] = s
-            y_rec[slot] = y_prev
-            if z is not None:
-                z_rec[slot] = z
-            slot += 1
-
-    record(0)
+    if marks[0] == 0:
+        x_rec[0] = x
+        s_rec[0] = s
+        if z is not None:
+            z_rec[0] = z
+        slot = 1
+    mark = marks[slot]
     noise = problem.noise
     t = 1
-    stopped_early = False
-    while t <= horizon and not stopped_early:
+    while t <= horizon and (n_alive or comparator is not None):
         span = min(NOISE_CHUNK, horizon - t + 1)
         xi = np.empty((n_rep, span, dim))
         for r in range(n_rep):
@@ -246,35 +275,52 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
         for k in range(span):
             tk = t + k
             xi_k = xi[:, k, :]
-            y = field_eval(problem, x) + xi_k
-            gamma = gamma_eval(schedule, s)
-            x_new = x - gamma[:, None] * y
-            norm_sq = dot_rows(x_new, x_new)
-            bad = ~np.isfinite(norm_sq) | (norm_sq > bound_sq)
+            # field_eval and sigmoid_eval return fresh arrays, so updating
+            # y and s_new in place touches no state
+            y = field_eval(problem, x)
+            y += xi_k
+            x_new = gamma_eval(schedule, s)[:, None] * y
+            np.subtract(x, x_new, out=x_new)
+            ok = dot_rows(x_new, x_new) <= bound_sq
             if tk == 1:
                 s_new = np.full(n_rep, float(init.s1))
             else:
-                s_new = np.maximum(
-                    s + sigmoid_eval(sigmoid, -dot_rows(y, y_prev)), 0.0)
-            advance = alive & ~bad
-            newly_dead = alive & bad
-            x = np.where(advance[:, None], x_new, x)
-            s = np.where(advance, s_new, s)
-            y_prev = np.where(advance[:, None], y, y_prev)
-            if newly_dead.any():
-                diverged_at[newly_dead] = tk
-                alive &= ~bad
+                s_new = sigmoid_eval(sigmoid, -dot_rows(y, y_prev))
+                s_new += s
+                np.maximum(s_new, 0.0, out=s_new)
+            if n_alive == n_rep and ok.all():
+                x, s, y_prev = x_new, s_new, y
+            else:
+                # freeze path: a dead replicate keeps its last finite state
+                advance = alive & ok
+                newly_dead = alive & ~ok
+                x = np.where(advance[:, None], x_new, x)
+                s = np.where(advance, s_new, s)
+                y_prev = np.where(advance[:, None], y, y_prev)
+                died = int(np.count_nonzero(newly_dead))
+                if died:
+                    diverged_at[newly_dead] = tk
+                    alive &= ok
+                    n_alive -= died
             if comparator is not None:
                 zxi = xi_k if xi_z is None else xi_z[:, k, :]
-                z = z - (1.0 / (comparator.e0 * tk)) * (
-                    apply_rows(comparator.alpha, z) + zxi)
-            record(tk)
-            if not alive.any() and comparator is None:
+                dz = apply_rows(comparator.alpha, z)
+                dz += zxi
+                dz *= 1.0 / (comparator.e0 * tk)
+                z = np.subtract(z, dz, out=dz)
+            if tk == mark:
+                x_rec[slot] = x
+                s_rec[slot] = s
+                y_rec[slot] = y_prev
+                if z is not None:
+                    z_rec[slot] = z
+                slot += 1
+                mark = marks[slot]
+            if not n_alive and comparator is None:
                 # every replicate is frozen: later slots repeat this state
                 x_rec[slot:] = x
                 s_rec[slot:] = s
                 y_rec[slot:] = y_prev
-                stopped_early = True
                 break
         t += span
     return SimResult(ts=ts, x=x_rec, s=s_rec, y=y_rec, z=z_rec,
@@ -305,31 +351,20 @@ def run_trajectory(problem: ProblemSpec, init: InitialConditions,
     res = _simulate(problem, init, schedule, sigmoid, horizon, [rng],
                     _stride_ts(horizon, record_stride),
                     divergence_bound=divergence_bound)
-    if res.diverged_at[0] >= 0:
-        t_div = int(res.diverged_at[0])
-        states = _states_from(res, init, upto=t_div - 1)
-        partial = Trajectory(states=states)
+    t_div = int(res.diverged_at[0])
+    # a diverged run keeps its rows up to t_div - 1; later rows repeat them
+    n = res.ts.size if t_div < 0 else int(
+        np.searchsorted(res.ts, t_div - 1, side="right"))
+    trajectory = Trajectory(t=res.ts[:n], x=res.x[:n, 0], s=res.s[:n, 0],
+                            y=res.y[:n, 0], s_staged=float(init.s1))
+    if t_div >= 0:
         last = AlgoState(t=t_div - 1, x=res.final_x[0], s=float(res.final_s[0]),
                          y_prev=res.final_y[0] if t_div > 1 else None,
                          s_staged=float(init.s1) if t_div == 1 else None)
         raise DivergedTrajectoryError(
             f"iterate norm crossed {divergence_bound:.3g} at step {t_div}",
-            state=last, t=t_div, trajectory=partial)
-    return Trajectory(states=_states_from(res, init))
-
-
-def _states_from(res: SimResult, init: InitialConditions,
-                 upto: int | None = None) -> list[AlgoState]:
-    states = []
-    for i, t in enumerate(res.ts):
-        if upto is not None and t > upto:
-            break
-        if t == 0:
-            states.append(init.initial_state())
-        else:
-            states.append(AlgoState(t=int(t), x=res.x[i, 0], s=float(res.s[i, 0]),
-                                    y_prev=res.y[i, 0]))
-    return states
+            state=last, t=t_div, trajectory=trajectory)
+    return trajectory
 
 
 def run_comparator(alpha, e0: float, x0, noise: NoiseModel, horizon: int,
@@ -370,6 +405,5 @@ def run_comparator(alpha, e0: float, x0, noise: NoiseModel, horizon: int,
             if tk in slot_of:
                 z_rec[slot_of[tk]] = z[0]
         t += span
-    states = [AlgoState(t=int(t_i), x=z_rec[i], s=0.0)
-              for i, t_i in enumerate(ts)]
-    return Trajectory(states=states)
+    return Trajectory(t=np.asarray(ts, dtype=np.int64), x=z_rec,
+                      s=np.zeros(len(ts)))

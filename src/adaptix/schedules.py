@@ -27,6 +27,7 @@ convention: "right" (default) takes the right limit, "left" the left limit,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,7 +94,7 @@ def constant_schedule(gamma0: float) -> StepSchedule:
 def gamma_eval(schedule: StepSchedule, s):
     """Step size gamma(s); accepts a scalar or an array of counter values."""
     arr = np.asarray(s, dtype=np.float64)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("counter values must be >= 0")
     if schedule.family == "reciprocal":
         out = 1.0 / np.maximum(arr, schedule.s_floor)
@@ -101,7 +102,7 @@ def gamma_eval(schedule: StepSchedule, s):
         out = schedule.gamma0 / np.power(1.0 + arr, schedule.p)
     else:
         out = np.full_like(arr, schedule.gamma0)
-    return float(out) if np.isscalar(s) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def validate_schedule(schedule: StepSchedule) -> ValidationReport:
@@ -223,20 +224,27 @@ def smooth_gate(u_minus: float, u_plus: float, beta: float) -> SigmoidSpec:
                        u_plus=float(u_plus), beta=float(beta))
 
 
+@functools.cache
+def _expit():
+    """scipy's logistic function, imported on the first smooth-gate call
+    so that commands without a smooth gate load no scipy."""
+    from scipy.special import expit
+    return expit
+
+
 def sigmoid_eval(sigmoid: SigmoidSpec, v):
     """Gate value u(v); accepts a scalar or an array."""
     arr = np.asarray(v, dtype=np.float64)
     if sigmoid.family == "constant":
         out = np.full_like(arr, sigmoid.u_plus)
     elif sigmoid.family == "smooth":
-        from scipy.special import expit
-        out = sigmoid.u_minus + (sigmoid.u_plus - sigmoid.u_minus) * expit(
+        out = sigmoid.u_minus + (sigmoid.u_plus - sigmoid.u_minus) * _expit()(
             arr / sigmoid.beta)
     else:
         out = np.where(
             arr < 0.0, sigmoid.u_minus,
             np.where(arr > 0.0, sigmoid.u_plus, sigmoid.u_at_zero))
-    return float(out) if np.isscalar(v) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adaptix.cli import main
-from adaptix.config import canonical_config, parse_config
-from adaptix.errors import ConfigError, DimensionMismatchError
-from adaptix.serialize import dumps_json
+from adaptix.config import canonical_config, load_config, parse_config
+from adaptix.core import run_trajectory
+from adaptix.errors import (ConfigError, DimensionMismatchError,
+                            DivergedTrajectoryError)
+from adaptix.schedules import gamma_eval
+from adaptix.serialize import dumps_json, write_csv
 
 BASE_CONFIG = {
     "problem": {"kind": "linear", "dim": 2,
@@ -285,6 +288,55 @@ def test_run_diverged_exits_4(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["diverged"] is True
     assert summary["diverged_at"] > 0
+    plan = load_config(path).plan
+    with pytest.raises(DivergedTrajectoryError) as exc:
+        run_trajectory(plan.problem, plan.init, plan.schedule, plan.sigmoid,
+                       plan.horizon, plan.master_seed,
+                       divergence_bound=plan.divergence_bound)
+    state = exc.value.state
+    assert summary["diverged_at"] == exc.value.t
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1 + exc.value.t      # header + t = 0..t_div - 1
+    last = lines[-1].split(",")
+    assert int(last[0]) == exc.value.t - 1 == state.t
+    assert [float(v) for v in last[1:]] == [
+        state.s, gamma_eval(plan.schedule, state.s), state.x[0]]
+
+
+def test_run_takes_a_bound_too_large_to_square(tmp_path):
+    # 1e200 squared overflows a float; only non-finite iterates diverge
+    path = make_config(tmp_path, **{"experiment.divergence_bound": 1e200})
+    assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 0
+
+
+def test_trajectory_csv_matches_the_per_state_rendering(tmp_path, monkeypatch):
+    # horizon 25 001 records every 2nd state and appends the final one; the
+    # columnar writer must give the bytes of the AlgoState-by-AlgoState
+    # rendering of the same trajectory
+    runs = []
+
+    def recording_run_trajectory(*args, **kwargs):
+        runs.append(run_trajectory(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr("adaptix.cli.run_trajectory", recording_run_trajectory)
+    path = make_config(tmp_path, **{
+        "problem": {"kind": "cubic1d", "a": 1.0, "c": 0.5,
+                    "noise": {"kind": "gaussian", "cov": 1.0}},
+        "sigmoid": {"family": "smooth", "u_minus": -0.5, "u_plus": 1.0,
+                    "beta": 0.5},
+        "schedule.s_floor": 4.0,
+        "experiment.horizon": 25_001, "experiment.checkpoints": None})
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", path, "--out", out) == 0
+    schedule = load_config(path).plan.schedule
+    rows = [[state.t, state.s, float(gamma_eval(schedule, state.s))]
+            + list(state.x) for state in runs[0].states]
+    assert len(rows) == 12_502 and rows[-2][0] == 25_000
+    assert rows[-1][0] == 25_001
+    expected = tmp_path / "expected.csv"
+    write_csv(expected, ["t", "s", "gamma", "x_0"], rows)
+    assert (out / "trajectory.csv").read_bytes() == expected.read_bytes()
 
 
 # ---------------------------------------------------------------------------

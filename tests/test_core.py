@@ -8,10 +8,11 @@ import pytest
 from adaptix import (AlgoState, ConfigError, DimensionMismatchError,
                      DivergedTrajectoryError, InitialConditions,
                      NonFiniteMeasurementError, constant_gate,
-                     constant_schedule, field_eval, gaussian_noise,
+                     constant_schedule, core, field_eval, gaussian_noise,
                      kesten_gate, linear_problem, plakhov_almeida_gate,
-                     reciprocal_schedule, run_comparator, run_trajectory,
-                     sa_step, smooth_gate, uniform_ball_noise)
+                     power_schedule, reciprocal_schedule, run_comparator,
+                     run_trajectory, sa_step, smooth_gate,
+                     uniform_ball_noise)
 from adaptix.core import NOISE_CHUNK, _simulate
 from adaptix.rng import TRAJECTORY_LANE, substream
 
@@ -247,6 +248,72 @@ def test_early_stop_memory_follows_recorded_times():
     assert np.all(res.y[2] == 2.0 * (-3.0)**11)
     assert np.all(res.s[2] == 12.0)
     assert np.array_equal(res.x[2], res.final_x)
+
+
+def test_mixed_divergence_batch_rows_match_single_runs():
+    # one batch in which replicates diverge at steps 1, 17 and 26 while the
+    # others survive: every row must be that replicate's own run, with the
+    # dead ones frozen at their last finite state
+    problem = linear_problem(matrix=np.array([[1.0, 0.3], [0.0, 1.2]]),
+                             noise=gaussian_noise(np.eye(2)))
+    init = InitialConditions(x0=np.array([0.5, -0.5]))
+    schedule = power_schedule(1.0, 0.3)
+    gate = plakhov_almeida_gate(-0.5, 1.0)
+    horizon, bound, n_rep = 400, 2.0, 10
+    rngs = [substream(1, TRAJECTORY_LANE, r) for r in range(n_rep)]
+    res = _simulate(problem, init, schedule, gate, horizon, rngs,
+                    range(horizon + 1), divergence_bound=bound)
+    assert sorted(res.diverged_at[res.diverged_at >= 0]) == [1, 17, 26]
+    for r in range(n_rep):
+        seed = substream(1, TRAJECTORY_LANE, r)
+        try:
+            traj = run_trajectory(problem, init, schedule, gate, horizon, seed,
+                                  divergence_bound=bound)
+        except DivergedTrajectoryError as exc:
+            t_div, last, traj = exc.t, exc.state, exc.trajectory
+            assert res.diverged_at[r] == t_div
+            assert traj.ts()[-1] == t_div - 1
+            # from the last finite state on, every row repeats it
+            assert np.all(res.x[t_div - 1:, r] == last.x)
+            assert np.all(res.s[t_div - 1:, r] == last.s)
+            if last.y_prev is not None:
+                assert np.array_equal(res.final_y[r], last.y_prev)
+        else:
+            assert res.diverged_at[r] == -1
+            last = traj.final
+            assert np.array_equal(res.final_y[r], last.y_prev)
+        n = len(traj.ts())
+        assert np.array_equal(res.x[:n, r], traj.xs())
+        assert np.array_equal(res.s[:n, r], traj.ss())
+        assert np.array_equal(res.y[:n, r], traj.y)
+        assert np.array_equal(res.final_x[r], last.x)
+        assert res.final_s[r] == last.s
+
+
+def test_kernel_calls_each_layer_through_core_once_per_step(monkeypatch):
+    # the per-layer benchmark trace counts these calls by rebinding the
+    # names in adaptix.core; a kernel that bound them once would read 0
+    counts = {}
+
+    def counting(name):
+        original = getattr(core, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("field_eval", "gamma_eval", "sigmoid_eval", "dot_rows"):
+        monkeypatch.setattr(core, name, counting(name))
+    problem = linear_problem(matrix=np.diag([1.0, 2.0]),
+                             noise=gaussian_noise(np.eye(2)))
+    init = InitialConditions(x0=np.array([1.0, 1.0]))
+    horizon = 50
+    rngs = [substream(0, TRAJECTORY_LANE, r) for r in range(3)]
+    _simulate(problem, init, RECIPROCAL, KESTEN, horizon, rngs, [0, horizon])
+    assert counts == {"field_eval": horizon, "gamma_eval": horizon,
+                      "sigmoid_eval": horizon - 1,
+                      "dot_rows": 2 * horizon - 1}
 
 
 # ---------------------------------------------------------------------------
