@@ -13,8 +13,8 @@ harness around all of it.
 from .asymptotics import (AsymptoticPrediction, covariance_integral_oracle,
                           predict, solve_lyapunov, stability_matrix)
 from .config import RunConfig, canonical_config, load_config, parse_config
-from .core import (AlgoState, InitialConditions, Trajectory, run_comparator,
-                   run_trajectory, sa_step)
+from .core import (AlgoState, InitialConditions, Trajectory, run_trajectory,
+                   sa_step)
 from .errors import (AdaptixError, ConfigError, DimensionMismatchError,
                      DivergedTrajectoryError, NoClosedFormError,
                      NonFiniteMeasurementError, NumericError, StabilityError,
@@ -54,7 +54,7 @@ __all__ = [
     "kesten_gate", "linear_problem", "load_config", "normality_check",
     "normality_stats", "parse_config", "plakhov_almeida_gate",
     "power_schedule", "predict", "reciprocal_schedule", "resolve_e0",
-    "run_comparator", "run_replicates", "run_trajectory", "sa_step",
+    "run_replicates", "run_trajectory", "sa_step",
     "scaled_rademacher_noise", "sigmoid_eval", "smooth_gate",
     "solve_lyapunov", "stability_matrix", "step_counter_drift",
     "tanh_problem", "uniform_ball_noise", "validate_problem",

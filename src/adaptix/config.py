@@ -5,10 +5,14 @@ wrong types and non-finite numbers name the offending path, and omitted
 keys fall back to documented defaults. The keys and defaults of each
 schedule, gate and noise family are declared once, next to the family
 (``schedules.SCHEDULE_FAMILIES``, ``schedules.SIGMOID_FAMILIES``,
-``noise.KINDS``); parsing and the echo both read those tables, and the spec
-classes make every value check. ``canonical_config`` renders the fully
-resolved configuration back to a plain dict (all defaults explicit) so the
-echoed config.json is a faithful, replayable record of the run.
+``noise.KINDS``); the keys of the experiment, tolerances and output
+sections are declared once here (``EXPERIMENT_KEYS``, ``TOLERANCE_KEYS``,
+``OUTPUT_KEYS``), with their defaults on the ``ExperimentPlan`` and
+``RunConfig`` fields they set. Parsing and the echo both read those tables,
+and the spec classes make every value check. ``canonical_config`` renders
+the fully resolved configuration back to a plain dict (all defaults
+explicit) so the echoed config.json is a faithful, replayable record of the
+run.
 """
 
 from __future__ import annotations
@@ -19,18 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_DIVERGENCE_BOUND, InitialConditions
+from .core import InitialConditions
 from .errors import ConfigError
 from .montecarlo import DEFAULT_COV_TOL, DEFAULT_KS_SCALE, ExperimentPlan
 from .noise import KINDS as NOISE_KINDS
 from .noise import NoiseModel
 from .problems import (PROBLEM_KINDS, ProblemSpec, cubic_problem,
                        linear_problem, tanh_problem)
-from .schedules import (DEFAULT_E0_MC_SAMPLES, SCHEDULE_FAMILIES,
-                        SIGMOID_FAMILIES, SigmoidSpec, StepSchedule)
-
-DEFAULT_MAX_DIVERGED_FRACTION = 0.01
-NORMALITY_MIN_REPLICATES = 500
+from .schedules import (SCHEDULE_FAMILIES, SIGMOID_FAMILIES, SigmoidSpec,
+                        StepSchedule)
 
 
 def _dotted(path: str, key: str) -> str:
@@ -238,13 +239,21 @@ def _parse_init(data: dict, problem: ProblemSpec,
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _checkpoints(value, path: str) -> tuple:
+    """A list of integer times; null stands for the default checkpoints."""
+    if not isinstance(value, (list, type(None))):
+        raise ConfigError(f"{path} must be a list")
+    return tuple(_integer(t, f"{path}[{i}]")
+                 for i, t in enumerate(value or ()))
+
+
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     plan: ExperimentPlan
     cov_tol: float = DEFAULT_COV_TOL
     ks_scale: float = DEFAULT_KS_SCALE
-    max_diverged_fraction: float = DEFAULT_MAX_DIVERGED_FRACTION
-    normality_min_replicates: int = NORMALITY_MIN_REPLICATES
+    max_diverged_fraction: float = 0.01
+    normality_min_replicates: int = 500
     out_dir: str = "."
     emit_trajectory: bool = True
     emit_summary: bool = True
@@ -260,6 +269,40 @@ class RunConfig:
                               f">= 0, got {self.max_diverged_fraction}")
 
 
+# Each key of the experiment, tolerances and output sections, in config.json
+# order, with the ExperimentPlan or RunConfig field it sets and the reader of
+# its value. An omitted key leaves the field at its dataclass default.
+EXPERIMENT_KEYS = {
+    "horizon": ("horizon", _integer),
+    "n_replicates": ("n_replicates", _integer),
+    "master_seed": ("master_seed", _integer),
+    "checkpoints": ("checkpoints", _checkpoints),
+    "couple_comparator": ("couple_comparator", _boolean),
+    "comparator_noise": ("comparator_noise", _string),
+    "divergence_bound": ("divergence_bound", _number),
+    "e0_mc_samples": ("e0_mc_samples", _integer),
+}
+TOLERANCE_KEYS = {
+    "cov_tol": ("cov_tol", _number),
+    "ks_scale": ("ks_scale", _number),
+    "max_diverged_fraction": ("max_diverged_fraction", _number),
+    "normality_min_replicates": ("normality_min_replicates", _integer),
+}
+OUTPUT_KEYS = {
+    "dir": ("out_dir", _string),
+    "trajectory": ("emit_trajectory", _boolean),
+    "summary": ("emit_summary", _boolean),
+    "prediction": ("emit_prediction", _boolean),
+}
+
+
+def _parse_section(data, path: str, table: dict) -> dict:
+    """The fields set by the keys ``data`` gives, read as ``table`` says."""
+    _check_keys(data, path, table)
+    return {field: read(data[key], _dotted(path, key))
+            for key, (field, read) in table.items() if key in data}
+
+
 def parse_config(data: dict) -> RunConfig:
     _check_keys(data, "", ("problem", "sigmoid", "schedule", "init",
                            "experiment", "tolerances", "output"))
@@ -270,59 +313,15 @@ def parse_config(data: dict) -> RunConfig:
     sigmoid = _parse_sigmoid(data["sigmoid"])
     schedule = _parse_schedule(data["schedule"])
     init = _parse_init(data.get("init", {}), problem)
-
-    exp = data.get("experiment", {})
-    _check_keys(exp, "experiment", ("horizon", "n_replicates", "master_seed",
-                                    "checkpoints", "couple_comparator",
-                                    "comparator_noise", "divergence_bound",
-                                    "e0_mc_samples"))
-    checkpoints = exp.get("checkpoints")
-    if not isinstance(checkpoints, (list, type(None))):
-        raise ConfigError("experiment.checkpoints must be a list")
     plan = ExperimentPlan(
         problem=problem, schedule=schedule, sigmoid=sigmoid, init=init,
-        horizon=_integer(exp.get("horizon", 10_000), "experiment.horizon"),
-        n_replicates=_integer(exp.get("n_replicates", 100),
-                              "experiment.n_replicates"),
-        master_seed=_integer(exp.get("master_seed", 0),
-                             "experiment.master_seed"),
-        checkpoints=tuple(_integer(t, f"experiment.checkpoints[{i}]")
-                          for i, t in enumerate(checkpoints or ())),
-        couple_comparator=_boolean(exp.get("couple_comparator", False),
-                                   "experiment.couple_comparator"),
-        comparator_noise=_string(exp.get("comparator_noise", "shared"),
-                                 "experiment.comparator_noise"),
-        divergence_bound=_number(
-            exp.get("divergence_bound", DEFAULT_DIVERGENCE_BOUND),
-            "experiment.divergence_bound"),
-        e0_mc_samples=_integer(
-            exp.get("e0_mc_samples", DEFAULT_E0_MC_SAMPLES),
-            "experiment.e0_mc_samples"))
-
-    tol = data.get("tolerances", {})
-    _check_keys(tol, "tolerances", ("cov_tol", "ks_scale",
-                                    "max_diverged_fraction",
-                                    "normality_min_replicates"))
-    out = data.get("output", {})
-    _check_keys(out, "output", ("dir", "trajectory", "summary", "prediction"))
+        **_parse_section(data.get("experiment", {}), "experiment",
+                         EXPERIMENT_KEYS))
     return RunConfig(
         plan=plan,
-        cov_tol=_number(tol.get("cov_tol", DEFAULT_COV_TOL),
-                        "tolerances.cov_tol"),
-        ks_scale=_number(tol.get("ks_scale", DEFAULT_KS_SCALE),
-                         "tolerances.ks_scale"),
-        max_diverged_fraction=_number(
-            tol.get("max_diverged_fraction", DEFAULT_MAX_DIVERGED_FRACTION),
-            "tolerances.max_diverged_fraction"),
-        normality_min_replicates=_integer(
-            tol.get("normality_min_replicates", NORMALITY_MIN_REPLICATES),
-            "tolerances.normality_min_replicates"),
-        out_dir=_string(out.get("dir", "."), "output.dir"),
-        emit_trajectory=_boolean(out.get("trajectory", True),
-                                 "output.trajectory"),
-        emit_summary=_boolean(out.get("summary", True), "output.summary"),
-        emit_prediction=_boolean(out.get("prediction", True),
-                                 "output.prediction"))
+        **_parse_section(data.get("tolerances", {}), "tolerances",
+                         TOLERANCE_KEYS),
+        **_parse_section(data.get("output", {}), "output", OUTPUT_KEYS))
 
 
 def _reject_duplicates(pairs):
@@ -349,6 +348,15 @@ def _declared(spec, tag: str, keys) -> dict:
     """``spec`` under its ``tag`` and declared keys, arrays as nested lists."""
     return {tag: getattr(spec, tag),
             **{key: np.asarray(getattr(spec, key)).tolist() for key in keys}}
+
+
+def _echo(obj, table: dict) -> dict:
+    """The fields ``table`` names under their keys, a tuple as a list."""
+    echo = {}
+    for key, (field, _) in table.items():
+        value = getattr(obj, field)
+        echo[key] = list(value) if isinstance(value, tuple) else value
+    return echo
 
 
 def canonical_config(cfg: RunConfig) -> dict:
@@ -379,26 +387,7 @@ def canonical_config(cfg: RunConfig) -> dict:
                               SCHEDULE_FAMILIES[schedule.family]),
         "init": {"x0": plan.init.x0.tolist(), "s0": plan.init.s0,
                  "s1": plan.init.s1},
-        "experiment": {
-            "horizon": plan.horizon,
-            "n_replicates": plan.n_replicates,
-            "master_seed": plan.master_seed,
-            "checkpoints": list(plan.checkpoints),
-            "couple_comparator": plan.couple_comparator,
-            "comparator_noise": plan.comparator_noise,
-            "divergence_bound": plan.divergence_bound,
-            "e0_mc_samples": plan.e0_mc_samples,
-        },
-        "tolerances": {
-            "cov_tol": cfg.cov_tol,
-            "ks_scale": cfg.ks_scale,
-            "max_diverged_fraction": cfg.max_diverged_fraction,
-            "normality_min_replicates": cfg.normality_min_replicates,
-        },
-        "output": {
-            "dir": cfg.out_dir,
-            "trajectory": cfg.emit_trajectory,
-            "summary": cfg.emit_summary,
-            "prediction": cfg.emit_prediction,
-        },
+        "experiment": _echo(plan, EXPERIMENT_KEYS),
+        "tolerances": _echo(cfg, TOLERANCE_KEYS),
+        "output": _echo(cfg, OUTPUT_KEYS),
     }

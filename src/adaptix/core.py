@@ -11,7 +11,7 @@ The first step has no previous measurement; it spends the initial counter
 s0 on the step size and installs the staged initial counter s1 as the
 counter value at t = 1. Counter updates proper start at t = 2.
 
-The module also provides the decreasing-step comparator process
+The batch kernel can also run the decreasing-step comparator process
 
     z_t = z_{t-1} - (1/(E0 t)) (alpha z_{t-1} + xi_t),   t = 1, 2, ...
 
@@ -39,7 +39,6 @@ import numpy as np
 from ._rowops import apply_rows, dot_rows
 from .errors import (ConfigError, DimensionMismatchError,
                      DivergedTrajectoryError, NonFiniteMeasurementError)
-from .noise import NoiseModel
 from .problems import ProblemSpec, field_eval
 from .rng import as_generator
 from .schedules import SigmoidSpec, StepSchedule, gamma_eval, sigmoid_eval
@@ -136,15 +135,6 @@ class Trajectory:
     def final(self) -> AlgoState:
         return self._state(len(self.t) - 1)
 
-    def ts(self) -> np.ndarray:
-        return self.t
-
-    def xs(self) -> np.ndarray:
-        return self.x
-
-    def ss(self) -> np.ndarray:
-        return self.s
-
 
 def sa_step(state: AlgoState, y, schedule: StepSchedule,
             sigmoid: SigmoidSpec) -> AlgoState:
@@ -233,10 +223,8 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
     # comparison also checks finiteness. A bound whose square is not a
     # finite float (above 1.3e154, infinite or NaN) leaves finiteness as
     # the only check, which the largest float gives.
-    try:
-        bound_sq = float(divergence_bound) ** 2
-    except OverflowError:
-        bound_sq = _FLOAT_MAX
+    bound = float(divergence_bound)
+    bound_sq = bound * bound
     if not bound_sq <= _FLOAT_MAX:
         bound_sq = _FLOAT_MAX
 
@@ -262,67 +250,70 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
     mark = marks[slot]
     noise = problem.noise
     t = 1
-    while t <= horizon and (n_alive or comparator is not None):
-        span = min(NOISE_CHUNK, horizon - t + 1)
-        xi = np.empty((n_rep, span, dim))
-        for r in range(n_rep):
-            xi[r] = noise.sample_block(rngs[r], span)
-        xi_z = None
-        if comparator is not None and comparator.rngs is not None:
-            xi_z = np.empty_like(xi)
+    # the divergence guard catches every overflow and NaN, so numpy need
+    # not warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t <= horizon and (n_alive or comparator is not None):
+            span = min(NOISE_CHUNK, horizon - t + 1)
+            xi = np.empty((n_rep, span, dim))
             for r in range(n_rep):
-                xi_z[r] = noise.sample_block(comparator.rngs[r], span)
-        for k in range(span):
-            tk = t + k
-            xi_k = xi[:, k, :]
-            # field_eval and sigmoid_eval return fresh arrays, so updating
-            # y and s_new in place touches no state
-            y = field_eval(problem, x)
-            y += xi_k
-            x_new = gamma_eval(schedule, s)[:, None] * y
-            np.subtract(x, x_new, out=x_new)
-            ok = dot_rows(x_new, x_new) <= bound_sq
-            if tk == 1:
-                s_new = np.full(n_rep, float(init.s1))
-            else:
-                s_new = sigmoid_eval(sigmoid, -dot_rows(y, y_prev))
-                s_new += s
-                np.maximum(s_new, 0.0, out=s_new)
-            if n_alive == n_rep and ok.all():
-                x, s, y_prev = x_new, s_new, y
-            else:
-                # freeze path: a dead replicate keeps its last finite state
-                advance = alive & ok
-                newly_dead = alive & ~ok
-                x = np.where(advance[:, None], x_new, x)
-                s = np.where(advance, s_new, s)
-                y_prev = np.where(advance[:, None], y, y_prev)
-                died = int(np.count_nonzero(newly_dead))
-                if died:
-                    diverged_at[newly_dead] = tk
-                    alive &= ok
-                    n_alive -= died
-            if comparator is not None:
-                zxi = xi_k if xi_z is None else xi_z[:, k, :]
-                dz = apply_rows(comparator.alpha, z)
-                dz += zxi
-                dz *= 1.0 / (comparator.e0 * tk)
-                z = np.subtract(z, dz, out=dz)
-            if tk == mark:
-                x_rec[slot] = x
-                s_rec[slot] = s
-                y_rec[slot] = y_prev
-                if z is not None:
-                    z_rec[slot] = z
-                slot += 1
-                mark = marks[slot]
-            if not n_alive and comparator is None:
-                # every replicate is frozen: later slots repeat this state
-                x_rec[slot:] = x
-                s_rec[slot:] = s
-                y_rec[slot:] = y_prev
-                break
-        t += span
+                xi[r] = noise.sample_block(rngs[r], span)
+            xi_z = None
+            if comparator is not None and comparator.rngs is not None:
+                xi_z = np.empty_like(xi)
+                for r in range(n_rep):
+                    xi_z[r] = noise.sample_block(comparator.rngs[r], span)
+            for k in range(span):
+                tk = t + k
+                xi_k = xi[:, k, :]
+                # field_eval and sigmoid_eval return fresh arrays, so updating
+                # y and s_new in place touches no state
+                y = field_eval(problem, x)
+                y += xi_k
+                x_new = gamma_eval(schedule, s)[:, None] * y
+                np.subtract(x, x_new, out=x_new)
+                ok = dot_rows(x_new, x_new) <= bound_sq
+                if tk == 1:
+                    s_new = np.full(n_rep, float(init.s1))
+                else:
+                    s_new = sigmoid_eval(sigmoid, -dot_rows(y, y_prev))
+                    s_new += s
+                    np.maximum(s_new, 0.0, out=s_new)
+                if n_alive == n_rep and ok.all():
+                    x, s, y_prev = x_new, s_new, y
+                else:
+                    # freeze path: a dead replicate keeps its last finite state
+                    advance = alive & ok
+                    newly_dead = alive & ~ok
+                    x = np.where(advance[:, None], x_new, x)
+                    s = np.where(advance, s_new, s)
+                    y_prev = np.where(advance[:, None], y, y_prev)
+                    died = int(np.count_nonzero(newly_dead))
+                    if died:
+                        diverged_at[newly_dead] = tk
+                        alive &= ok
+                        n_alive -= died
+                if comparator is not None:
+                    zxi = xi_k if xi_z is None else xi_z[:, k, :]
+                    dz = apply_rows(comparator.alpha, z)
+                    dz += zxi
+                    dz *= 1.0 / (comparator.e0 * tk)
+                    z = np.subtract(z, dz, out=dz)
+                if tk == mark:
+                    x_rec[slot] = x
+                    s_rec[slot] = s
+                    y_rec[slot] = y_prev
+                    if z is not None:
+                        z_rec[slot] = z
+                    slot += 1
+                    mark = marks[slot]
+                if not n_alive and comparator is None:
+                    # every replicate is frozen: later slots repeat this state
+                    x_rec[slot:] = x
+                    s_rec[slot:] = s
+                    y_rec[slot:] = y_prev
+                    break
+            t += span
     return SimResult(ts=ts, x=x_rec, s=s_rec, y=y_rec, z=z_rec,
                      diverged_at=diverged_at, final_x=x, final_s=s,
                      final_y=y_prev)
@@ -366,44 +357,3 @@ def run_trajectory(problem: ProblemSpec, init: InitialConditions,
             state=last, t=t_div, trajectory=trajectory)
     return trajectory
 
-
-def run_comparator(alpha, e0: float, x0, noise: NoiseModel, horizon: int,
-                   seed, record_stride: int = 1) -> Trajectory:
-    """Simulate the decreasing-step comparator driven by ``noise``.
-
-    Seeding with the same stream as a main run replays that run's noise
-    exactly (the comparator consumes one noise vector per step in the same
-    block layout), which is what "coupled" means throughout this package.
-    Comparator states have no counter; their ``s`` is reported as 0.
-    """
-    alpha_m = np.atleast_2d(np.asarray(alpha, dtype=np.float64))
-    x0_arr = np.asarray(x0, dtype=np.float64).reshape(-1)
-    dim = x0_arr.shape[0]
-    if alpha_m.shape != (dim, dim):
-        raise DimensionMismatchError(
-            f"alpha shape {alpha_m.shape} does not match x0 dim {dim}")
-    if noise.dim != dim:
-        raise DimensionMismatchError(
-            f"noise dim {noise.dim} does not match x0 dim {dim}")
-    if e0 <= 0:
-        raise ValueError(f"E0 must be > 0, got {e0}")
-    rng = as_generator(seed)
-    horizon = int(horizon)
-    ts = _stride_ts(horizon, record_stride)
-    slot_of = {t: i for i, t in enumerate(ts)}
-    z = x0_arr.copy()[None, :]
-    z_rec = np.zeros((len(ts), dim))
-    if 0 in slot_of:
-        z_rec[slot_of[0]] = z[0]
-    t = 1
-    while t <= horizon:
-        span = min(NOISE_CHUNK, horizon - t + 1)
-        xi = noise.sample_block(rng, span)[None, :, :]
-        for k in range(span):
-            tk = t + k
-            z = z - (1.0 / (e0 * tk)) * (apply_rows(alpha_m, z) + xi[:, k, :])
-            if tk in slot_of:
-                z_rec[slot_of[tk]] = z[0]
-        t += span
-    return Trajectory(t=np.asarray(ts, dtype=np.int64), x=z_rec,
-                      s=np.zeros(len(ts)))

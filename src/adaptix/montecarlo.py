@@ -37,6 +37,10 @@ from .schedules import (DEFAULT_E0_MC_SAMPLES, E0Estimate, SigmoidSpec,
 DEFAULT_COV_TOL = 0.15
 DEFAULT_KS_SCALE = 1.63
 
+#: ``coupling_gap`` calls the gap decreasing once its 90% quantile has
+#: dropped to this fraction of its first-checkpoint value.
+COUPLING_DROP_FACTOR = 0.5
+
 
 def default_checkpoints(horizon: int) -> tuple:
     """Powers of ten up to the horizon, plus the horizon itself."""
@@ -52,9 +56,9 @@ class ExperimentPlan:
     schedule: StepSchedule
     sigmoid: SigmoidSpec
     init: InitialConditions
-    horizon: int
-    n_replicates: int
-    master_seed: int
+    horizon: int = 10_000
+    n_replicates: int = 100
+    master_seed: int = 0
     checkpoints: tuple = ()
     couple_comparator: bool = False
     comparator_noise: str = "shared"  # or "independent" (negative control)
@@ -271,14 +275,15 @@ def normality_stats(rows: np.ndarray, predicted_v: np.ndarray):
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     dim = rows.shape[1]
     v = np.atleast_2d(np.asarray(predicted_v, dtype=np.float64))
-    empirical = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
-    rel_err = float(np.linalg.norm(empirical - v, "fro")
-                    / np.linalg.norm(v, "fro"))
+    # solving first rejects a singular V before dividing by its norm
     try:
         solved = np.linalg.solve(v, rows.T)
     except np.linalg.LinAlgError:
         raise NumericError("predicted covariance V is singular; the "
                            "Mahalanobis test needs it invertible") from None
+    empirical = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
+    rel_err = float(np.linalg.norm(empirical - v, "fro")
+                    / np.linalg.norm(v, "fro"))
     mahalanobis_sq = np.sum(rows.T * solved, axis=0)
     ks = _ks_distance(mahalanobis_sq, lambda q: chi2_cdf(q, dim))
     return empirical, rel_err, ks
@@ -331,12 +336,13 @@ class CouplingSummary:
     drop_factor: float
 
 
-def coupling_gap(rset: ReplicateSet, drop_factor: float = 0.5) -> CouplingSummary:
+def coupling_gap(rset: ReplicateSet) -> CouplingSummary:
     """Quantiles of sqrt(t) ||x_t - z_t|| per checkpoint.
 
     ``decreasing`` is True when the 90% quantile at the last checkpoint has
-    dropped to at most ``drop_factor`` times its first-checkpoint value -- a
-    margin wide enough that an uncoupled control does not trip it.
+    dropped to at most ``COUPLING_DROP_FACTOR`` times its first-checkpoint
+    value -- a margin wide enough that an uncoupled control does not trip
+    it.
     """
     if rset.z is None:
         raise ValueError("plan did not couple a comparator")
@@ -349,6 +355,7 @@ def coupling_gap(rset: ReplicateSet, drop_factor: float = 0.5) -> CouplingSummar
             "quantile_50": float(np.quantile(gap, 0.50)),
             "quantile_90": float(np.quantile(gap, 0.90)),
         })
-    decreasing = bool(rows[-1]["quantile_90"] <= drop_factor * rows[0]["quantile_90"])
+    decreasing = bool(rows[-1]["quantile_90"]
+                      <= COUPLING_DROP_FACTOR * rows[0]["quantile_90"])
     return CouplingSummary(rows=rows, decreasing=decreasing,
-                           drop_factor=float(drop_factor))
+                           drop_factor=COUPLING_DROP_FACTOR)

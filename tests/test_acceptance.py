@@ -147,11 +147,11 @@ def test_criterion_6_comparator_coupling(capsys):
                   checkpoints=(1000, 10_000, 100_000),
                   couple_comparator=True)
     coupled = run_replicates(make_plan(SCALAR_PROBLEM, **common))
-    gap = coupling_gap(coupled, drop_factor=0.5)
+    gap = coupling_gap(coupled)
     control = run_replicates(make_plan(SCALAR_PROBLEM,
                                        comparator_noise="independent",
                                        **common))
-    control_gap = coupling_gap(control, drop_factor=0.5)
+    control_gap = coupling_gap(control)
     elapsed = time.monotonic() - start
     ok = gap.decreasing and not control_gap.decreasing and elapsed < 300.0
     q = [row["quantile_90"] for row in gap.rows]

@@ -303,6 +303,49 @@ def test_run_diverged_exits_4(tmp_path):
         state.s, gamma_eval(plan.schedule, state.s), state.x[0]]
 
 
+def cli_stderr(*argv):
+    """Exit code and stderr lines of the CLI in a fresh interpreter.
+
+    pytest captures warnings in-process, so only a subprocess shows what
+    Python's default warning filters would print beside the reason line.
+    """
+    proc = subprocess.run([sys.executable, "-m", "adaptix",
+                           *(str(a) for a in argv)],
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr.splitlines()
+
+
+def test_run_overflow_prints_only_the_divergence_line(tmp_path):
+    # the cubic field overflows the squared norm before the bound is crossed
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({
+        "problem": {"kind": "cubic1d", "a": 1.292, "c": 0.914,
+                    "noise": {"kind": "uniform_ball", "radius": 0.976}},
+        "sigmoid": {"family": "plakhov_almeida", "u_minus": -1.917,
+                    "u_plus": 0.342},
+        "schedule": {"family": "reciprocal", "s_floor": 0.5},
+        "init": {"x0": -1.008, "s0": 1.606, "s1": 2.683},
+        "experiment": {"horizon": 50, "master_seed": 25,
+                       "divergence_bound": 1e150}}))
+    code, err = cli_stderr("run", "--config", path, "--out", tmp_path / "o")
+    assert code == 4
+    assert err == ["adaptix: trajectory diverged at t=18"]
+
+
+def test_replicate_zero_covariance_prints_only_the_reason(tmp_path):
+    # V = 0: the relative covariance error would divide 0 by 0
+    path = make_config(tmp_path, **{
+        "problem.dim": 1, "problem.matrix": [[1.0]],
+        "problem.noise": {"kind": "gaussian", "cov": 0.0},
+        "experiment.horizon": 20, "experiment.n_replicates": 4,
+        "experiment.checkpoints": None})
+    code, err = cli_stderr("replicate", "--config", path,
+                           "--out", tmp_path / "o")
+    assert code == 5
+    assert len(err) == 1
+    assert "predicted covariance V is singular" in err[0]
+
+
 def test_run_takes_a_bound_too_large_to_square(tmp_path):
     # 1e200 squared overflows a float; only non-finite iterates diverge
     path = make_config(tmp_path, **{"experiment.divergence_bound": 1e200})

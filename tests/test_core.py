@@ -10,10 +10,9 @@ from adaptix import (AlgoState, ConfigError, DimensionMismatchError,
                      NonFiniteMeasurementError, constant_gate,
                      constant_schedule, core, field_eval, gaussian_noise,
                      kesten_gate, linear_problem, plakhov_almeida_gate,
-                     power_schedule, reciprocal_schedule, run_comparator,
-                     run_trajectory, sa_step, smooth_gate,
-                     uniform_ball_noise)
-from adaptix.core import NOISE_CHUNK, _simulate
+                     power_schedule, reciprocal_schedule, run_trajectory,
+                     sa_step, smooth_gate, uniform_ball_noise)
+from adaptix.core import NOISE_CHUNK, ComparatorConfig, _simulate
 from adaptix.rng import TRAJECTORY_LANE, substream
 
 RECIPROCAL = reciprocal_schedule()
@@ -109,7 +108,7 @@ def test_deterministic_contraction():
     traj = run_trajectory(problem, init, constant_schedule(0.5), KESTEN,
                           horizon=10, seed=0)
     assert traj.final.x[0] == 0.5**10
-    assert np.all(traj.ss()[1:] == 1.0)
+    assert np.all(traj.s[1:] == 1.0)
 
 
 def test_staged_counter_through_engine():
@@ -127,7 +126,7 @@ def test_record_stride_keeps_endpoints():
     init = InitialConditions(x0=np.array([1.0]))
     traj = run_trajectory(problem, init, RECIPROCAL, KESTEN, horizon=10,
                           seed=3, record_stride=3)
-    assert list(traj.ts()) == [0, 3, 6, 9, 10]
+    assert list(traj.t) == [0, 3, 6, 9, 10]
     assert traj.final.t == 10
 
 
@@ -179,8 +178,8 @@ def test_counter_invariants_over_gates():
         for gate in gates:
             traj = run_trajectory(problem, init, RECIPROCAL, gate,
                                   horizon=200, seed=seed)
-            s = traj.ss()
-            t = traj.ts()
+            s = traj.s
+            t = traj.t
             assert np.all(s >= 0.0)
             # each increment is at most u_plus
             bound = init.s1 + (t[1:] - 1) * gate.u_plus
@@ -208,8 +207,8 @@ def test_constant_gate_counter_is_affine_in_t():
     init = InitialConditions(x0=np.array([1.0]))
     traj = run_trajectory(problem, init, RECIPROCAL, constant_gate(1.0),
                           horizon=300, seed=9)
-    t = traj.ts()[1:]
-    assert np.array_equal(traj.ss()[1:], 1.0 + (t - 1.0))
+    t = traj.t[1:]
+    assert np.array_equal(traj.s[1:], 1.0 + (t - 1.0))
 
 
 def test_divergence_raises_with_last_finite_state():
@@ -224,7 +223,7 @@ def test_divergence_raises_with_last_finite_state():
     assert err.state.t == 12
     assert err.state.x[0] == (-3.0)**12
     assert err.state.y_prev[0] == 2.0 * (-3.0)**11
-    recorded = err.trajectory.ts()
+    recorded = err.trajectory.t
     assert recorded.max() <= 12
 
 
@@ -272,7 +271,7 @@ def test_mixed_divergence_batch_rows_match_single_runs():
         except DivergedTrajectoryError as exc:
             t_div, last, traj = exc.t, exc.state, exc.trajectory
             assert res.diverged_at[r] == t_div
-            assert traj.ts()[-1] == t_div - 1
+            assert traj.t[-1] == t_div - 1
             # from the last finite state on, every row repeats it
             assert np.all(res.x[t_div - 1:, r] == last.x)
             assert np.all(res.s[t_div - 1:, r] == last.s)
@@ -282,9 +281,9 @@ def test_mixed_divergence_batch_rows_match_single_runs():
             assert res.diverged_at[r] == -1
             last = traj.final
             assert np.array_equal(res.final_y[r], last.y_prev)
-        n = len(traj.ts())
-        assert np.array_equal(res.x[:n, r], traj.xs())
-        assert np.array_equal(res.s[:n, r], traj.ss())
+        n = len(traj.t)
+        assert np.array_equal(res.x[:n, r], traj.x)
+        assert np.array_equal(res.s[:n, r], traj.s)
         assert np.array_equal(res.y[:n, r], traj.y)
         assert np.array_equal(res.final_x[r], last.x)
         assert res.final_s[r] == last.s
@@ -321,19 +320,11 @@ def test_kernel_calls_each_layer_through_core_once_per_step(monkeypatch):
 
 
 def test_comparator_hand_values():
-    traj = run_comparator(np.array([[1.0]]), e0=2.0, x0=np.array([1.0]),
-                          noise=ZERO_NOISE_1D, horizon=2, seed=0)
-    xs = traj.xs()
-    assert xs[1, 0] == 0.5
-    assert xs[2, 0] == 0.375
-    assert np.all(traj.ss() == 0.0)
-
-
-def test_comparator_rejects_mismatched_shapes():
-    with pytest.raises(DimensionMismatchError):
-        run_comparator(np.eye(2), 1.0, np.array([1.0]), ZERO_NOISE_1D, 5, 0)
-    with pytest.raises(DimensionMismatchError):
-        run_comparator(np.eye(1), 1.0, np.array([1.0]),
-                       gaussian_noise(np.eye(2)), 5, 0)
-    with pytest.raises(ValueError):
-        run_comparator(np.eye(1), 0.0, np.array([1.0]), ZERO_NOISE_1D, 5, 0)
+    # zero noise, alpha = 1, E0 = 2: z_1 = 1 - 1/2, z_2 = 0.5 - 0.5/4
+    problem = linear_problem(matrix=1.0, dim=1, noise=ZERO_NOISE_1D)
+    comparator = ComparatorConfig(alpha=np.array([[1.0]]), e0=2.0)
+    res = _simulate(problem, InitialConditions(x0=np.array([1.0])),
+                    RECIPROCAL, KESTEN, 2, [substream(0, TRAJECTORY_LANE, 0)],
+                    [0, 1, 2], comparator=comparator)
+    assert res.z[1, 0, 0] == 0.5
+    assert res.z[2, 0, 0] == 0.375

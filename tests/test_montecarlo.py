@@ -9,9 +9,12 @@ from adaptix import (ConfigError, ExperimentPlan, InitialConditions,
                      convergence_summary, coupling_gap, default_checkpoints,
                      gaussian_noise, kesten_gate, linear_problem,
                      normality_check, normality_stats, plakhov_almeida_gate,
-                     predict, reciprocal_schedule, resolve_e0, run_comparator,
-                     run_replicates, run_trajectory, step_counter_drift)
+                     predict, reciprocal_schedule, resolve_e0, run_replicates,
+                     run_trajectory, step_counter_drift, tanh_problem,
+                     uniform_ball_noise)
 from adaptix import montecarlo
+from adaptix._rowops import apply_rows
+from adaptix.core import NOISE_CHUNK
 from adaptix.montecarlo import _ks_distance, chi2_cdf
 from adaptix.rng import TRAJECTORY_LANE, substream
 
@@ -140,15 +143,34 @@ def test_zero_noise_replicates_coincide():
     assert np.array_equal(rset.x[-1, 0], rset.x[-1, 2])
 
 
+def replay_comparator(plan, e0, r):
+    """z_t = z_{t-1} - (1/(E0 t)) (alpha z_{t-1} + xi_t) on replicate r's
+    noise, drawn in the kernel's blocks: the cross-check of the kernel's
+    comparator."""
+    rng = substream(plan.master_seed, TRAJECTORY_LANE, r)
+    xi = np.concatenate([plan.problem.noise.sample_block(
+        rng, min(NOISE_CHUNK, plan.horizon - lo))
+        for lo in range(0, plan.horizon, NOISE_CHUNK)])
+    z, alpha = plan.init.x0[None, :], plan.problem.jacobian_at_root
+    for t in range(1, plan.horizon + 1):
+        z = z - (1.0 / (e0 * t)) * (apply_rows(alpha, z) + xi[t - 1])
+    return z[0]
+
+
 def test_shared_comparator_replays_trajectory_noise():
-    plan = scalar_plan(n_replicates=2, horizon=100, checkpoints=(100,),
-                       couple_comparator=True)
-    rset = run_replicates(plan)
-    for r in range(2):
-        traj = run_comparator(plan.problem.jacobian_at_root, rset.e0.value,
-                              plan.init.x0, plan.problem.noise, 100,
-                              substream(plan.master_seed, TRAJECTORY_LANE, r))
-        assert np.array_equal(rset.z[-1, r], traj.final.x)
+    # 2500 steps span three noise blocks
+    tanh_ball = dict(problem=tanh_problem(matrix=np.diag([1.5, 3.0]),
+                                          noise=uniform_ball_noise(2, 1.0)),
+                     sigmoid=plakhov_almeida_gate(-0.25, 1.0),
+                     init=InitialConditions(x0=np.array([1.0, -1.0])),
+                     e0_mc_samples=10_000)
+    for overrides in ({}, tanh_ball):
+        plan = scalar_plan(n_replicates=3, horizon=2500, checkpoints=(2500,),
+                           couple_comparator=True, **overrides)
+        rset = run_replicates(plan)
+        for r in range(3):
+            assert np.array_equal(rset.z[-1, r],
+                                  replay_comparator(plan, rset.e0.value, r))
 
 
 def test_comparator_satisfies_the_same_limit_law():
