@@ -30,7 +30,8 @@ from .core import Trajectory, run_trajectory
 from .errors import (AdaptixError, ConfigError, DimensionMismatchError,
                      DivergedTrajectoryError, StabilityError)
 from .montecarlo import (convergence_summary, coupling_gap, normality_check,
-                         resolve_e0, run_replicates, step_counter_drift)
+                         resolve_e0, run_replicates, solve_predicted_v,
+                         step_counter_drift)
 from .problems import validate_problem
 from .schedules import gamma_eval
 from .serialize import write_csv, write_json
@@ -83,8 +84,12 @@ def _load(args):
         plan = dataclasses.replace(cfg.plan, master_seed=args.seed)
         cfg = dataclasses.replace(cfg, plan=plan)
     out_dir = args.out if args.out is not None else cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, "config.json"), canonical_config(cfg))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        write_json(os.path.join(out_dir, "config.json"), canonical_config(cfg))
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifacts to output directory "
+                          f"{out_dir!r}: {exc.strerror}") from None
     return cfg, out_dir
 
 
@@ -183,6 +188,8 @@ def cmd_replicate(args) -> int:
         print("adaptix: W = I/2 - J/E0 is not stable; refusing to test "
               "normality against a nonexistent limit", file=sys.stderr)
         return EXIT_ASSUMPTION
+    # the normality test needs V invertible: decide that before simulating
+    solve_predicted_v(prediction.v, np.eye(plan.problem.dim))
 
     rset = run_replicates(plan, workers=workers)
     summary: dict = {

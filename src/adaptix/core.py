@@ -192,6 +192,20 @@ class SimResult:
         return self.diverged_at >= 0
 
 
+def _noise_blocks(noise, rngs: list, span: int) -> np.ndarray:
+    """The next ``span`` noise vectors of each stream, as (span, n_rep, dim).
+
+    Stored with the replicate axis innermost, so step k's (n_rep, dim)
+    slice is one column-major block, the layout ``_rowops`` gives a large
+    batch's state, and adding it runs one inner loop per column, not one
+    per replicate. A single replicate's slice is one contiguous row.
+    """
+    xi = np.empty((span, noise.dim, len(rngs)))
+    for r, rng in enumerate(rngs):
+        xi[:, :, r] = noise.sample_block(rng, span)
+    return xi.transpose(0, 2, 1)
+
+
 def _simulate(problem: ProblemSpec, init: InitialConditions,
               schedule: StepSchedule, sigmoid: SigmoidSpec, horizon: int,
               rngs: list, record_ts, comparator: ComparatorConfig | None = None,
@@ -255,17 +269,13 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
     with np.errstate(over="ignore", invalid="ignore"):
         while t <= horizon and (n_alive or comparator is not None):
             span = min(NOISE_CHUNK, horizon - t + 1)
-            xi = np.empty((n_rep, span, dim))
-            for r in range(n_rep):
-                xi[r] = noise.sample_block(rngs[r], span)
+            xi = _noise_blocks(noise, rngs, span)
             xi_z = None
             if comparator is not None and comparator.rngs is not None:
-                xi_z = np.empty_like(xi)
-                for r in range(n_rep):
-                    xi_z[r] = noise.sample_block(comparator.rngs[r], span)
+                xi_z = _noise_blocks(noise, comparator.rngs, span)
             for k in range(span):
                 tk = t + k
-                xi_k = xi[:, k, :]
+                xi_k = xi[k]
                 # field_eval and sigmoid_eval return fresh arrays, so updating
                 # y and s_new in place touches no state
                 y = field_eval(problem, x)
@@ -294,7 +304,7 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
                         alive &= ok
                         n_alive -= died
                 if comparator is not None:
-                    zxi = xi_k if xi_z is None else xi_z[:, k, :]
+                    zxi = xi_k if xi_z is None else xi_z[k]
                     dz = apply_rows(comparator.alpha, z)
                     dz += zxi
                     dz *= 1.0 / (comparator.e0 * tk)

@@ -266,6 +266,19 @@ def chi2_cdf(q, dim: int) -> np.ndarray:
     return chdtr(dim, np.maximum(q, 0.0))
 
 
+def solve_predicted_v(predicted_v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``V^-1 rhs``; a singular V raises NumericError.
+
+    Whether V is singular depends on its LU factors alone, not on ``rhs``,
+    so a check with any right-hand side agrees with ``normality_stats``.
+    """
+    try:
+        return np.linalg.solve(predicted_v, rhs)
+    except np.linalg.LinAlgError:
+        raise NumericError("predicted covariance V is singular; the "
+                           "Mahalanobis test needs it invertible") from None
+
+
 def normality_stats(rows: np.ndarray, predicted_v: np.ndarray):
     """(empirical covariance, relative Frobenius error, Mahalanobis KS).
 
@@ -276,11 +289,7 @@ def normality_stats(rows: np.ndarray, predicted_v: np.ndarray):
     dim = rows.shape[1]
     v = np.atleast_2d(np.asarray(predicted_v, dtype=np.float64))
     # solving first rejects a singular V before dividing by its norm
-    try:
-        solved = np.linalg.solve(v, rows.T)
-    except np.linalg.LinAlgError:
-        raise NumericError("predicted covariance V is singular; the "
-                           "Mahalanobis test needs it invertible") from None
+    solved = solve_predicted_v(v, rows.T)
     empirical = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
     rel_err = float(np.linalg.norm(empirical - v, "fro")
                     / np.linalg.norm(v, "fro"))

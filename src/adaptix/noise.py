@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rowops import norm_rows
+from ._rowops import _column_matvec, norm_rows
 from .errors import ConfigError, DimensionMismatchError
 
 #: Config keys of each noise kind besides ``kind`` and ``dim``, with defaults.
@@ -118,22 +118,23 @@ class NoiseModel:
         return self.kind != "scaled_rademacher"
 
     def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` noise vectors as a (count, dim) block."""
+        """Draw ``count`` noise vectors as a (count, dim) block.
+
+        A gaussian block is column-major: the transpose of the (dim, count)
+        buffer ``_rowops`` fills a column at a time.
+        """
         n = self.dim
         if self.kind == "gaussian":
             z = rng.standard_normal((count, n))
-            f = self._gaussian_factor
             # Row-local affine map; see _rowops for why not a matmul.
-            out = np.zeros_like(z)
-            for j in range(n):
-                out += z[:, j, None] * f[:, j]
-            return out
+            return _column_matvec(self._gaussian_factor, z)
         if self.kind == "uniform_ball":
             g = rng.standard_normal((count, n))
             r = rng.random(count)
             nrm = norm_rows(g)
             nrm = np.where(nrm == 0.0, 1.0, nrm)
-            return g * (self.radius * r ** (1.0 / n) / nrm)[:, None]
+            g *= (self.radius * r ** (1.0 / n) / nrm)[:, None]
+            return g
         signs = 2.0 * rng.integers(0, 2, size=(count, n)) - 1.0
         return self.scale * signs
 

@@ -259,7 +259,10 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
     root = problem.root
 
     # B1.1 -- noise mean zero, empirically.
-    samples = problem.noise.sample_block(rng, N_NOISE_SAMPLES)
+    # a gaussian block is column-major, and a mean or sd over axis 0 sums
+    # in memory order: keep the row order these figures always had
+    samples = np.ascontiguousarray(
+        problem.noise.sample_block(rng, N_NOISE_SAMPLES))
     means = samples.mean(axis=0)
     stderrs = samples.std(axis=0, ddof=1) / np.sqrt(N_NOISE_SAMPLES)
     standardized = np.abs(means) / np.where(stderrs == 0.0, 1.0, stderrs)

@@ -436,6 +436,25 @@ def test_replicate_names_a_singular_predicted_v(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_singular_predicted_v_is_decided_before_simulating(tmp_path, capsys,
+                                                            monkeypatch):
+    def kernel(*args, **kwargs):
+        raise AssertionError("the batch kernel was entered")
+
+    monkeypatch.setattr("adaptix.montecarlo._simulate", kernel)
+    path = make_config(tmp_path, **{
+        "problem.noise": {"kind": "gaussian", "cov": [[1.0, 0.0],
+                                                      [0.0, 0.0]]},
+        "experiment.horizon": 50, "experiment.n_replicates": 10,
+        "experiment.checkpoints": None, "experiment.e0_mc_samples": 2000})
+    out = tmp_path / "o"
+    assert run_cli("replicate", "--config", path, "--out", out) == 5
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["adaptix: error: predicted covariance V is singular; the "
+                   "Mahalanobis test needs it invertible"]
+    assert sorted(os.listdir(out)) == ["config.json", "prediction.json"]
+
+
 def test_replicate_coupling_summary(tmp_path):
     path = make_config(tmp_path, **{
         "experiment.couple_comparator": True,
@@ -481,6 +500,27 @@ def test_output_dir_from_config(tmp_path):
     assert (target / "prediction.json").exists()
     echoed = json.loads((target / "config.json").read_text())
     assert echoed["output"]["dir"] == str(target)
+
+
+def test_empty_output_dir_exits_2_with_one_line(tmp_path):
+    path = make_config(tmp_path, **{"output.dir": ""})
+    code, err = cli_stderr("predict", "--config", path)
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("adaptix: error: cannot write artifacts to "
+                             "output directory ''")
+
+
+def test_out_naming_a_file_exits_2_with_one_line(tmp_path):
+    path = make_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    code, err = cli_stderr("run", "--config", path, "--out", taken)
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("adaptix: error: cannot write artifacts to "
+                             f"output directory {str(taken)!r}")
+    assert taken.read_text() == "not a directory"
 
 
 def test_workers_env_fallback(tmp_path, monkeypatch):

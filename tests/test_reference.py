@@ -23,11 +23,22 @@ CASES = [
     ("wide_coupled", "predict", "predict", []),
     ("single_long", "main", "run", []),
     ("ensemble", "main", "replicate", ["--workers", "1"]),
+    # the ball sampler, the Monte Carlo E0 and the coupled comparator, in
+    # one process and split over two
+    ("wide_coupled", "main", "replicate", ["--workers", "1"]),
+    ("wide_coupled", "main", "replicate", ["--workers", "2"]),
 ]
 
 
+def _case_id(case):
+    workload, _, command, extra = case
+    workers = extra[1] if extra else "1"
+    return f"{command}-{workload}" + ("" if workers == "1"
+                                      else f"-workers{workers}")
+
+
 @pytest.mark.parametrize("workload, label, command, extra", CASES,
-                         ids=[f"{c[2]}-{c[0]}" for c in CASES])
+                         ids=[_case_id(c) for c in CASES])
 def test_artifacts_match_the_bench_reference(tmp_path, workload, label,
                                              command, extra):
     reference = json.loads((BENCH / "reference.json").read_text())

@@ -1,0 +1,156 @@
+"""Row kernels and samplers against the row-wise formulas, bit for bit.
+
+``_rowops`` evaluates a large batch of few columns a column at a time. The
+formulas below are the row-wise evaluation written out; every result must
+carry the same bits, signed zeros included. Only a NaN's payload (its sign
+bit) is not compared: numpy's own loops pass on the first or the second
+operand's NaN depending on where an element falls in a vector loop, so the
+row-wise form never kept it row-local either: ``row_matvec([[0, 1]], x)``
+on 17 rows of ``[inf, nan]`` gives rows 0-15 a NaN with the sign bit set
+and row 16 one without (numpy 2.4 on x86-64 with AVX-512).
+
+The comparator replay in ``test_montecarlo.py`` calls ``apply_rows`` itself;
+this file is what keeps that cross-check independent of the column form.
+"""
+
+import numpy as np
+import pytest
+
+from adaptix import (InitialConditions, gaussian_noise, kesten_gate,
+                     reciprocal_schedule, run_trajectory, tanh_problem,
+                     uniform_ball_noise)
+from adaptix._rowops import apply_rows, dot_rows, norm_rows
+from adaptix.core import ComparatorConfig, _simulate
+from adaptix.rng import TRAJECTORY_LANE, substream
+
+DIMS = range(1, 13)
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def row_counts(dim):
+    """Single rows, both sides of 16 rows and of the column threshold (16
+    rows per column), and a full noise block."""
+    return sorted({1, 2, 15, 16, 17, 1024,
+                   16 * dim - 1, 16 * dim, 16 * dim + 1})
+
+
+def row_sum(p):
+    return np.add.reduce(np.ascontiguousarray(p), axis=-1)
+
+
+def row_matvec(m, x):
+    out = np.zeros(x.shape[:-1] + (m.shape[0],), dtype=np.float64)
+    for j in range(m.shape[1]):
+        out += x[..., j, None] * m[:, j]
+    return out
+
+
+def bits(a):
+    a = np.asarray(a, dtype=np.float64)
+    return np.where(np.isnan(a), np.nan, a).view(np.int64)
+
+
+def assert_same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(bits(got), bits(want))
+
+
+def batch(rng, shape, order):
+    """Mixed magnitudes with about a fifth of the entries special."""
+    a = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e200], size=shape)
+    mask = rng.random(shape) < 0.2
+    a[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+    return np.asarray(a, order=order)
+
+
+def shapes(dim):
+    yield (dim,)
+    for rows in row_counts(dim):
+        yield (rows, dim)
+        yield (2, rows, dim)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dim", DIMS)
+def test_row_kernels_match_the_row_wise_formulas(dim, order):
+    rng = np.random.default_rng(dim)
+    m = batch(rng, (dim, dim), order)
+    for shape in shapes(dim):
+        a = batch(rng, shape, order)
+        b = batch(rng, shape, order)
+        if a.ndim > 1:
+            # a row of -0.0 products, whose sum must start from +0.0
+            a[..., 0, :] = -0.0
+            b[..., 0, :] = 1.0
+        with np.errstate(all="ignore"):
+            assert_same_bits(dot_rows(a, b), row_sum(a * b))
+            assert_same_bits(norm_rows(a), np.sqrt(row_sum(a * a)))
+            assert_same_bits(apply_rows(m, a), row_matvec(m, a))
+
+
+def test_signed_zero_rows_sum_to_plus_zero():
+    a = np.full((64, 2), -0.0)
+    got = dot_rows(a, np.ones((64, 2)))
+    assert np.array_equal(bits(got), bits(np.zeros(64)))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_gaussian_block_matches_the_row_wise_map(dim):
+    rng = np.random.default_rng(100 + dim)
+    a = rng.standard_normal((dim, dim))
+    noise = gaussian_noise(a @ a.T + np.eye(dim))
+    f = noise._gaussian_factor
+    for count in row_counts(dim):
+        block = noise.sample_block(substream(7, TRAJECTORY_LANE, dim), count)
+        z = substream(7, TRAJECTORY_LANE, dim).standard_normal((count, dim))
+        assert_same_bits(block, row_matvec(f, z))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_ball_block_matches_the_row_wise_scaling(dim):
+    noise = uniform_ball_noise(dim, 1.5)
+    for count in row_counts(dim):
+        block = noise.sample_block(substream(3, TRAJECTORY_LANE, dim), count)
+        rng = substream(3, TRAJECTORY_LANE, dim)
+        g = rng.standard_normal((count, dim))
+        r = rng.random(count)
+        nrm = np.sqrt(row_sum(g * g))
+        nrm = np.where(nrm == 0.0, 1.0, nrm)
+        assert_same_bits(block, g * (1.5 * r ** (1.0 / dim) / nrm)[:, None])
+
+
+def coupled_problem(dim):
+    matrix = np.eye(dim) * np.linspace(1.0, 2.5, dim) + np.eye(dim, k=1) * 0.2
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim)) * 0.3
+    noise = gaussian_noise(a @ a.T + np.eye(dim))
+    return tanh_problem(matrix=matrix, noise=noise)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 9, 12])
+def test_batch_rows_match_single_runs_and_any_split(dim):
+    # enough replicates that the whole batch takes the column form while a
+    # split of 3 takes the row-wise one
+    problem = coupled_problem(dim)
+    init = InitialConditions(x0=np.full(dim, 0.5))
+    schedule, gate = reciprocal_schedule(2.0), kesten_gate()
+    horizon, n_rep = 60, 16 * dim + 5
+    ts = range(horizon + 1)
+    comparator = ComparatorConfig(alpha=problem.jacobian_at_root, e0=0.5)
+
+    def simulate(lo, hi):
+        rngs = [substream(4, TRAJECTORY_LANE, r) for r in range(lo, hi)]
+        return _simulate(problem, init, schedule, gate, horizon, rngs, ts,
+                         comparator=comparator)
+
+    whole = simulate(0, n_rep)
+    parts = [simulate(0, 3), simulate(3, n_rep)]
+    for field in ("x", "s", "y", "z"):
+        joined = np.concatenate([getattr(p, field) for p in parts], axis=1)
+        assert_same_bits(getattr(whole, field), joined)
+    assert np.array_equal(whole.diverged_at,
+                          np.concatenate([p.diverged_at for p in parts]))
+
+    single = run_trajectory(problem, init, schedule, gate, horizon, 4)
+    assert_same_bits(single.x, whole.x[:, 0])
+    assert_same_bits(single.s, whole.s[:, 0])
