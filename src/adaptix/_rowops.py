@@ -10,27 +10,28 @@ worker-count invariance.
 
 Column order. A batch has thousands of rows and only a few columns, and
 numpy runs a reduction or a broadcast along a short last axis as one inner
-loop per row, at some 20-28 ns a row. So a 2-D batch of fewer than
-``_PAIRWISE_COLUMNS`` columns and at least ``_MIN_ROWS_PER_COLUMN`` rows
-per column is evaluated a whole column at a time (one numpy call, about
-1 us, per column), in exactly the order of the row-wise form:
+loop per row, at some 20-28 ns a row. So a 2-D batch is evaluated a whole
+column at a time (one numpy call, about 1 us, per column), in exactly the
+order of the row-wise form:
 
-* a row sum starts from ``p[:, 0] + 0.0`` and adds the columns in
-  ascending order, which is what ``np.add.reduce`` does on a row of fewer
-  than 8 elements (the ``+ 0.0`` is its zero start, which turns a -0.0
-  first term into +0.0);
 * a mat-vec fills an ``(out_dim, rows)`` buffer of zeros with
   ``acc += x.T[j] * m[:, j, None]`` for ascending ``j``, the same products
   and sums, operands in the same order, as ``out += x[..., j, None] *
-  m[:, j]``.
+  m[:, j]``. It matches or beats the row-wise loop at every 2-D size, so
+  every 2-D ``x`` takes it;
+* a row sum starts from ``p[:, 0] + 0.0`` and adds the columns in
+  ascending order, which is what ``np.add.reduce`` does on a row of fewer
+  than 8 elements (the ``+ 0.0`` is its zero start, which turns a -0.0
+  first term into +0.0). It beats ``np.add.reduce`` only from about
+  ``_MIN_ROWS_PER_COLUMN`` rows per column, and only below
+  ``_PAIRWISE_COLUMNS`` columns.
 
-Single rows, small batches, other ranks and inputs of 8 or more columns
-keep the row-wise form. Below 8 columns ``np.add.reduce`` sums every row
-left to right, whatever the memory order. From 8 on it sums a contiguous
-row pairwise, with eight partial sums, but the rows of an F-ordered array
-one column at a time; so there the row-wise form reduces a C-contiguous
-copy, and a replicate's sum does not depend on the memory order of its
-batch.
+Other sums, and mat-vecs of other ranks, keep the row-wise form. Below 8
+columns ``np.add.reduce`` sums every row left to right, whatever the memory
+order. From 8 on it sums a contiguous row pairwise, with eight partial
+sums, but the rows of an F-ordered array one column at a time; so there the
+row-wise sum reduces a C-contiguous copy, and a replicate's sum does not
+depend on the memory order of its batch.
 
 Only the payload of a NaN (its sign bit) may differ between the two forms:
 numpy's own loops pass on the first or the second operand's NaN depending
@@ -41,15 +42,10 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Rows per column from which the column-at-a-time form pays off.
-_MIN_ROWS_PER_COLUMN = 16
+#: Rows per column from which the column-at-a-time sum pays off.
+_MIN_ROWS_PER_COLUMN = 32
 #: Row length from which ``np.add.reduce`` sums a contiguous row pairwise.
 _PAIRWISE_COLUMNS = 8
-
-
-def _by_columns(shape: tuple) -> bool:
-    return (len(shape) == 2 and shape[0] >= _MIN_ROWS_PER_COLUMN * shape[1]
-            and 0 < shape[1] < _PAIRWISE_COLUMNS)
 
 
 def _column_sum(p: np.ndarray):
@@ -81,7 +77,7 @@ def apply_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Accumulates over columns in fixed ascending order.
     """
-    if _by_columns(x.shape):
+    if x.ndim == 2:
         return _column_matvec(m, x)
     out = np.zeros(x.shape[:-1] + (m.shape[0],), dtype=np.float64)
     for j in range(m.shape[1]):

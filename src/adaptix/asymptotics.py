@@ -42,9 +42,23 @@ TAIL_NORM_BOUND = 1e-8
 #: Floor on the oracle's total Gauss-Legendre node count.
 ORACLE_MIN_NODES = 384
 
+#: Ceiling on that count. Each node costs a matrix exponential, so a W close
+#: enough to unstable to need more is refused before any node is allocated.
+ORACLE_MAX_NODES = 100_000
+
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential; scipy.linalg is loaded on the first call only."""
+    """Matrix exponential.
+
+    A square float matrix whose off-diagonal entries are all zero is
+    ``np.diag(np.exp(np.diag(a)))``, the expression ``scipy.linalg.expm``
+    evaluates when its own bandwidth test finds one, so the bits are the
+    same; scipy.linalg is loaded on the first call with any other matrix.
+    """
+    a = np.asarray(a)
+    if (a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype == np.float64
+            and np.count_nonzero(a) == np.count_nonzero(a.diagonal())):
+        return np.diag(np.exp(np.diag(a)))
     from scipy.linalg import expm as scipy_expm
     return scipy_expm(a)
 
@@ -124,9 +138,10 @@ def covariance_integral_oracle(w: np.ndarray, noise_cov: np.ndarray, e0,
     Gauss-Legendre panels (12 nodes each). Panel width is capped at
     2/||W||_2 so oscillatory modes (complex spectrum) are resolved, with
     at least ``ORACLE_MIN_NODES`` nodes in total. ``t_max=None`` picks
-    log(1e12)/|max real eigenvalue|, then the tail requirement
-    ||e^{W t_max}||_2 <= 1e-8 is verified either way; a violation raises
-    TailBoundError asking for a larger t_max.
+    log(1e12)/|max real eigenvalue|; a t_max that is not finite or needs
+    more than ``ORACLE_MAX_NODES`` nodes raises NumericError. Then the tail
+    requirement ||e^{W t_max}||_2 <= 1e-8 is verified either way; a
+    violation raises TailBoundError asking for a larger t_max.
     """
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     real_parts = _require_stable(w)
@@ -134,15 +149,22 @@ def covariance_integral_oracle(w: np.ndarray, noise_cov: np.ndarray, e0,
     c = np.atleast_2d(np.asarray(noise_cov, dtype=np.float64)) / (value * value)
     if t_max is None:
         t_max = float(np.log(1e12) / -real_parts[-1])
+    per_panel = 12
+    spread = max(1.0, float(np.linalg.norm(w, 2)))
+    # np.maximum, not max: a NaN t_max must not fall back to the floor
+    panels = np.maximum(np.ceil(ORACLE_MIN_NODES / per_panel),
+                        np.ceil(t_max * spread / 2.0))
+    if not panels * per_panel <= ORACLE_MAX_NODES:
+        raise NumericError(
+            f"integral oracle needs {panels * per_panel:.6g} quadrature nodes "
+            f"(limit {ORACLE_MAX_NODES}) to reach t_max = {t_max:.6g}; max "
+            f"eigenvalue real part of W = {real_parts[-1]:.6g}")
     tail = np.linalg.norm(expm(w * t_max), 2)
-    if tail > TAIL_NORM_BOUND:
+    if not tail <= TAIL_NORM_BOUND:
         raise TailBoundError(
             f"||exp(W t_max)|| = {tail:.3e} > {TAIL_NORM_BOUND:.0e} at "
             f"t_max = {t_max:.6g}; increase t_max")
-    per_panel = 12
-    spread = max(1.0, float(np.linalg.norm(w, 2)))
-    n_panels = max(int(np.ceil(ORACLE_MIN_NODES / per_panel)),
-                   int(np.ceil(t_max * spread / 2.0)))
+    n_panels = int(panels)
     nodes, weights = np.polynomial.legendre.leggauss(per_panel)
     edges = np.linspace(0.0, t_max, n_panels + 1)
     acc = np.zeros_like(c)

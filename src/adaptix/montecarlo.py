@@ -18,7 +18,6 @@ sup-distance, with the asymptotic 1% band 1.63/sqrt(n_replicates).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +160,7 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1) -> ReplicateSet:
 
     At most one process per block, and no more blocks than replicates or
     CPUs this process may run on: the pool forks all its workers up front.
+    The pool (and with it multiprocessing) is imported only to fork one.
     """
     e0 = resolve_e0(plan)
     n = plan.n_replicates
@@ -175,6 +175,7 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1) -> ReplicateSet:
     if n_blocks == 1:
         pieces = [_run_block(plan, e0.value, lo, hi) for lo, hi in bounds]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_blocks) as pool:
             futures = [pool.submit(_run_block, plan, e0.value, lo, hi)
                        for lo, hi in bounds]

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from adaptix import (E0Estimate, StabilityError, TailBoundError,
+from adaptix import (E0Estimate, NumericError, StabilityError, TailBoundError,
                      covariance_integral_oracle, predict, solve_lyapunov,
                      stability_matrix)
+from adaptix import asymptotics
+from adaptix.asymptotics import expm
 
 
 def scalar_v(a, e0, sigma_sq):
@@ -120,6 +123,49 @@ def test_oracle_tail_bound_guard():
     w = np.array([[-1.0]])
     with pytest.raises(TailBoundError):
         covariance_integral_oracle(w, np.array([[1.0]]), 1.0, t_max=0.5)
+
+
+@pytest.mark.parametrize("t_max", [None, np.inf, np.nan])
+def test_oracle_refuses_a_horizon_beyond_its_node_limit(t_max):
+    # W = -1.1e-16 puts the default horizon at 2.5e17
+    w = np.array([[0.5 - 0.25000000000000006 / 0.5]])
+    with pytest.raises(NumericError, match="max eigenvalue real part of W = "
+                                           "-1.11022e-16"):
+        covariance_integral_oracle(w, np.array([[1.0]]), 0.5, t_max=t_max)
+
+
+def test_oracle_node_limit_is_inclusive(monkeypatch):
+    # 40 panels of 12 nodes reach t_max = 80 at ||W|| = 1
+    monkeypatch.setattr(asymptotics, "ORACLE_MAX_NODES", 480)
+    w, cov = np.array([[-1.0]]), np.array([[1.0]])
+    out = covariance_integral_oracle(w, cov, 1.0, t_max=80.0)
+    assert out[0, 0] == pytest.approx(0.5, abs=1e-10)
+    with pytest.raises(NumericError, match=r"needs 492 quadrature nodes "
+                                           r"\(limit 480\)"):
+        covariance_integral_oracle(w, cov, 1.0, t_max=80.5)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def test_diagonal_expm_is_scipy_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        n = int(rng.integers(1, 11))
+        diag = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 30.0], size=n)
+        diag[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+        a = np.diag(diag)
+        if rng.random() < 0.5:
+            a[~np.eye(n, dtype=bool)] = -0.0
+        assert same_bits(expm(a), scipy.linalg.expm(a))
+    for a in (np.array([[-1.5]]), np.array([[-0.0]]),
+              np.diag([800.0, -800.0, 1.0])):      # overflow to inf, and 0
+        with np.errstate(over="ignore"):
+            assert same_bits(expm(a), scipy.linalg.expm(a))
+    coupled = np.array([[-1.0, 0.2], [0.0, -1.5]])
+    assert same_bits(expm(coupled), scipy.linalg.expm(coupled))
 
 
 def test_oracle_accepts_explicit_horizon():

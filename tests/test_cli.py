@@ -455,6 +455,22 @@ def test_singular_predicted_v_is_decided_before_simulating(tmp_path, capsys,
     assert sorted(os.listdir(out)) == ["config.json", "prediction.json"]
 
 
+@pytest.mark.parametrize("command", ["predict", "replicate"])
+def test_nearly_unstable_w_exits_5_before_the_oracle_allocates(tmp_path,
+                                                              command):
+    # W = 1/2 - 0.25000000000000006 / E0 with E0 = 1/2 is -1.1e-16: the
+    # oracle's horizon is 2.5e17, which once meant a 1.2e17-panel linspace
+    path = make_config(tmp_path, **{
+        "problem.dim": 1, "problem.matrix": 0.25000000000000006,
+        "experiment.horizon": 50, "experiment.checkpoints": None})
+    code, err = cli_stderr(command, "--config", path, "--out", tmp_path / "o")
+    assert code == 5
+    assert err == ["adaptix: error: integral oracle needs 1.49327e+18 "
+                   "quadrature nodes (limit 100000) to reach t_max = "
+                   "2.48878e+17; max eigenvalue real part of W = "
+                   "-1.11022e-16"]
+
+
 def test_replicate_coupling_summary(tmp_path):
     path = make_config(tmp_path, **{
         "experiment.couple_comparator": True,
@@ -650,24 +666,49 @@ MODULES_PROBE = ("import json, sys\n"
                  "print(json.dumps([code, sorted(sys.modules)]))\n")
 
 
+def loaded_modules(tmp_path, command, path):
+    """Exit code and ``sys.modules`` of one command at ``--workers 1``."""
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if command == "replicate":
+        argv += ["--workers", "1"]
+    proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+POOL = ("concurrent.futures.process", "multiprocessing")
+
+
 @pytest.mark.parametrize("command, codes, absent", [
     ("run", {0}, "scipy"),
     ("validate", {0, 3}, "scipy"),
     ("predict", {0}, "scipy.stats"),
     ("replicate", {0}, "scipy.stats"),
+    # W is diagonal, so the oracle exponentiates in numpy; one worker forks
+    # no pool
+    ("predict", {0}, ("scipy",) + POOL),
+    ("replicate", {0}, ("scipy.linalg",) + POOL),
+    ("run", {0}, POOL),
 ])
 def test_commands_import_only_the_scipy_they_compute_with(tmp_path, command,
                                                           codes, absent):
     # A fresh interpreter: this process has long since imported scipy.stats.
-    path = make_config(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-c", MODULES_PROBE, command, "--config", str(path),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=120)
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    assert code in codes, proc.stderr
+    if isinstance(absent, str):
+        absent = (absent,)
+    code, modules = loaded_modules(tmp_path, command, make_config(tmp_path))
+    assert code in codes
     assert [m for m in modules
-            if m == absent or m.startswith(absent + ".")] == []
+            if m in absent or m.startswith(tuple(a + "." for a in absent))
+            ] == []
+
+
+def test_a_non_diagonal_w_loads_scipy_linalg(tmp_path):
+    path = make_config(tmp_path, **{"problem.matrix": [[1.5, 0.2],
+                                                       [0.0, 3.0]]})
+    code, modules = loaded_modules(tmp_path, "predict", path)
+    assert code == 0
+    assert "scipy.linalg" in modules
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Replicate experiments: determinism, statistics, coupling."""
 
+import concurrent.futures
 from concurrent.futures import Future
 
 import numpy as np
@@ -104,7 +105,8 @@ def test_pool_size_is_bounded_by_work_and_cpus(monkeypatch, workers, n_rep,
                                                cpus, pool_size):
     plan = scalar_plan(n_replicates=n_rep, horizon=60, checkpoints=(10, 60))
     baseline = run_replicates(plan, workers=1)
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    # run_replicates imports the pool only when it forks one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
     monkeypatch.setattr(InlinePool, "sizes", [])

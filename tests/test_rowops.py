@@ -19,7 +19,8 @@ import pytest
 from adaptix import (InitialConditions, gaussian_noise, kesten_gate,
                      reciprocal_schedule, run_trajectory, tanh_problem,
                      uniform_ball_noise)
-from adaptix._rowops import apply_rows, dot_rows, norm_rows
+from adaptix._rowops import (_MIN_ROWS_PER_COLUMN, apply_rows, dot_rows,
+                             norm_rows)
 from adaptix.core import ComparatorConfig, _simulate
 from adaptix.rng import TRAJECTORY_LANE, substream
 
@@ -28,10 +29,10 @@ SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 
 
 def row_counts(dim):
-    """Single rows, both sides of 16 rows and of the column threshold (16
-    rows per column), and a full noise block."""
-    return sorted({1, 2, 15, 16, 17, 1024,
-                   16 * dim - 1, 16 * dim, 16 * dim + 1})
+    """Every count from 1 to 64 rows, both sides of the column sum's
+    threshold, and a full noise block."""
+    edge = _MIN_ROWS_PER_COLUMN * dim
+    return sorted(set(range(1, 65)) | {edge - 1, edge, edge + 1, 1024})
 
 
 def row_sum(p):
@@ -129,12 +130,12 @@ def coupled_problem(dim):
 
 @pytest.mark.parametrize("dim", [2, 4, 9, 12])
 def test_batch_rows_match_single_runs_and_any_split(dim):
-    # enough replicates that the whole batch takes the column form while a
-    # split of 3 takes the row-wise one
+    # enough replicates that the whole batch sums a column at a time while
+    # a split of 3 sums row-wise
     problem = coupled_problem(dim)
     init = InitialConditions(x0=np.full(dim, 0.5))
     schedule, gate = reciprocal_schedule(2.0), kesten_gate()
-    horizon, n_rep = 60, 16 * dim + 5
+    horizon, n_rep = 60, _MIN_ROWS_PER_COLUMN * dim + 5
     ts = range(horizon + 1)
     comparator = ComparatorConfig(alpha=problem.jacobian_at_root, e0=0.5)
 
