@@ -18,7 +18,7 @@ order of the row-wise form:
   ``acc += x.T[j] * m[:, j, None]`` for ascending ``j``, the same products
   and sums, operands in the same order, as ``out += x[..., j, None] *
   m[:, j]``. It matches or beats the row-wise loop at every 2-D size, so
-  every 2-D ``x`` takes it;
+  every ``x`` takes it, reshaped to 2-D when it has another rank;
 * a row sum starts from ``p[:, 0] + 0.0`` and adds the columns in
   ascending order, which is what ``np.add.reduce`` does on a row of fewer
   than 8 elements (the ``+ 0.0`` is its zero start, which turns a -0.0
@@ -26,12 +26,12 @@ order of the row-wise form:
   ``_MIN_ROWS_PER_COLUMN`` rows per column, and only below
   ``_PAIRWISE_COLUMNS`` columns.
 
-Other sums, and mat-vecs of other ranks, keep the row-wise form. Below 8
-columns ``np.add.reduce`` sums every row left to right, whatever the memory
-order. From 8 on it sums a contiguous row pairwise, with eight partial
-sums, but the rows of an F-ordered array one column at a time; so there the
-row-wise sum reduces a C-contiguous copy, and a replicate's sum does not
-depend on the memory order of its batch.
+Other sums keep the row-wise form. Below 8 columns ``np.add.reduce`` sums
+every row left to right, whatever the memory order. From 8 on it sums a
+contiguous row pairwise, with eight partial sums, but the rows of an
+F-ordered array one column at a time; so there the row-wise sum reduces a
+C-contiguous copy, and a replicate's sum does not depend on the memory
+order of its batch.
 
 Only the payload of a NaN (its sign bit) may differ between the two forms:
 numpy's own loops pass on the first or the second operand's NaN depending
@@ -79,10 +79,8 @@ def apply_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     if x.ndim == 2:
         return _column_matvec(m, x)
-    out = np.zeros(x.shape[:-1] + (m.shape[0],), dtype=np.float64)
-    for j in range(m.shape[1]):
-        out += x[..., j, None] * m[:, j]
-    return out
+    out = _column_matvec(m, x.reshape(-1, x.shape[-1]))
+    return out.reshape(x.shape[:-1] + (m.shape[0],))
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray):

@@ -164,14 +164,16 @@ def cmd_run(args) -> int:
                        exit_code=EXIT_STATISTICAL)
         print(f"adaptix: trajectory diverged at t={exc.t}", file=sys.stderr)
     else:
-        final = trajectory.final
+        # the last recorded row is the horizon, which the plan keeps >= 1
+        final_s = float(trajectory.s[-1])
         summary.update(
             diverged=False,
-            final_error_norm=float(np.linalg.norm(final.x - plan.problem.root)),
-            final_s=final.s,
-            final_s_over_t=final.s / final.t if final.t else 0.0,
+            final_error_norm=float(np.linalg.norm(
+                trajectory.x[-1] - plan.problem.root)),
+            final_s=final_s,
+            final_s_over_t=final_s / plan.horizon,
             exit_code=EXIT_OK)
-    if cfg.emit_trajectory and trajectory is not None:
+    if cfg.emit_trajectory:
         _write_trajectory(os.path.join(out_dir, "trajectory.csv"),
                           trajectory, plan.schedule)
     if cfg.emit_summary:
@@ -279,7 +281,7 @@ def cmd_validate(args) -> int:
             entry["witness"] = item.witness
         items.append(entry)
     write_json(os.path.join(out_dir, "validation.json"), {
-        "problem": plan.problem.name,
+        "problem": plan.problem.kind,
         "all_pass": report.all_pass,
         "failed": sorted(report.failed_ids),
         "items": items,

@@ -108,15 +108,15 @@ class Trajectory:
     """Recorded states as columns, one row per recorded time, in time
     order; the last row is the final state.
 
-    ``y`` holds the measurement that produced each row (None for the
-    comparator, which has none), and ``s_staged`` the initial counter
-    staged on the t = 0 state. :attr:`states` and :attr:`final` build
-    :class:`AlgoState` objects from the columns on request.
+    ``y`` holds the measurement that produced each row, and ``s_staged``
+    the initial counter staged on the t = 0 state. :attr:`states` and
+    :attr:`final` build :class:`AlgoState` objects from the columns on
+    request.
     """
     t: np.ndarray                   # (n,) int64
     x: np.ndarray                   # (n, dim)
     s: np.ndarray                   # (n,)
-    y: np.ndarray | None = None     # (n, dim)
+    y: np.ndarray                   # (n, dim)
     s_staged: float | None = None
 
     def _state(self, i: int) -> AlgoState:
@@ -125,7 +125,7 @@ class Trajectory:
             return AlgoState(t=0, x=self.x[i], s=float(self.s[i]),
                              s_staged=self.s_staged)
         return AlgoState(t=t, x=self.x[i], s=float(self.s[i]),
-                         y_prev=None if self.y is None else self.y[i])
+                         y_prev=self.y[i])
 
     @property
     def states(self) -> list[AlgoState]:
@@ -183,13 +183,6 @@ class SimResult:
     y: np.ndarray               # (checkpoints, replicates, dim)
     z: np.ndarray | None        # comparator iterates, same layout as x
     diverged_at: np.ndarray     # step of divergence per replicate, -1 if none
-    final_x: np.ndarray
-    final_s: np.ndarray
-    final_y: np.ndarray
-
-    @property
-    def diverged(self) -> np.ndarray:
-        return self.diverged_at >= 0
 
 
 def _noise_blocks(noise, rngs: list, span: int) -> np.ndarray:
@@ -325,17 +318,14 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
                     break
             t += span
     return SimResult(ts=ts, x=x_rec, s=s_rec, y=y_rec, z=z_rec,
-                     diverged_at=diverged_at, final_x=x, final_s=s,
-                     final_y=y_prev)
+                     diverged_at=diverged_at)
 
 
 def _stride_ts(horizon: int, record_stride: int) -> list[int]:
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
-    ts = list(range(0, horizon + 1, record_stride))
-    if ts[-1] != horizon:
-        ts.append(horizon)
-    return ts
+    # a negative horizon is left for the kernel to reject
+    return list(range(0, horizon, record_stride)) + [horizon]
 
 
 def run_trajectory(problem: ProblemSpec, init: InitialConditions,
@@ -353,14 +343,15 @@ def run_trajectory(problem: ProblemSpec, init: InitialConditions,
                     _stride_ts(horizon, record_stride),
                     divergence_bound=divergence_bound)
     t_div = int(res.diverged_at[0])
-    # a diverged run keeps its rows up to t_div - 1; later rows repeat them
+    # a diverged run keeps its rows up to t_div - 1; later rows repeat them,
+    # and the horizon is always recorded, so the last row is its final state
     n = res.ts.size if t_div < 0 else int(
         np.searchsorted(res.ts, t_div - 1, side="right"))
     trajectory = Trajectory(t=res.ts[:n], x=res.x[:n, 0], s=res.s[:n, 0],
                             y=res.y[:n, 0], s_staged=float(init.s1))
     if t_div >= 0:
-        last = AlgoState(t=t_div - 1, x=res.final_x[0], s=float(res.final_s[0]),
-                         y_prev=res.final_y[0] if t_div > 1 else None,
+        last = AlgoState(t=t_div - 1, x=res.x[-1, 0], s=float(res.s[-1, 0]),
+                         y_prev=res.y[-1, 0] if t_div > 1 else None,
                          s_staged=float(init.s1) if t_div == 1 else None)
         raise DivergedTrajectoryError(
             f"iterate norm crossed {divergence_bound:.3g} at step {t_div}",

@@ -103,14 +103,7 @@ class NoiseModel:
         """Whether the law has a density on R^dim."""
         if self.kind == "gaussian":
             return bool(np.linalg.matrix_rank(self.cov) == self.dim)
-        if self.kind == "uniform_ball":
-            return self.radius > 0
-        return False
-
-    @property
-    def is_sign_symmetric(self) -> bool:
-        """xi and -xi share the same law (true for every built-in kind)."""
-        return True
+        return self.kind == "uniform_ball"
 
     @property
     def conforming(self) -> bool:

@@ -53,7 +53,6 @@ SHRINK_RADII = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    name: str
     kind: str
     dim: int
     root: np.ndarray
@@ -176,7 +175,7 @@ def _matrix_problem(kind: str, matrix, dim: int | None, root,
     if noise is None:
         noise = gaussian_noise(np.eye(dim))
     lyap = np.eye(dim) if lyap_matrix is None else lyap_matrix
-    return ProblemSpec(name=kind, kind=kind, dim=dim, root=root_arr,
+    return ProblemSpec(kind=kind, dim=dim, root=root_arr,
                        noise=noise, matrix=m, lyap_matrix=lyap,
                        b32_radius=b32_radius, b32_beta0=b32_beta0)
 
@@ -213,7 +212,7 @@ def cubic_problem(a: float = 1.0, c: float = 1.0, root=0.0,
     root_arr = np.asarray(root, dtype=np.float64).reshape(-1)
     if noise is None:
         noise = gaussian_noise(np.eye(1))
-    return ProblemSpec(name="cubic1d", kind="cubic1d", dim=dim, root=root_arr,
+    return ProblemSpec(kind="cubic1d", dim=dim, root=root_arr,
                        noise=noise, cubic_a=float(a), cubic_c=float(c),
                        lyap_matrix=np.array([[0.5]]),
                        b32_radius=None, b32_beta0=None)
@@ -237,6 +236,9 @@ def _drift(problem: ProblemSpec, p: np.ndarray, dirs: np.ndarray,
     return points, phi, np.sum(phi * grad_v, axis=-1)
 
 
+# a field too large for floats fails its checks, or yields a value no
+# artifact accepts, so numpy need not warn about the overflow
+@np.errstate(over="ignore", invalid="ignore")
 def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
                      sigmoid: SigmoidSpec, seed: int = 0,
                      e0_mc_samples: int = DEFAULT_E0_MC_SAMPLES

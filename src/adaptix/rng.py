@@ -43,6 +43,4 @@ def as_generator(seed) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
     return substream(int(seed), TRAJECTORY_LANE, 0)

@@ -260,16 +260,16 @@ def e0_exact(sigmoid: SigmoidSpec, noise: NoiseModel) -> E0Estimate:
     """Closed-form E0 where one exists.
 
     * constant gate: E0 = c for any noise;
-    * kesten gate with continuous, sign-symmetric noise: the inner product
-      xi_1^T xi_2 is then symmetric about 0 with no atom there, so
-      E0 = u_plus / 2.
+    * kesten gate with continuous noise: every built-in noise is
+      sign-symmetric, so the inner product xi_1^T xi_2 is then symmetric
+      about 0 with no atom there, and E0 = u_plus / 2.
 
     Everything else raises NoClosedFormError; use :func:`e0_monte_carlo`.
     """
     if sigmoid.family == "constant":
         return E0Estimate(value=sigmoid.u_plus, stderr=0.0, method="exact")
     if sigmoid.family == "kesten":
-        if noise.is_continuous and noise.is_sign_symmetric:
+        if noise.is_continuous:
             return E0Estimate(value=0.5 * sigmoid.u_plus, stderr=0.0,
                               method="exact")
         raise NoClosedFormError(
@@ -290,7 +290,7 @@ def e0_monte_carlo(sigmoid: SigmoidSpec, noise: NoiseModel,
                    seed=0) -> E0Estimate:
     """Monte Carlo E0 over ``n_samples`` independent noise pairs.
 
-    Deterministic given ``seed`` (an int, SeedSequence, or Generator).
+    Deterministic given ``seed`` (an int or a Generator).
     stderr is the sample standard deviation over sqrt(n_samples). A
     non-positive estimate more than 3 standard errors below zero means the
     configuration cannot satisfy the positive-increment requirement and

@@ -73,21 +73,26 @@ def dumps_json(obj) -> str:
     return "".join(pieces)
 
 
-def write_json(path, obj) -> None:
+def _write_lines(path, lines: list) -> None:
+    # the whole text is rendered before the file is opened, so a value that
+    # cannot be written leaves no empty or truncated artifact behind
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_json(obj))
+        fh.writelines(lines)
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, (int, np.integer)) and not isinstance(
+            value, (bool, np.bool_)):
+        return str(int(value))
+    return format_float(value)
+
+
+def write_json(path, obj) -> None:
+    _write_lines(path, [dumps_json(obj)])
 
 
 def write_csv(path, header: list, rows) -> None:
     """Rows of ints/floats; floats at 17 significant digits, LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for value in row:
-                if isinstance(value, (int, np.integer)) and not isinstance(
-                        value, (bool, np.bool_)):
-                    cells.append(str(int(value)))
-                else:
-                    cells.append(format_float(value))
-            fh.write(",".join(cells) + "\n")
+    lines = [",".join(header) + "\n"]
+    lines.extend(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    _write_lines(path, lines)

@@ -651,6 +651,20 @@ def test_validate_dict_witness_bytes(tmp_path):
             '      }\n') in text
 
 
+def test_validate_overflow_prints_one_line_and_writes_no_report(tmp_path):
+    # a field entry near the largest float overflows the drift checks; the
+    # report then holds an infinity, which no artifact accepts
+    path = make_config(tmp_path, **{
+        "problem": {"kind": "linear", "dim": 2,
+                    "matrix": [[1e307, 0.0], [0.0, 1.0]]},
+        "experiment": None})
+    out = tmp_path / "out"
+    code, err = cli_stderr("validate", "--config", path, "--out", out)
+    assert code == 5
+    assert err == ["adaptix: error: non-finite value inf in artifact"]
+    assert not (out / "validation.json").exists()
+
+
 def test_console_script_entry_point(tmp_path):
     path = make_config(tmp_path)
     proc = subprocess.run(

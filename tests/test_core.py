@@ -130,6 +130,13 @@ def test_record_stride_keeps_endpoints():
     assert traj.final.t == 10
 
 
+def test_negative_horizon_is_rejected_by_the_kernel():
+    problem = linear_problem(matrix=1.0, dim=1)
+    init = InitialConditions(x0=np.array([1.0]))
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        run_trajectory(problem, init, RECIPROCAL, KESTEN, horizon=-1, seed=0)
+
+
 def stepwise_replay(problem, init, schedule, sigmoid, horizon, seed, noise):
     # replay the engine's exact noise stream: per-replicate substream,
     # consumed in NOISE_CHUNK blocks (block size is part of the contract
@@ -246,7 +253,7 @@ def test_early_stop_memory_follows_recorded_times():
     assert np.all(res.x[2] == (-3.0)**12)
     assert np.all(res.y[2] == 2.0 * (-3.0)**11)
     assert np.all(res.s[2] == 12.0)
-    assert np.array_equal(res.x[2], res.final_x)
+    assert np.array_equal(res.x[2], res.x[-1])
 
 
 def test_mixed_divergence_batch_rows_match_single_runs():
@@ -276,17 +283,17 @@ def test_mixed_divergence_batch_rows_match_single_runs():
             assert np.all(res.x[t_div - 1:, r] == last.x)
             assert np.all(res.s[t_div - 1:, r] == last.s)
             if last.y_prev is not None:
-                assert np.array_equal(res.final_y[r], last.y_prev)
+                assert np.array_equal(res.y[-1, r], last.y_prev)
         else:
             assert res.diverged_at[r] == -1
             last = traj.final
-            assert np.array_equal(res.final_y[r], last.y_prev)
+            assert np.array_equal(res.y[-1, r], last.y_prev)
         n = len(traj.t)
         assert np.array_equal(res.x[:n, r], traj.x)
         assert np.array_equal(res.s[:n, r], traj.s)
         assert np.array_equal(res.y[:n, r], traj.y)
-        assert np.array_equal(res.final_x[r], last.x)
-        assert res.final_s[r] == last.s
+        assert np.array_equal(res.x[-1, r], last.x)
+        assert res.s[-1, r] == last.s
 
 
 def test_kernel_calls_each_layer_through_core_once_per_step(monkeypatch):

@@ -62,3 +62,14 @@ def test_writers_are_byte_stable(tmp_path):
     assert lines[0] == "t,a,b"
     assert lines[1].startswith("1,0.5,")
     assert float(lines[2].split(",")[2]) == 1e-15
+
+
+def test_a_value_that_cannot_be_written_leaves_no_file(tmp_path):
+    # the text is rendered before the file is opened: no empty or truncated
+    # artifact is left behind
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "a.json", {"ok": 1.0, "bad": float("inf")})
+    rows = [[1, 0.5]] * 3 + [[4, float("nan")]]
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "a.csv", ["t", "a"], rows)
+    assert list(tmp_path.iterdir()) == []
