@@ -3,8 +3,9 @@
 Every key is checked: unknown keys are rejected with their dotted path,
 wrong types and non-finite numbers name the offending path, and omitted
 keys fall back to documented defaults. The keys and defaults of each
-schedule, gate and noise family are declared once, next to the family
-(``schedules.SCHEDULE_FAMILIES``, ``schedules.SIGMOID_FAMILIES``,
+problem kind and of each schedule, gate and noise family are declared once,
+next to the kind or family (``problems.PROBLEM_KINDS``,
+``schedules.SCHEDULE_FAMILIES``, ``schedules.SIGMOID_FAMILIES``,
 ``noise.KINDS``); the keys of the experiment, tolerances and output
 sections are declared once here (``EXPERIMENT_KEYS``, ``TOLERANCE_KEYS``,
 ``OUTPUT_KEYS``), with their defaults on the ``ExperimentPlan`` and
@@ -28,8 +29,7 @@ from .errors import ConfigError
 from .montecarlo import DEFAULT_COV_TOL, DEFAULT_KS_SCALE, ExperimentPlan
 from .noise import KINDS as NOISE_KINDS
 from .noise import NoiseModel
-from .problems import (PROBLEM_KINDS, ProblemSpec, cubic_problem,
-                       linear_problem, tanh_problem)
+from .problems import PROBLEM_KINDS, ProblemSpec, build_problem
 from .schedules import (SCHEDULE_FAMILIES, SIGMOID_FAMILIES, SigmoidSpec,
                         StepSchedule)
 
@@ -169,45 +169,32 @@ def _infer_dim(data: dict, path: str) -> int:
     return 1
 
 
+def _number_or_matrix(value, path: str):
+    return (_matrix if isinstance(value, list) else _number)(value, path)
+
+
+def _root(value, path: str):
+    """A number, a list, or null for the origin."""
+    if value is None:
+        return None
+    return (_vector if isinstance(value, list) else _number)(value, path)
+
+
 def _parse_problem(data, path: str = "problem") -> ProblemSpec:
+    """The keys ``data`` gives, passed to ``problems.build_problem``."""
     kind = _choice(data, path, "kind", PROBLEM_KINDS)
-    if kind == "cubic1d":
-        _check_keys(data, path, ("kind", "dim", "a", "c", "root", "noise"))
-        noise = None
-        if "noise" in data:
-            noise = _parse_noise(data["noise"], _dotted(path, "noise"), 1)
-        return cubic_problem(
-            a=_number(data.get("a", 1.0), _dotted(path, "a")),
-            c=_number(data.get("c", 1.0), _dotted(path, "c")),
-            root=_number(data.get("root", 0.0), _dotted(path, "root")),
-            noise=noise,
-            dim=_integer(data.get("dim", 1), _dotted(path, "dim")))
-    _check_keys(data, path, ("kind", "dim", "matrix", "root", "noise",
-                             "lyap_matrix", "b32_radius", "b32_beta0"))
+    keys = PROBLEM_KINDS[kind]
+    _check_keys(data, path, ("kind", *keys))
     dim = _infer_dim(data, path)
     if dim < 1:
         raise ConfigError(f"{_dotted(path, 'dim')} must be >= 1, got {dim}")
-    matrix = data.get("matrix", 1.0)
-    if isinstance(matrix, list):
-        matrix = _matrix(matrix, _dotted(path, "matrix"))
-    else:
-        matrix = _number(matrix, _dotted(path, "matrix"))
-    root = data.get("root")
-    if root is not None:
-        if isinstance(root, list):
-            root = _vector(root, _dotted(path, "root"))
-        else:
-            root = np.full(dim, _number(root, _dotted(path, "root")))
-    noise = None
-    if "noise" in data:
-        noise = _parse_noise(data["noise"], _dotted(path, "noise"), dim)
-    kwargs = dict(matrix=matrix, dim=dim, root=root, noise=noise)
-    for key, read in (("lyap_matrix", _matrix), ("b32_radius", _number),
-                      ("b32_beta0", _number)):
-        if key in data:
-            kwargs[key] = read(data[key], _dotted(path, key))
-    builder = linear_problem if kind == "linear" else tanh_problem
-    return builder(**kwargs)
+    readers = {"noise": lambda value, at: _parse_noise(value, at, dim)}
+    if keys["dim"] is None:
+        readers.update(matrix=_number_or_matrix, root=_root,
+                       lyap_matrix=_matrix)
+    return build_problem(kind, dim, **{
+        key: readers.get(key, _number)(data[key], _dotted(path, key))
+        for key in keys if key != "dim" and key in data})
 
 
 def _parse_sigmoid(data, path: str = "sigmoid") -> SigmoidSpec:
@@ -231,10 +218,10 @@ def _parse_init(data: dict, problem: ProblemSpec,
         x0 = _vector(x0, _dotted(path, "x0"))
     else:
         x0 = np.full(problem.dim, _number(x0, _dotted(path, "x0")))
-    s0 = _number(data.get("s0", 1.0), _dotted(path, "s0"))
-    s1 = _number(data.get("s1", 1.0), _dotted(path, "s1"))
+    counters = {key: _number(data[key], _dotted(path, key))
+                for key in ("s0", "s1") if key in data}
     try:
-        return InitialConditions(x0=x0, s0=s0, s1=s1)
+        return InitialConditions(x0=x0, **counters)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -359,28 +346,28 @@ def _echo(obj, table: dict) -> dict:
     return echo
 
 
+def _problem_echo(problem: ProblemSpec) -> dict:
+    """The problem's declared keys; a value of None (no B3.2 margin) is
+    left out."""
+    keys = PROBLEM_KINDS[problem.kind]
+    echo = {"kind": problem.kind}
+    for key in keys:
+        value = getattr(problem, key)
+        if isinstance(value, NoiseModel):
+            value = _declared(value, "kind", ("dim", *NOISE_KINDS[value.kind]))
+        elif isinstance(value, np.ndarray):
+            value = value.tolist() if keys["dim"] is None else value.item()
+        if value is not None:
+            echo[key] = value
+    return echo
+
+
 def canonical_config(cfg: RunConfig) -> dict:
     """Fully resolved configuration with every default made explicit."""
     plan = cfg.plan
-    problem = plan.problem
-    prob: dict = {"kind": problem.kind, "dim": problem.dim}
-    if problem.kind == "cubic1d":
-        prob["a"] = problem.cubic_a
-        prob["c"] = problem.cubic_c
-        prob["root"] = float(problem.root[0])
-    else:
-        prob["matrix"] = problem.matrix.tolist()
-        prob["root"] = problem.root.tolist()
-    noise = problem.noise
-    prob["noise"] = _declared(noise, "kind", ("dim", *NOISE_KINDS[noise.kind]))
-    if problem.kind != "cubic1d":
-        prob["lyap_matrix"] = problem.lyap_matrix.tolist()
-        if problem.b32_radius is not None:
-            prob["b32_radius"] = problem.b32_radius
-            prob["b32_beta0"] = problem.b32_beta0
     sigmoid, schedule = plan.sigmoid, plan.schedule
     return {
-        "problem": prob,
+        "problem": _problem_echo(plan.problem),
         "sigmoid": _declared(sigmoid, "family",
                              SIGMOID_FAMILIES[sigmoid.family]),
         "schedule": _declared(schedule, "family",

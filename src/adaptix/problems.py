@@ -33,7 +33,17 @@ from .schedules import (DEFAULT_E0_MC_SAMPLES, SigmoidSpec, StepSchedule,
                         e0_resolve, gamma_eval, sigmoid_eval,
                         validate_schedule)
 
-PROBLEM_KINDS = ("linear", "tanh", "cubic1d")
+#: Config keys of each problem kind, in config.json order, with defaults:
+#: None is the matrix's row count for ``dim``, standard gaussian noise for
+#: ``noise`` and the identity for ``lyap_matrix``. A kind that declares its
+#: dim is scalar: every key but its noise is a number.
+_MATRIX_KEYS = {"dim": None, "matrix": 1.0, "root": 0.0, "noise": None,
+                "lyap_matrix": None, "b32_radius": 2.0, "b32_beta0": 0.5}
+PROBLEM_KINDS = {
+    "linear": _MATRIX_KEYS,
+    "tanh": _MATRIX_KEYS,
+    "cubic1d": {"dim": 1, "a": 1.0, "c": 1.0, "root": 0.0, "noise": None},
+}
 
 
 #: The validators' sampling grid: noise draws for B1.1, random directions
@@ -58,8 +68,8 @@ class ProblemSpec:
     root: np.ndarray
     noise: NoiseModel
     matrix: np.ndarray | None = None      # A, for linear / tanh
-    cubic_a: float | None = None
-    cubic_c: float | None = None
+    a: float | None = None                # the cubic's coefficients
+    c: float | None = None
     lyap_matrix: np.ndarray | None = None
     b32_radius: float | None = None
     b32_beta0: float | None = None
@@ -67,8 +77,6 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}")
-        if self.kind == "cubic1d" and self.dim != 1:
-            raise ConfigError("cubic1d is scalar only")
         root = np.asarray(self.root, dtype=np.float64).reshape(-1)
         if root.shape != (self.dim,):
             raise DimensionMismatchError(
@@ -78,12 +86,12 @@ class ProblemSpec:
             raise DimensionMismatchError(
                 f"noise dim {self.noise.dim} does not match problem dim {self.dim}")
         if self.kind == "cubic1d":
-            if self.cubic_a is None or self.cubic_c is None:
+            if self.a is None or self.c is None:
                 raise ConfigError("cubic1d needs coefficients a and c")
-            if self.cubic_a <= 0 or self.cubic_c <= 0:
+            if self.a <= 0 or self.c <= 0:
                 raise ConfigError(
-                    f"cubic1d needs a > 0 and c > 0, got a={self.cubic_a}, "
-                    f"c={self.cubic_c}")
+                    f"cubic1d needs a > 0 and c > 0, got a={self.a}, "
+                    f"c={self.c}")
         else:
             if self.matrix is None:
                 raise ConfigError(f"{self.kind} problem needs a matrix A")
@@ -124,7 +132,7 @@ def field_eval(problem: ProblemSpec, x) -> np.ndarray:
         return apply_rows(problem.matrix, centered)
     if problem.kind == "tanh":
         return apply_rows(problem.matrix, np.tanh(centered))
-    return problem.cubic_a * centered + problem.cubic_c * centered**3
+    return problem.a * centered + problem.c * centered**3
 
 
 def jacobian_eval(problem: ProblemSpec, x) -> np.ndarray:
@@ -136,7 +144,7 @@ def jacobian_eval(problem: ProblemSpec, x) -> np.ndarray:
     if problem.kind == "tanh":
         sech2 = 1.0 / np.cosh(centered) ** 2
         return problem.matrix * sech2[None, :]
-    return np.array([[problem.cubic_a + 3.0 * problem.cubic_c * centered[0] ** 2]])
+    return np.array([[problem.a + 3.0 * problem.c * centered[0] ** 2]])
 
 
 def jacobian_fd(problem: ProblemSpec, x, step: float = 1e-6) -> np.ndarray:
@@ -154,68 +162,61 @@ def jacobian_fd(problem: ProblemSpec, x, step: float = 1e-6) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _matrix_problem(kind: str, matrix, dim: int | None, root,
-                    noise: NoiseModel | None, lyap_matrix,
-                    b32_radius: float | None,
-                    b32_beta0: float | None) -> ProblemSpec:
+def build_problem(kind: str, dim: int | None = None,
+                  **values) -> ProblemSpec:
+    """A ``kind`` problem from ``values``, keyed as ``PROBLEM_KINDS[kind]``.
+
+    A number for ``matrix`` means that multiple of I, and one for ``root``
+    that value in every coordinate; a root of None is the origin. The
+    scalar cubic takes no Lyapunov matrix and carries V(x) = (x - x*)^2 / 2.
+    """
+    declared = PROBLEM_KINDS[kind]
+    unknown = sorted(set(values) - set(declared))
+    if unknown:
+        raise TypeError(f"{kind} problem got unexpected keyword argument(s) "
+                        f"{', '.join(unknown)}")
+    fields = {**declared, **values}
+    fields.setdefault("lyap_matrix", [[0.5]])
+    declared_dim = fields.pop("dim")
+    if dim is None:
+        dim = declared_dim
     if dim is not None and dim < 1:
         raise ConfigError(f"problem.dim must be >= 1, got {dim}")
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim == 0:
-        if dim is None:
-            dim = 1
-        m = float(m) * np.eye(dim)
-    else:
-        m = np.atleast_2d(m)
+    if declared_dim not in (None, dim):
+        raise ConfigError(f"{kind} is scalar only")
+    if "matrix" in fields:
+        m = np.asarray(fields["matrix"], dtype=np.float64)
+        m = float(m) * np.eye(dim or 1) if m.ndim == 0 else np.atleast_2d(m)
         if dim is not None and dim != m.shape[0]:
             raise DimensionMismatchError(
                 f"dim {dim} does not match the {m.shape[0]}-row matrix")
+        fields["matrix"] = m
         dim = m.shape[0]
-    root_arr = np.zeros(dim) if root is None else np.asarray(root, dtype=np.float64)
-    if noise is None:
-        noise = gaussian_noise(np.eye(dim))
-    lyap = np.eye(dim) if lyap_matrix is None else lyap_matrix
-    return ProblemSpec(kind=kind, dim=dim, root=root_arr,
-                       noise=noise, matrix=m, lyap_matrix=lyap,
-                       b32_radius=b32_radius, b32_beta0=b32_beta0)
+    root = np.asarray(0.0 if fields["root"] is None else fields["root"],
+                      dtype=np.float64)
+    if root.ndim == 0:
+        fields["root"] = np.full(dim, root)
+    if fields["noise"] is None:
+        fields["noise"] = gaussian_noise(np.eye(dim))
+    if fields["lyap_matrix"] is None:
+        fields["lyap_matrix"] = np.eye(dim)
+    return ProblemSpec(kind=kind, dim=dim, **fields)
 
 
-def linear_problem(matrix=1.0, dim: int | None = None, root=None,
-                   noise: NoiseModel | None = None, lyap_matrix=None,
-                   b32_radius: float | None = 2.0,
-                   b32_beta0: float | None = 0.5) -> ProblemSpec:
-    """Linear field A (x - x*). A scalar ``matrix`` means that multiple of I."""
-    return _matrix_problem("linear", matrix, dim, root, noise, lyap_matrix,
-                           b32_radius, b32_beta0)
+def linear_problem(**values) -> ProblemSpec:
+    """Linear field A (x - x*); see :func:`build_problem` for the keys."""
+    return build_problem("linear", **values)
 
 
-def tanh_problem(matrix=1.0, dim: int | None = None, root=None,
-                 noise: NoiseModel | None = None, lyap_matrix=None,
-                 b32_radius: float | None = 2.0,
-                 b32_beta0: float | None = 0.5) -> ProblemSpec:
+def tanh_problem(**values) -> ProblemSpec:
     """Saturating field A tanh(x - x*); phi'(x*) = A."""
-    return _matrix_problem("tanh", matrix, dim, root, noise, lyap_matrix,
-                           b32_radius, b32_beta0)
+    return build_problem("tanh", **values)
 
 
-def cubic_problem(a: float = 1.0, c: float = 1.0, root=0.0,
-                  noise: NoiseModel | None = None,
-                  dim: int = 1) -> ProblemSpec:
-    """Scalar cubic field a (x - x*) + c (x - x*)^3.
-
-    Ships without drift-margin constants (the superlinear growth makes that
-    inequality unsatisfiable at large radii for any positive initial step),
-    so B3.2 reports not_checked; :func:`validate_problem` starts its descent
-    inside the basin of the deterministic recursion. ``dim`` is taken so a
-    config may state the dimension its echo carries; only 1 is valid.
-    """
-    root_arr = np.asarray(root, dtype=np.float64).reshape(-1)
-    if noise is None:
-        noise = gaussian_noise(np.eye(1))
-    return ProblemSpec(kind="cubic1d", dim=dim, root=root_arr,
-                       noise=noise, cubic_a=float(a), cubic_c=float(c),
-                       lyap_matrix=np.array([[0.5]]),
-                       b32_radius=None, b32_beta0=None)
+def cubic_problem(**values) -> ProblemSpec:
+    """Scalar cubic field a (x - x*) + c (x - x*)^3, with no B3.2 margin:
+    its superlinear growth beats any margin at large radii."""
+    return build_problem("cubic1d", **values)
 
 
 def _directions(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

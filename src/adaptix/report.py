@@ -9,6 +9,7 @@ passing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -23,6 +24,17 @@ FULL_CHECK_IDS = (
     "B3.1a", "B3.1b", "B3.1c", "B3.1d", "B3.2", "B3.3", "B3.4",
     "B4.1", "B4.2",
 )
+
+
+def _recordable(witness):
+    """``witness`` with each non-finite float as its string, e.g. "-inf"."""
+    if isinstance(witness, dict):
+        return {key: _recordable(value) for key, value in witness.items()}
+    if isinstance(witness, list):
+        return [_recordable(value) for value in witness]
+    if isinstance(witness, float) and not math.isfinite(witness):
+        return str(witness)
+    return witness
 
 
 @dataclass(frozen=True)
@@ -42,7 +54,8 @@ class ValidationReport:
     items: list[ValidationItem] = field(default_factory=list)
 
     def add(self, check_id, verdict, detail="", witness=None):
-        self.items.append(ValidationItem(check_id, verdict, detail, witness))
+        self.items.append(ValidationItem(check_id, verdict, detail,
+                                         _recordable(witness)))
 
     def verdict(self, check_id) -> str:
         return self[check_id].verdict

@@ -651,18 +651,22 @@ def test_validate_dict_witness_bytes(tmp_path):
             '      }\n') in text
 
 
-def test_validate_overflow_prints_one_line_and_writes_no_report(tmp_path):
+def test_validate_overflow_fails_its_checks_and_writes_the_report(tmp_path):
     # a field entry near the largest float overflows the drift checks; the
-    # report then holds an infinity, which no artifact accepts
+    # failed checks' witnesses record the infinities as strings
     path = make_config(tmp_path, **{
         "problem": {"kind": "linear", "dim": 2,
                     "matrix": [[1e307, 0.0], [0.0, 1.0]]},
         "experiment": None})
     out = tmp_path / "out"
     code, err = cli_stderr("validate", "--config", path, "--out", out)
-    assert code == 5
-    assert err == ["adaptix: error: non-finite value inf in artifact"]
-    assert not (out / "validation.json").exists()
+    assert code == 3
+    assert err == ["adaptix: assumption check(s) failed: B3.1d, B3.2"]
+    doc = json.loads((out / "validation.json").read_text())
+    items = {item["check_id"]: item for item in doc["items"]}
+    assert doc["failed"] == ["B3.1d", "B3.2"]
+    assert items["B3.1d"]["witness"]["v_after"] == "inf"
+    assert items["B3.2"]["witness"]["margin"] == "-inf"
 
 
 def test_console_script_entry_point(tmp_path):

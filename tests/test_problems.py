@@ -9,6 +9,7 @@ from adaptix import (ConfigError, DimensionMismatchError,
                      linear_problem, plakhov_almeida_gate,
                      reciprocal_schedule, scaled_rademacher_noise,
                      tanh_problem, uniform_ball_noise, validate_problem)
+from adaptix.config import parse_config
 from adaptix.problems import jacobian_fd
 from adaptix.report import FAIL, FULL_CHECK_IDS, NOT_CHECKED, PASS
 from adaptix.rng import substream
@@ -88,6 +89,52 @@ def test_problem_construction_errors():
     with pytest.raises(ConfigError):
         linear_problem(matrix=np.eye(2),
                        lyap_matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_scalar_root_means_that_value_in_every_coordinate():
+    problem = linear_problem(matrix=2.0, dim=2, root=0.5)
+    assert np.array_equal(problem.root, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("builder", [linear_problem, tanh_problem,
+                                     cubic_problem])
+def test_builders_reject_an_unknown_keyword(builder):
+    with pytest.raises(TypeError, match="kappa"):
+        builder(kappa=1.0)
+
+
+def spec_fields(problem) -> dict:
+    """Every field of a problem and of its noise, arrays as lists."""
+    fields = {**vars(problem), **{f"noise.{key}": value for key, value
+                                   in vars(problem.noise).items()}}
+    del fields["noise"]
+    return {key: np.asarray(value).tolist() for key, value in fields.items()}
+
+
+@pytest.mark.parametrize("doc, build", [
+    ({"kind": "linear"}, linear_problem),
+    ({"kind": "tanh"}, tanh_problem),
+    ({"kind": "cubic1d"}, cubic_problem),
+    ({"kind": "linear", "dim": 3, "matrix": 2.0, "root": -0.5},
+     lambda: linear_problem(dim=3, matrix=2.0, root=-0.5)),
+    ({"kind": "tanh", "matrix": [[1.5, 0.2], [0.0, 3.0]], "root": [1.0, 2.0],
+      "noise": {"kind": "uniform_ball", "radius": 2.0},
+      "lyap_matrix": [[2.0, 0.0], [0.0, 1.0]], "b32_radius": 1.0,
+      "b32_beta0": 0.25},
+     lambda: tanh_problem(matrix=np.array([[1.5, 0.2], [0.0, 3.0]]),
+                          root=np.array([1.0, 2.0]),
+                          noise=uniform_ball_noise(2, 2.0),
+                          lyap_matrix=np.diag([2.0, 1.0]), b32_radius=1.0,
+                          b32_beta0=0.25)),
+    ({"kind": "cubic1d", "dim": 1, "a": 0.5, "c": 2.0, "root": 0.3,
+      "noise": {"kind": "scaled_rademacher", "scale": 0.5}},
+     lambda: cubic_problem(dim=1, a=0.5, c=2.0, root=0.3,
+                           noise=scaled_rademacher_noise(1, 0.5))),
+])
+def test_config_and_builder_give_the_same_problem(doc, build):
+    cfg = parse_config({"problem": doc, "sigmoid": {"family": "kesten"},
+                        "schedule": {}})
+    assert spec_fields(cfg.plan.problem) == spec_fields(build())
 
 
 # ---------------------------------------------------------------------------
