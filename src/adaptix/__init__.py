@@ -13,12 +13,10 @@ harness around all of it.
 from .asymptotics import (AsymptoticPrediction, covariance_integral_oracle,
                           predict, solve_lyapunov, stability_matrix)
 from .config import RunConfig, canonical_config, load_config, parse_config
-from .core import (AlgoState, InitialConditions, Trajectory, run_trajectory,
-                   sa_step)
+from .core import AlgoState, InitialConditions, Trajectory, run_trajectory
 from .errors import (AdaptixError, ConfigError, DimensionMismatchError,
-                     DivergedTrajectoryError, NoClosedFormError,
-                     NonFiniteMeasurementError, NumericError, StabilityError,
-                     TailBoundError)
+                     DivergedTrajectoryError, NoClosedFormError, NumericError,
+                     StabilityError, TailBoundError)
 from .montecarlo import (ConvergenceSummary, CouplingSummary, ExperimentPlan,
                          NormalityReport,
                          ReplicateSet, convergence_summary, coupling_gap,
@@ -43,8 +41,8 @@ __all__ = [
     "ConvergenceSummary", "CouplingSummary", "DimensionMismatchError",
     "DivergedTrajectoryError",
     "E0Estimate", "ExperimentPlan", "InitialConditions",
-    "NoClosedFormError", "NoiseModel", "NonFiniteMeasurementError",
-    "NormalityReport", "NumericError", "ProblemSpec", "ReplicateSet",
+    "NoClosedFormError", "NoiseModel", "NormalityReport", "NumericError",
+    "ProblemSpec", "ReplicateSet",
     "RunConfig", "SigmoidSpec", "StabilityError", "StepSchedule",
     "TailBoundError", "Trajectory", "ValidationItem", "ValidationReport",
     "canonical_config", "constant_gate", "constant_schedule",
@@ -54,8 +52,8 @@ __all__ = [
     "kesten_gate", "linear_problem", "load_config", "normality_check",
     "normality_stats", "parse_config", "plakhov_almeida_gate",
     "power_schedule", "predict", "reciprocal_schedule", "resolve_e0",
-    "run_replicates", "run_trajectory", "sa_step",
-    "scaled_rademacher_noise", "sigmoid_eval", "smooth_gate",
+    "run_replicates", "run_trajectory", "scaled_rademacher_noise",
+    "sigmoid_eval", "smooth_gate",
     "solve_lyapunov", "stability_matrix", "step_counter_drift",
     "tanh_problem", "uniform_ball_noise", "validate_problem",
     "validate_schedule",

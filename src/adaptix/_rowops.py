@@ -33,6 +33,12 @@ F-ordered array one column at a time; so there the row-wise sum reduces a
 C-contiguous copy, and a replicate's sum does not depend on the memory
 order of its batch.
 
+A single state held as a tuple of Python floats (the one-replicate lane of
+``core._simulate``) takes the same operations on floats: ``apply_rows`` and
+``dot_rows`` accumulate from a zero start in the orders above. For a sum
+that is ``np.add.reduce``'s order only below ``_PAIRWISE_COLUMNS`` columns,
+so the lane runs only there.
+
 Only the payload of a NaN (its sign bit) may differ between the two forms:
 numpy's own loops pass on the first or the second operand's NaN depending
 on where an element falls in a vector loop, so it was never row-local.
@@ -75,8 +81,18 @@ def _column_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 def apply_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product per row: ``out[..., i] = sum_j m[i, j] x[..., j]``.
 
-    Accumulates over columns in fixed ascending order.
+    Accumulates over columns in fixed ascending order. A tuple ``x`` of
+    floats, with ``m`` a tuple of row tuples, gives a tuple: each entry
+    from a zero start, adding ``x[j] * m[i][j]`` for ascending ``j``.
     """
+    if type(x) is tuple:
+        out = []
+        for row in m:
+            acc = 0.0
+            for xj, mij in zip(x, row):
+                acc += xj * mij
+            out.append(acc)
+        return tuple(out)
     if x.ndim == 2:
         return _column_matvec(m, x)
     out = _column_matvec(m, x.reshape(-1, x.shape[-1]))
@@ -84,7 +100,14 @@ def apply_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray):
-    """Per-row inner product over the last axis."""
+    """Per-row inner product over the last axis. Two tuples of floats give
+    a float, summed left to right from a zero start: ``np.add.reduce``'s
+    order on a row of fewer than ``_PAIRWISE_COLUMNS``."""
+    if type(a) is tuple:
+        acc = 0.0
+        for p, q in zip(a, b):
+            acc += p * q
+        return acc
     return _column_sum(a * b)
 
 

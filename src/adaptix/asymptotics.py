@@ -39,6 +39,10 @@ LYAPUNOV_RESIDUAL_RTOL = 1e-10
 #: The quadrature horizon must damp the propagator to this spectral norm.
 TAIL_NORM_BOUND = 1e-8
 
+#: Largest problem dimension. The Kronecker solve holds a dim^2 x dim^2
+#: system of floats: 128 MiB at 64, and 16 times that at twice the dim.
+MAX_DIM = 64
+
 #: Floor on the oracle's total Gauss-Legendre node count.
 ORACLE_MIN_NODES = 384
 

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import MAX_DIM
 from .core import InitialConditions
 from .errors import ConfigError
 from .montecarlo import DEFAULT_COV_TOL, DEFAULT_KS_SCALE, ExperimentPlan
 from .noise import KINDS as NOISE_KINDS
 from .noise import NoiseModel
-from .problems import PROBLEM_KINDS, ProblemSpec, build_problem
+from .problems import PROBLEM_KINDS, ProblemSpec, build_problem, check_dim
 from .schedules import (SCHEDULE_FAMILIES, SIGMOID_FAMILIES, SigmoidSpec,
                         StepSchedule)
 
@@ -140,6 +141,8 @@ def _parse_noise(data, path: str, default_dim: int) -> NoiseModel:
     (key, default), = NOISE_KINDS[kind].items()
     _check_keys(data, path, ("kind", "dim", key))
     dim = _integer(data.get("dim", default_dim), _dotted(path, "dim"))
+    if dim > MAX_DIM:
+        check_dim(dim, _dotted(path, "dim"))
     size, size_path = data.get(key, default), _dotted(path, key)
     if kind != "gaussian" or not isinstance(size, list):
         size = _number(size, size_path)
@@ -186,8 +189,7 @@ def _parse_problem(data, path: str = "problem") -> ProblemSpec:
     keys = PROBLEM_KINDS[kind]
     _check_keys(data, path, ("kind", *keys))
     dim = _infer_dim(data, path)
-    if dim < 1:
-        raise ConfigError(f"{_dotted(path, 'dim')} must be >= 1, got {dim}")
+    check_dim(dim, _dotted(path, "dim"))
     readers = {"noise": lambda value, at: _parse_noise(value, at, dim)}
     if keys["dim"] is None:
         readers.update(matrix=_number_or_matrix, root=_root,

@@ -20,25 +20,32 @@ normal-limit diagnostics.
 
 Determinism contract
 --------------------
-All trajectory code funnels into one batch kernel that vectorises across
-replicates using only row-local arithmetic (see ``_rowops``), and noise is
-drawn in fixed blocks of ``NOISE_CHUNK`` steps from per-replicate
-substreams. Consequences: a single run equals row r of a batch seeded with
-the same (master seed, replicate) substream bit for bit, and batch results
-do not depend on how replicates are grouped into batches or workers.
-``NOISE_CHUNK`` is part of the reproducibility contract; changing it
-changes every sampled trajectory.
+All trajectory code funnels into one kernel, ``_simulate``, whose batch
+loop vectorises across replicates using only row-local arithmetic (see
+``_rowops``), and noise is drawn in fixed blocks of ``NOISE_CHUNK`` steps
+from per-replicate substreams. Consequences: a single run equals row r of
+a batch seeded with the same (master seed, replicate) substream bit for
+bit, and batch results do not depend on how replicates are grouped into
+batches or workers. ``NOISE_CHUNK`` is part of the reproducibility
+contract; changing it changes every sampled trajectory.
+
+One replicate of a plan whose layers have an exact float form (see
+``_lane_takes``) runs on Python floats instead of one-row arrays, on which
+numpy dispatch costs several times the arithmetic. The lane calls the
+same layer functions, whose float forms repeat the batch operations in
+their order, so its bits are the batch row's; the two routes check each
+other in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
-from ._rowops import apply_rows, dot_rows
-from .errors import (ConfigError, DimensionMismatchError,
-                     DivergedTrajectoryError, NonFiniteMeasurementError)
+from ._rowops import _PAIRWISE_COLUMNS, apply_rows, dot_rows
+from .errors import DimensionMismatchError, DivergedTrajectoryError
 from .problems import ProblemSpec, field_eval
 from .rng import as_generator
 from .schedules import SigmoidSpec, StepSchedule, gamma_eval, sigmoid_eval
@@ -98,10 +105,6 @@ class InitialConditions:
             if not (np.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{label} must be finite and >= 0, got {value}")
 
-    def initial_state(self) -> AlgoState:
-        return AlgoState(t=0, x=self.x0.copy(), s=float(self.s0),
-                         y_prev=None, s_staged=float(self.s1))
-
 
 @dataclass
 class Trajectory:
@@ -134,35 +137,6 @@ class Trajectory:
     @property
     def final(self) -> AlgoState:
         return self._state(len(self.t) - 1)
-
-
-def sa_step(state: AlgoState, y, schedule: StepSchedule,
-            sigmoid: SigmoidSpec) -> AlgoState:
-    """Advance one step given the fresh measurement ``y``.
-
-    The update uses gamma at the *current* counter, then moves the counter
-    with the gate applied to minus the inner product of successive
-    measurements (clamped at zero). On the very first step the new counter
-    comes from the staged initial value instead.
-    """
-    y_arr = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y_arr.shape != state.x.shape:
-        raise DimensionMismatchError(
-            f"measurement shape {y_arr.shape} does not match state {state.x.shape}")
-    if not np.all(np.isfinite(y_arr)):
-        raise NonFiniteMeasurementError(f"measurement at t={state.t + 1} is not finite")
-    gamma = gamma_eval(schedule, state.s)
-    x_new = state.x - gamma * y_arr
-    if state.y_prev is None:
-        if state.s_staged is None:
-            raise ConfigError(
-                "first step needs the staged initial counter s1 on the state")
-        s_new = float(state.s_staged)
-    else:
-        increment = sigmoid_eval(sigmoid, -float(dot_rows(y_arr, state.y_prev)))
-        s_new = max(state.s + increment, 0.0)
-    return AlgoState(t=state.t + 1, x=x_new, s=s_new, y_prev=y_arr.copy(),
-                     s_staged=None)
 
 
 @dataclass(frozen=True)
@@ -199,11 +173,73 @@ def _noise_blocks(noise, rngs: list, span: int) -> np.ndarray:
     return xi.transpose(0, 2, 1)
 
 
+def _lane_takes(problem: ProblemSpec, schedule: StepSchedule,
+                sigmoid: SigmoidSpec, n_rep: int, comparator) -> bool:
+    """Whether ``_simulate`` runs this plan on the float lane: one
+    replicate, no comparator, and families whose float forms give the batch
+    path's bits. A sum over 8 or more columns is pairwise in numpy, and
+    numpy's tanh, cube, power and the smooth gate's expit keep the batch
+    loop too."""
+    return (n_rep == 1 and comparator is None and problem.kind == "linear"
+            and problem.dim < _PAIRWISE_COLUMNS
+            and schedule.family in ("reciprocal", "constant")
+            and sigmoid.family in ("constant", "kesten", "plakhov_almeida"))
+
+
+def _lane(problem: ProblemSpec, init: InitialConditions,
+          schedule: StepSchedule, sigmoid: SigmoidSpec, horizon: int, rng,
+          marks: list, slot: int, bound_sq: float, x_rec: np.ndarray,
+          s_rec: np.ndarray, y_rec: np.ndarray) -> int:
+    """The batch loop's step for one replicate, on Python floats.
+
+    x and y_prev are tuples and s a float; each layer is called through
+    this module once per step, as the batch loop calls it, and takes its
+    float form. Records into slots ``slot`` on, freezes a diverged state as
+    the batch loop does and returns its step, or -1.
+    """
+    x = tuple(init.x0.tolist())
+    s = float(init.s0)
+    s1 = float(init.s1)
+    y_prev = (0.0,) * problem.dim
+    mark = marks[slot]
+    t = 1
+    while t <= horizon:
+        span = min(NOISE_CHUNK, horizon - t + 1)
+        xi = problem.noise.sample_block(rng, span).tolist()
+        for tk, xi_k in enumerate(xi, t):
+            y = tuple(map(add, field_eval(problem, x), xi_k))
+            gamma = gamma_eval(schedule, s)
+            x_new = tuple([a - gamma * b for a, b in zip(x, y)])
+            ok = dot_rows(x_new, x_new) <= bound_sq
+            if tk == 1:
+                s_new = s1
+            else:
+                s_new = sigmoid_eval(sigmoid, -dot_rows(y, y_prev)) + s
+                # np.maximum(s_new, 0.0): +0.0 for -0.0, and NaN stays
+                if s_new <= 0.0:
+                    s_new = 0.0
+            if not ok:
+                x_rec[slot:, 0] = x
+                s_rec[slot:, 0] = s
+                y_rec[slot:, 0] = y_prev
+                return tk
+            x, s, y_prev = x_new, s_new, y
+            if tk == mark:
+                x_rec[slot, 0] = x
+                s_rec[slot, 0] = s
+                y_rec[slot, 0] = y_prev
+                slot += 1
+                mark = marks[slot]
+        t += span
+    return -1
+
+
 def _simulate(problem: ProblemSpec, init: InitialConditions,
               schedule: StepSchedule, sigmoid: SigmoidSpec, horizon: int,
               rngs: list, record_ts, comparator: ComparatorConfig | None = None,
               divergence_bound: float = DEFAULT_DIVERGENCE_BOUND) -> SimResult:
-    """Batch kernel: all replicates advance in lockstep.
+    """The kernel: all replicates advance in lockstep (one replicate on
+    the float lane when ``_lane_takes`` the plan).
 
     A replicate whose next iterate would exceed the divergence guard is
     frozen at its last finite state (recorded checkpoints from then on
@@ -254,6 +290,12 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
         if z is not None:
             z_rec[0] = z
         slot = 1
+    if _lane_takes(problem, schedule, sigmoid, n_rep, comparator):
+        diverged_at[0] = _lane(problem, init, schedule, sigmoid, horizon,
+                               rngs[0], marks, slot, bound_sq, x_rec, s_rec,
+                               y_rec)
+        return SimResult(ts=ts, x=x_rec, s=s_rec, y=y_rec, z=None,
+                         diverged_at=diverged_at)
     mark = marks[slot]
     noise = problem.noise
     t = 1

@@ -24,10 +24,6 @@ class DimensionMismatchError(AdaptixError):
     """Array arguments with incompatible shapes."""
 
 
-class NonFiniteMeasurementError(AdaptixError):
-    """A measurement vector contained NaN or infinity."""
-
-
 class DivergedTrajectoryError(AdaptixError):
     """A trajectory crossed the divergence guard.
 

@@ -19,12 +19,13 @@ run report ``not_checked`` rather than silently passing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
 from ._rowops import apply_rows, norm_rows
-from .asymptotics import stability_matrix
+from .asymptotics import MAX_DIM, stability_matrix
 from .errors import ConfigError, DimensionMismatchError
 from .noise import NoiseModel, gaussian_noise
 from .report import FAIL, NOT_CHECKED, PASS, ValidationReport
@@ -73,6 +74,9 @@ class ProblemSpec:
     lyap_matrix: np.ndarray | None = None
     b32_radius: float | None = None
     b32_beta0: float | None = None
+    # ``matrix`` and ``root`` as tuples of floats, for field_eval's float form
+    matrix_rows: tuple | None = field(default=None, init=False, repr=False)
+    root_floats: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
@@ -82,6 +86,7 @@ class ProblemSpec:
             raise DimensionMismatchError(
                 f"root shape {root.shape} does not match dim {self.dim}")
         object.__setattr__(self, "root", root)
+        object.__setattr__(self, "root_floats", tuple(root.tolist()))
         if self.noise.dim != self.dim:
             raise DimensionMismatchError(
                 f"noise dim {self.noise.dim} does not match problem dim {self.dim}")
@@ -100,6 +105,8 @@ class ProblemSpec:
                 raise DimensionMismatchError(
                     f"matrix shape {m.shape} does not match dim {self.dim}")
             object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "matrix_rows",
+                               tuple(map(tuple, m.tolist())))
         if self.lyap_matrix is not None:
             p = np.atleast_2d(np.asarray(self.lyap_matrix, dtype=np.float64))
             if p.shape != (self.dim, self.dim):
@@ -122,7 +129,18 @@ class ProblemSpec:
 
 
 def field_eval(problem: ProblemSpec, x) -> np.ndarray:
-    """Mean field phi(x); vectorised over leading axes of ``x``."""
+    """Mean field phi(x); vectorised over leading axes of ``x``.
+
+    For a linear problem a tuple ``x`` of floats gives a tuple, through
+    ``apply_rows``'s float form. tanh and the cubic always go through
+    numpy, whose ``tanh`` and ``**3`` do not match Python's bit for bit.
+    """
+    if type(x) is tuple and problem.kind == "linear":
+        if len(x) != problem.dim:
+            raise DimensionMismatchError(
+                f"x has dimension {len(x)}, problem has {problem.dim}")
+        return apply_rows(problem.matrix_rows,
+                          tuple(map(sub, x, problem.root_floats)))
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape[-1] != problem.dim:
         raise DimensionMismatchError(
@@ -162,6 +180,16 @@ def jacobian_fd(problem: ProblemSpec, x, step: float = 1e-6) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def check_dim(dim: int, name: str = "problem.dim") -> None:
+    """Refuse a dim below 1 or above ``asymptotics.MAX_DIM``, before
+    anything dim-sized is allocated."""
+    if dim < 1:
+        raise ConfigError(f"{name} must be >= 1, got {dim}")
+    if dim > MAX_DIM:
+        raise ConfigError(f"{name} must be <= {MAX_DIM}, got {dim}: the "
+                          "Lyapunov solve holds dim^4 floats")
+
+
 def build_problem(kind: str, dim: int | None = None,
                   **values) -> ProblemSpec:
     """A ``kind`` problem from ``values``, keyed as ``PROBLEM_KINDS[kind]``.
@@ -180,14 +208,16 @@ def build_problem(kind: str, dim: int | None = None,
     declared_dim = fields.pop("dim")
     if dim is None:
         dim = declared_dim
-    if dim is not None and dim < 1:
-        raise ConfigError(f"problem.dim must be >= 1, got {dim}")
+    if dim is not None:
+        check_dim(dim)
     if declared_dim not in (None, dim):
         raise ConfigError(f"{kind} is scalar only")
     if "matrix" in fields:
         m = np.asarray(fields["matrix"], dtype=np.float64)
         m = float(m) * np.eye(dim or 1) if m.ndim == 0 else np.atleast_2d(m)
-        if dim is not None and dim != m.shape[0]:
+        if dim is None:
+            check_dim(m.shape[0])
+        elif dim != m.shape[0]:
             raise DimensionMismatchError(
                 f"dim {dim} does not match the {m.shape[0]}-row matrix")
         fields["matrix"] = m

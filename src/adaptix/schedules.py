@@ -92,7 +92,19 @@ def constant_schedule(gamma0: float) -> StepSchedule:
 
 
 def gamma_eval(schedule: StepSchedule, s):
-    """Step size gamma(s); accepts a scalar or an array of counter values."""
+    """Step size gamma(s); accepts a scalar or an array of counter values.
+
+    A Python float under a reciprocal or constant schedule is evaluated on
+    floats, ``1.0 / max(s, s_floor)`` or ``gamma0``: the bits the array
+    form gives. A power schedule always goes through ``np.power``, which
+    does not match ``float ** p`` bit for bit.
+    """
+    if type(s) is float and schedule.family != "power":
+        if s < 0:
+            raise ValueError("counter values must be >= 0")
+        if schedule.family == "reciprocal":
+            return 1.0 / max(s, schedule.s_floor)
+        return float(schedule.gamma0)
     arr = np.asarray(s, dtype=np.float64)
     if (arr < 0).any():
         raise ValueError("counter values must be >= 0")
@@ -233,7 +245,20 @@ def _expit():
 
 
 def sigmoid_eval(sigmoid: SigmoidSpec, v):
-    """Gate value u(v); accepts a scalar or an array."""
+    """Gate value u(v); accepts a scalar or an array.
+
+    A Python float under a constant or step gate is compared on floats
+    (``<``, ``>``, then the ``at_zero`` value), as the array form compares
+    it. A smooth gate always goes through scipy's ``expit``.
+    """
+    if type(v) is float and sigmoid.family != "smooth":
+        if sigmoid.family == "constant":
+            return float(sigmoid.u_plus)
+        if v < 0.0:
+            return float(sigmoid.u_minus)
+        if v > 0.0:
+            return float(sigmoid.u_plus)
+        return float(sigmoid.u_at_zero)
     arr = np.asarray(v, dtype=np.float64)
     if sigmoid.family == "constant":
         out = np.full_like(arr, sigmoid.u_plus)

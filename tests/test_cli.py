@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from adaptix.asymptotics import MAX_DIM
 from adaptix.cli import main
 from adaptix.config import canonical_config, load_config, parse_config
 from adaptix.core import run_trajectory
@@ -649,6 +650,31 @@ def test_validate_dict_witness_bytes(tmp_path):
             '          0.099999999999999978\n'
             '        ]\n'
             '      }\n') in text
+
+
+def test_a_huge_problem_dim_exits_2_naming_it(tmp_path):
+    # it used to end in numpy's _ArrayMemoryError traceback and exit 1
+    path = make_config(tmp_path, **{"problem": {"kind": "linear",
+                                                "dim": 10**6}})
+    code, err = cli_stderr("predict", "--config", path, "--out",
+                           tmp_path / "o")
+    assert code == 2
+    assert err == [f"adaptix: error: problem.dim must be <= {MAX_DIM}, got "
+                   "1000000: the Lyapunov solve holds dim^4 floats"]
+
+
+@pytest.mark.parametrize("problem, name", [
+    ({"kind": "tanh", "dim": MAX_DIM + 1}, "problem.dim"),
+    ({"kind": "linear", "root": [0.0] * (MAX_DIM + 1)}, "problem.dim"),
+    ({"kind": "linear", "noise": {"dim": 10**6}}, "problem.dim"),
+    ({"kind": "linear", "dim": 2, "noise": {"dim": 10**6}},
+     "problem.noise.dim"),
+])
+def test_a_dim_above_the_bound_is_refused_at_once(tmp_path, capsys, problem,
+                                                  name):
+    path = make_config(tmp_path, problem=problem)
+    assert run_cli("predict", "--config", path, "--out", tmp_path / "o") == 2
+    assert f"{name} must be <= {MAX_DIM}" in capsys.readouterr().err
 
 
 def test_validate_overflow_fails_its_checks_and_writes_the_report(tmp_path):

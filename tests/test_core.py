@@ -1,18 +1,23 @@
-"""Single-step semantics, trajectory engine, and the comparator."""
+"""Step semantics, the trajectory engine, its float lane, and the comparator."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from adaptix import (AlgoState, ConfigError, DimensionMismatchError,
+from adaptix import (AlgoState, DimensionMismatchError,
                      DivergedTrajectoryError, InitialConditions,
-                     NonFiniteMeasurementError, constant_gate,
-                     constant_schedule, core, field_eval, gaussian_noise,
-                     kesten_gate, linear_problem, plakhov_almeida_gate,
-                     power_schedule, reciprocal_schedule, run_trajectory,
-                     sa_step, smooth_gate, uniform_ball_noise)
-from adaptix.core import NOISE_CHUNK, ComparatorConfig, _simulate
+                     SigmoidSpec, StepSchedule, constant_gate,
+                     constant_schedule, core, cubic_problem, field_eval,
+                     gamma_eval, gaussian_noise, kesten_gate, linear_problem,
+                     plakhov_almeida_gate, power_schedule, problems,
+                     reciprocal_schedule, run_trajectory,
+                     scaled_rademacher_noise, smooth_gate, tanh_problem,
+                     uniform_ball_noise)
+from adaptix.core import (DEFAULT_DIVERGENCE_BOUND, NOISE_CHUNK,
+                          ComparatorConfig, _lane_takes, _simulate,
+                          _stride_ts)
 from adaptix.rng import TRAJECTORY_LANE, substream
 
 RECIPROCAL = reciprocal_schedule()
@@ -26,63 +31,85 @@ def state_at(t, x, s, y_prev=None, s_staged=None):
                      s=s, y_prev=y_prev, s_staged=s_staged)
 
 
+def zero_noise_run(matrix, x0, s0, s1, sigmoid, schedule=RECIPROCAL,
+                   horizon=2):
+    """A noiseless scalar run: step t measures y_t = matrix * x_{t-1}."""
+    problem = linear_problem(matrix=matrix, dim=1, noise=ZERO_NOISE_1D)
+    init = InitialConditions(x0=np.array([x0]), s0=s0, s1=s1)
+    return run_trajectory(problem, init, schedule, sigmoid, horizon, seed=0)
+
+
 # ---------------------------------------------------------------------------
-# one step
+# one step, by hand, on noiseless runs of one or two steps
 
 
 def test_step_moves_against_measurement():
-    state = state_at(1, 1.0, 4.0, y_prev=[1.0])
-    new = sa_step(state, [1.0], RECIPROCAL, KESTEN)
-    assert new.x[0] == 0.75            # gamma(4) = 1/4
-    assert new.t == 2
+    # gamma(4) = 1/4 prices both steps; y_1 = 1 and y_2 = 0.75 are aligned
+    traj = zero_noise_run(1.0, 1.0, 4.0, 4.0, KESTEN)
+    first, second = traj.states[1], traj.states[2]
+    assert first.x[0] == 0.75
+    assert first.y_prev[0] == 1.0
+    assert second.x[0] == 0.75 - 0.25 * 0.75
+    assert second.t == 2
     # consecutive measurements aligned: kesten adds nothing
-    assert new.s == 4.0
-    assert new.y_prev[0] == 1.0
-    assert new.s_staged is None
+    assert second.s == 4.0
+    assert second.y_prev[0] == 0.75
+    assert second.s_staged is None
 
 
 def test_step_counts_a_sign_flip():
-    state = state_at(1, 1.0, 4.0, y_prev=[-1.0])
-    new = sa_step(state, [1.0], RECIPROCAL, KESTEN)
-    assert new.s == 5.0
+    # gamma(s0) = 2 overshoots the root: y_1 = 1, y_2 = -1
+    traj = zero_noise_run(1.0, 1.0, 0.5, 4.0, KESTEN,
+                          schedule=reciprocal_schedule(0.5))
+    assert traj.states[1].x[0] == -1.0
+    assert traj.states[2].x[0] == -1.0 + 0.25
+    assert traj.states[2].s == 5.0
 
 
 def test_step_left_convention_at_tie():
+    # gamma(s0) = 1 lands on the root, so y_2 = 0 and the gate sees -0.0
     gate = plakhov_almeida_gate(-0.5, 1.0, at_zero="left")
-    state = state_at(1, 0.0, 2.0, y_prev=[0.0])
-    new = sa_step(state, [1.0], RECIPROCAL, gate)
-    assert new.s == 1.5                # (2 - 0.5)+ under the left convention
+    traj = zero_noise_run(1.0, 1.0, 1.0, 2.0, gate)
+    assert traj.states[1].x[0] == 0.0
+    assert traj.states[2].y_prev[0] == 0.0
+    assert traj.states[2].s == 1.5     # (2 - 0.5)+ under the left convention
 
 
 def test_step_counter_clamped_at_zero():
     gate = plakhov_almeida_gate(-0.5, 1.0)
-    state = state_at(1, 0.0, 0.2, y_prev=[1.0])
-    new = sa_step(state, [1.0], RECIPROCAL, gate)
-    assert new.s == 0.0
+    traj = zero_noise_run(1.0, 1.0, 4.0, 0.2, gate)
+    assert traj.states[1].s == 0.2
+    # aligned measurements: (0.2 - 0.5)+ is +0.0
+    assert np.array(traj.states[2].s).tobytes() == np.array(0.0).tobytes()
 
 
 def test_first_step_consumes_staged_counter():
-    init = InitialConditions(x0=np.array([1.0]), s0=4.0, s1=7.0)
-    state = init.initial_state()
-    assert state.s == 4.0 and state.s_staged == 7.0
-    new = sa_step(state, [2.0], RECIPROCAL, KESTEN)
+    traj = zero_noise_run(2.0, 1.0, 4.0, 7.0, KESTEN, horizon=1)
+    start, new = traj.states
+    assert start.s == 4.0 and start.s_staged == 7.0
     assert new.x[0] == 0.5             # priced at gamma(s0) = 1/4
+    assert new.y_prev[0] == 2.0
     assert new.s == 7.0                # staged value becomes the counter
     assert new.s_staged is None
 
 
-def test_first_step_requires_staged_counter():
-    state = state_at(0, 1.0, 1.0)
-    with pytest.raises(ConfigError):
-        sa_step(state, [1.0], RECIPROCAL, KESTEN)
-
-
 def test_step_rejects_bad_measurements():
-    state = state_at(1, [1.0, 0.0], 1.0, y_prev=[1.0, 0.0])
+    problem = linear_problem(matrix=1.0, dim=2)
     with pytest.raises(DimensionMismatchError):
-        sa_step(state, [1.0], RECIPROCAL, KESTEN)
-    with pytest.raises(NonFiniteMeasurementError):
-        sa_step(state, [np.nan, 0.0], RECIPROCAL, KESTEN)
+        field_eval(problem, (1.0,))
+    with pytest.raises(DimensionMismatchError):
+        field_eval(problem, np.array([1.0]))
+    with pytest.raises(ValueError, match="counter values must be >= 0"):
+        gamma_eval(RECIPROCAL, -1.0)
+    # a measurement that overflows to inf never becomes a state: the run
+    # stops at step 1 with the initial state as its last finite one
+    with pytest.raises(DivergedTrajectoryError) as exc:
+        zero_noise_run(10.0, 1e308, 1.0, 1.0, KESTEN,
+                       schedule=constant_schedule(1.0))
+    assert exc.value.t == 1
+    assert exc.value.state.x[0] == 1e308
+    assert exc.value.state.y_prev is None
+    assert exc.value.state.s_staged == 1.0
 
 
 def test_state_validation():
@@ -137,23 +164,47 @@ def test_negative_horizon_is_rejected_by_the_kernel():
         run_trajectory(problem, init, RECIPROCAL, KESTEN, horizon=-1, seed=0)
 
 
-def stepwise_replay(problem, init, schedule, sigmoid, horizon, seed, noise):
-    # replay the engine's exact noise stream: per-replicate substream,
-    # consumed in NOISE_CHUNK blocks (block size is part of the contract
-    # because the ball sampler interleaves normals and radii per block)
-    rng = substream(seed, TRAJECTORY_LANE, 0)
-    blocks = []
-    done = 0
-    while done < horizon:
-        count = min(NOISE_CHUNK, horizon - done)
-        blocks.append(noise.sample_block(rng, count))
-        done += count
-    xi = np.concatenate(blocks, axis=0)
-    state = init.initial_state()
-    for t in range(horizon):
-        y = field_eval(problem, state.x) + xi[t]
-        state = sa_step(state, y, schedule, sigmoid)
-    return state
+def batch_row(problem, init, schedule, sigmoid, horizon, seed, record_ts,
+              comparator=None, bound=DEFAULT_DIVERGENCE_BOUND):
+    """Row 0 of a two-replicate batch whose generators are both the
+    (seed, trajectory lane, 0) substream: the batch loop on the exact
+    noise a one-replicate run draws."""
+    rngs = [substream(seed, TRAJECTORY_LANE, 0) for _ in range(2)]
+    res = _simulate(problem, init, schedule, sigmoid, horizon, rngs,
+                    record_ts, comparator=comparator, divergence_bound=bound)
+    assert res.diverged_at[0] == res.diverged_at[1]
+    return res
+
+
+def as_bytes(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def assert_run_is_batch_row(problem, init, schedule, sigmoid, horizon,
+                            seed, stride=1, bound=DEFAULT_DIVERGENCE_BOUND):
+    """``run_trajectory`` gives row 0 of the batch bit for bit: every
+    recorded x, s and y, the step of divergence and the frozen state.
+    Returns that step, or -1."""
+    try:
+        traj = run_trajectory(problem, init, schedule, sigmoid, horizon,
+                              seed, record_stride=stride,
+                              divergence_bound=bound)
+        t_div, last = -1, traj.final
+    except DivergedTrajectoryError as exc:
+        traj, t_div, last = exc.trajectory, exc.t, exc.state
+    res = batch_row(problem, init, schedule, sigmoid, horizon, seed,
+                    _stride_ts(horizon, stride), bound=bound)
+    assert res.diverged_at[0] == t_div
+    n = len(traj.t)
+    assert traj.x.tobytes() == res.x[:n, 0].tobytes()
+    assert traj.s.tobytes() == res.s[:n, 0].tobytes()
+    assert traj.y.tobytes() == res.y[:n, 0].tobytes()
+    # a frozen run's later rows all hold its last finite state
+    assert as_bytes(last.x) == res.x[-1, 0].tobytes()
+    assert as_bytes(last.s) == res.s[-1, 0].tobytes()
+    y_last = np.zeros(problem.dim) if last.y_prev is None else last.y_prev
+    assert as_bytes(y_last) == res.y[-1, 0].tobytes()
+    return t_div
 
 
 @pytest.mark.parametrize("noise_builder,horizon", [
@@ -162,17 +213,146 @@ def stepwise_replay(problem, init, schedule, sigmoid, horizon, seed, noise):
     (lambda: uniform_ball_noise(2, 1.5), 2500),
 ])
 def test_engine_matches_stepwise_composition(noise_builder, horizon):
+    # the float lane against the batch loop, over the whole recording
     noise = noise_builder()
     problem = linear_problem(matrix=np.array([[1.5, 0.2], [0.0, 2.0]]),
                              noise=noise)
     init = InitialConditions(x0=np.array([1.0, -1.0]), s0=2.0, s1=3.0)
     gate = plakhov_almeida_gate(-0.2, 1.0)
-    traj = run_trajectory(problem, init, RECIPROCAL, gate, horizon, seed=17,
-                          record_stride=horizon)
-    manual = stepwise_replay(problem, init, RECIPROCAL, gate, horizon, 17,
-                             noise)
-    assert np.array_equal(traj.final.x, manual.x)
-    assert traj.final.s == manual.s
+    assert _lane_takes(problem, RECIPROCAL, gate, 1, None)
+    assert assert_run_is_batch_row(problem, init, RECIPROCAL, gate, horizon,
+                                   17) == -1
+
+
+# Every plan the lane takes: each noise kind, gate family, schedule family
+# and at_zero convention, dims 1-7, s0 = 0 in every other plan, and a bound
+# that freezes the run at step 1, the default, or one whose square is not a
+# float (the guard then only checks finiteness).
+NOISE_KINDS = ("gaussian", "uniform_ball", "scaled_rademacher")
+LANE_GATES = ("constant", "kesten", "plakhov_almeida")
+LANE_SCHEDULES = ("reciprocal", "constant")
+AT_ZERO = ("left", "right", "midpoint")
+TINY_BOUND = 1e-3
+BOUNDS = (TINY_BOUND, 1e12, 1e200)
+LANE_PLANS = list(itertools.product(NOISE_KINDS, LANE_GATES, LANE_SCHEDULES,
+                                    AT_ZERO))
+
+
+def lane_plan(index, noise_kind, gate, schedule, at_zero):
+    gen = np.random.default_rng(1000 + index)
+    dim = 1 + index % 7
+    if noise_kind == "gaussian":
+        # every fifth a zero covariance: noiseless, exact zero measurements
+        # at the root
+        f = gen.normal(size=(dim, dim)) * (index % 5 != 0)
+        noise = gaussian_noise(f @ f.T)
+    elif noise_kind == "uniform_ball":
+        noise = uniform_ball_noise(dim, gen.uniform(0.5, 2.0))
+    else:
+        noise = scaled_rademacher_noise(dim, gen.uniform(0.5, 2.0))
+    # a zero field under rademacher noise at an even dim makes the gate
+    # argument exactly 0 at many steps
+    zero_field = noise_kind == "scaled_rademacher" and dim % 2 == 0
+    # a steep field far out overflows the squared norm within a few steps
+    far = index % 6 == 5 and not zero_field
+    matrix = (np.zeros((dim, dim)) if zero_field else
+              (gen.normal(size=(dim, dim)) + 1.5 * np.eye(dim))
+              * (10.0 if far else 1.0))
+    root = gen.normal(size=dim)
+    problem = linear_problem(matrix=matrix, root=root, noise=noise)
+    x0 = root + gen.normal(size=dim) * (1e150 if far else 1.0)
+    if index % 5 == 0 and not far:
+        x0 = root
+    init = InitialConditions(x0=x0, s0=0.0 if index % 2 else 1.5,
+                             s1=gen.uniform(0.0, 3.0))
+    schedule = (StepSchedule(schedule, s_floor=gen.uniform(0.5, 3.0))
+                if schedule == "reciprocal" else
+                StepSchedule(schedule, gamma0=gen.uniform(0.05, 1.0)))
+    u_plus = gen.uniform(0.5, 2.0)
+    u_minus = {"constant": u_plus, "kesten": 0.0,
+               "plakhov_almeida": -gen.uniform(0.1, 1.0)}[gate]
+    sigmoid = SigmoidSpec(gate, u_minus=u_minus, u_plus=u_plus,
+                          at_zero=at_zero)
+    # one plan in six crosses a noise block boundary
+    horizon = NOISE_CHUNK + 7 if index % 6 == 0 else int(gen.integers(2, 300))
+    return problem, init, schedule, sigmoid, horizon, far
+
+
+@pytest.mark.parametrize("index", range(len(LANE_PLANS)),
+                         ids=["-".join(p) for p in LANE_PLANS])
+def test_lane_matches_the_batch_row_bit_for_bit(index):
+    problem, init, schedule, sigmoid, horizon, _ = lane_plan(
+        index, *LANE_PLANS[index])
+    assert _lane_takes(problem, schedule, sigmoid, 1, None)
+    bound = BOUNDS[index % 3]
+    t_div = assert_run_is_batch_row(problem, init, schedule, sigmoid,
+                                    horizon, seed=index, stride=1 + index % 3,
+                                    bound=bound)
+    if bound == TINY_BOUND:
+        assert t_div == 1
+
+
+def test_the_sweep_overflows_the_squared_norm_mid_run():
+    # the plans started far out (all with the 1e200 bound) cross the
+    # largest float a few steps in, where the guard checks only finiteness
+    steps = []
+    for index, plan in enumerate(LANE_PLANS):
+        *args, far = lane_plan(index, *plan)
+        if far:
+            steps.append(assert_run_is_batch_row(*args, seed=index,
+                                                 stride=1 + index % 3,
+                                                 bound=1e200))
+    assert len(steps) == 8
+    assert sum(1 < t <= 5 for t in steps) >= 6
+
+
+def test_lane_keeps_a_negative_zero_counter_off_the_record():
+    # aligned noiseless measurements: s1 = -0.0 plus the gate's -0.0 is
+    # -0.0, which np.maximum turns into +0.0 in the batch loop
+    problem = linear_problem(matrix=1.0, dim=1, noise=ZERO_NOISE_1D)
+    init = InitialConditions(x0=np.array([1.0]), s0=1.0, s1=-0.0)
+    gate = SigmoidSpec("kesten", u_minus=-0.0, u_plus=1.0)
+    schedule = constant_schedule(0.1)
+    assert_run_is_batch_row(problem, init, schedule, gate, 5, seed=4)
+    traj = run_trajectory(problem, init, schedule, gate, 5, seed=4)
+    assert as_bytes(traj.s[1:]) == as_bytes([-0.0, 0.0, 0.0, 0.0, 0.0])
+
+
+INELIGIBLE = {
+    "tanh": (tanh_problem(matrix=np.diag([1.0, 2.0])), RECIPROCAL, KESTEN),
+    "cubic1d": (cubic_problem(), RECIPROCAL, KESTEN),
+    "power": (linear_problem(matrix=1.0, dim=2), power_schedule(1.0, 0.7),
+              KESTEN),
+    "smooth": (linear_problem(matrix=1.0, dim=2), RECIPROCAL,
+               smooth_gate(-0.5, 1.0, beta=2.0)),
+    "dim8": (linear_problem(matrix=1.0, dim=8), RECIPROCAL, KESTEN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INELIGIBLE))
+def test_plans_the_lane_leaves_run_the_batch_loop(name):
+    problem, schedule, sigmoid = INELIGIBLE[name]
+    assert not _lane_takes(problem, schedule, sigmoid, 1, None)
+    init = InitialConditions(x0=problem.root + 1.0)
+    assert_run_is_batch_row(problem, init, schedule, sigmoid, 300, seed=2)
+
+
+def test_a_comparator_runs_the_batch_loop():
+    problem = linear_problem(matrix=np.diag([1.0, 2.0]))
+    comparator = ComparatorConfig(alpha=np.diag([1.0, 2.0]), e0=0.5)
+    assert _lane_takes(problem, RECIPROCAL, KESTEN, 1, None)
+    assert not _lane_takes(problem, RECIPROCAL, KESTEN, 1, comparator)
+    init = InitialConditions(x0=np.array([1.0, -1.0]))
+    ts = range(0, 301, 7)
+    one = _simulate(problem, init, RECIPROCAL, KESTEN, 300,
+                    [substream(6, TRAJECTORY_LANE, 0)], ts,
+                    comparator=comparator)
+    two = batch_row(problem, init, RECIPROCAL, KESTEN, 300, 6, ts,
+                    comparator=comparator)
+    for name in ("x", "s", "y", "z"):
+        assert getattr(one, name)[:, 0].tobytes() == \
+            getattr(two, name)[:, 0].tobytes()
+    assert one.diverged_at[0] == two.diverged_at[0] == -1
 
 
 def test_counter_invariants_over_gates():
@@ -296,29 +476,35 @@ def test_mixed_divergence_batch_rows_match_single_runs():
         assert res.s[-1, r] == last.s
 
 
-def test_kernel_calls_each_layer_through_core_once_per_step(monkeypatch):
+@pytest.mark.parametrize("n_rep", [1, 3])
+def test_kernel_calls_each_layer_through_core_once_per_step(monkeypatch,
+                                                            n_rep):
     # the per-layer benchmark trace counts these calls by rebinding the
-    # names in adaptix.core; a kernel that bound them once would read 0
+    # names in adaptix.core (and apply_rows in adaptix.problems); a kernel,
+    # or the one-replicate lane, that bound them once would read 0
     counts = {}
 
-    def counting(name):
-        original = getattr(core, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] = counts.get(name, 0) + 1
             return original(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("field_eval", "gamma_eval", "sigmoid_eval", "dot_rows"):
-        monkeypatch.setattr(core, name, counting(name))
     problem = linear_problem(matrix=np.diag([1.0, 2.0]),
                              noise=gaussian_noise(np.eye(2)))
+    for name in ("field_eval", "gamma_eval", "sigmoid_eval", "dot_rows"):
+        counting(core, name)
+    counting(problems, "apply_rows")
     init = InitialConditions(x0=np.array([1.0, 1.0]))
     horizon = 50
-    rngs = [substream(0, TRAJECTORY_LANE, r) for r in range(3)]
+    assert _lane_takes(problem, RECIPROCAL, KESTEN, n_rep, None) == \
+        (n_rep == 1)
+    rngs = [substream(0, TRAJECTORY_LANE, r) for r in range(n_rep)]
     _simulate(problem, init, RECIPROCAL, KESTEN, horizon, rngs, [0, horizon])
-    assert counts == {"field_eval": horizon, "gamma_eval": horizon,
-                      "sigmoid_eval": horizon - 1,
+    assert counts == {"field_eval": horizon, "apply_rows": horizon,
+                      "gamma_eval": horizon, "sigmoid_eval": horizon - 1,
                       "dot_rows": 2 * horizon - 1}
 
 

@@ -9,6 +9,7 @@ from adaptix import (ConfigError, DimensionMismatchError,
                      linear_problem, plakhov_almeida_gate,
                      reciprocal_schedule, scaled_rademacher_noise,
                      tanh_problem, uniform_ball_noise, validate_problem)
+from adaptix.asymptotics import MAX_DIM
 from adaptix.config import parse_config
 from adaptix.problems import jacobian_fd
 from adaptix.report import FAIL, FULL_CHECK_IDS, NOT_CHECKED, PASS
@@ -94,6 +95,15 @@ def test_problem_construction_errors():
 def test_scalar_root_means_that_value_in_every_coordinate():
     problem = linear_problem(matrix=2.0, dim=2, root=0.5)
     assert np.array_equal(problem.root, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("values", [{"dim": MAX_DIM + 1},
+                                    {"dim": 10**6},
+                                    {"matrix": np.zeros((MAX_DIM + 1,) * 2)}])
+def test_builders_refuse_a_dim_above_the_lyapunov_bound(values):
+    # refused before anything dim-sized, such as np.eye(10**6), is built
+    with pytest.raises(ConfigError, match=f"problem.dim must be <= {MAX_DIM}"):
+        linear_problem(**values)
 
 
 @pytest.mark.parametrize("builder", [linear_problem, tanh_problem,

@@ -2,8 +2,9 @@
 
 ``bench/reference.json`` holds the SHA-256 of every artifact each benchmark
 workload writes, per CLI seed. Replaying a few of those commands here makes
-a byte drift fail the test suite, not only the benchmark. The file is only
-read.
+a byte drift fail the test suite, not only the benchmark. ``run`` takes the
+one-replicate float lane, not the batch loop that ``replicate`` takes, so it
+is replayed on every recorded seed. The file is only read.
 """
 
 import hashlib
@@ -37,17 +38,28 @@ def _case_id(case):
                                       else f"-workers{workers}")
 
 
-@pytest.mark.parametrize("workload, label, command, extra", CASES,
-                         ids=[_case_id(c) for c in CASES])
-def test_artifacts_match_the_bench_reference(tmp_path, workload, label,
-                                             command, extra):
+def assert_matches_reference(tmp_path, workload, label, command, seed,
+                             extra=()):
     reference = json.loads((BENCH / "reference.json").read_text())
-    expected = reference["digests"][workload][str(SEED)][label]
+    expected = reference["digests"][workload][str(seed)][label]
     config = BENCH / "configs" / f"{workload}.json"
     out = tmp_path / "out"
     code = main([command, "--config", str(config), "--out", str(out),
-                 "--seed", str(SEED), *extra])
+                 "--seed", str(seed), *extra])
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir())}
     assert code == expected["exit"]
     assert digests == expected["sha256"]
+
+
+@pytest.mark.parametrize("workload, label, command, extra", CASES,
+                         ids=[_case_id(c) for c in CASES])
+def test_artifacts_match_the_bench_reference(tmp_path, workload, label,
+                                             command, extra):
+    assert_matches_reference(tmp_path, workload, label, command, SEED, extra)
+
+
+@pytest.mark.parametrize("seed", [s for s in range(16) if s != SEED])
+def test_run_matches_the_bench_reference_on_every_seed(tmp_path, seed):
+    # seed 3 is the run-single_long case above
+    assert_matches_reference(tmp_path, "single_long", "main", "run", seed)

@@ -89,6 +89,24 @@ def test_row_kernels_match_the_row_wise_formulas(dim, order):
             assert_same_bits(apply_rows(m, a), row_matvec(m, a))
 
 
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_float_forms_match_the_one_row_kernels(dim):
+    # the one-replicate lane holds a state as a tuple of floats; below the
+    # pairwise sum's 8 columns its sums and products carry the bits of a
+    # one-row batch, signed zeros and specials included
+    rng = np.random.default_rng(50 + dim)
+    m = batch(rng, (dim, dim), "C")
+    rows = tuple(map(tuple, m.tolist()))
+    for _ in range(200):
+        a, b = batch(rng, (1, dim), "C"), batch(rng, (1, dim), "C")
+        if rng.random() < 0.2:
+            a[0] = -0.0
+        ta, tb = tuple(a[0].tolist()), tuple(b[0].tolist())
+        with np.errstate(all="ignore"):
+            assert_same_bits(dot_rows(ta, tb), dot_rows(a, b)[0])
+            assert_same_bits(apply_rows(rows, ta), apply_rows(m, a)[0])
+
+
 def test_signed_zero_rows_sum_to_plus_zero():
     a = np.full((64, 2), -0.0)
     got = dot_rows(a, np.ones((64, 2)))

@@ -56,6 +56,47 @@ def test_gamma_vectorized():
 def test_gamma_rejects_negative_counter():
     with pytest.raises(ValueError):
         gamma_eval(reciprocal_schedule(), -0.5)
+    with pytest.raises(ValueError):
+        gamma_eval(reciprocal_schedule(), np.array([1.0, -0.5]))
+
+
+COUNTERS = [0.0, -0.0, 1e-300, 0.3, 1.0, 2.0, 2.5, 7.0, 1e300, np.inf, np.nan]
+ARGUMENTS = [-np.inf, -1e300, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e300,
+             np.inf, np.nan]
+
+
+def float_bits(value):
+    return np.array(value, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("schedule", [reciprocal_schedule(),
+                                      reciprocal_schedule(2.5),
+                                      constant_schedule(0.3),
+                                      power_schedule(0.7, 0.6)],
+                         ids=["reciprocal", "reciprocal-2.5", "constant",
+                              "power"])
+def test_gamma_on_a_float_is_the_array_form(schedule):
+    # the one-replicate lane evaluates counters as Python floats
+    for s in COUNTERS:
+        got = gamma_eval(schedule, s)
+        assert type(got) is float
+        assert float_bits(got) == float_bits(gamma_eval(schedule,
+                                                        np.array([s]))[0])
+
+
+@pytest.mark.parametrize("gate", [constant_gate(0.7), kesten_gate(2.0),
+                                  plakhov_almeida_gate(-0.5, 1.0, "left"),
+                                  plakhov_almeida_gate(-0.5, 1.0, "midpoint"),
+                                  plakhov_almeida_gate(-0.5, 1.0, "right"),
+                                  smooth_gate(-0.5, 1.0, 2.0)],
+                         ids=["constant", "kesten", "pa-left", "pa-midpoint",
+                              "pa-right", "smooth"])
+def test_gate_on_a_float_is_the_array_form(gate):
+    for v in ARGUMENTS:
+        got = sigmoid_eval(gate, v)
+        assert type(got) is float
+        assert float_bits(got) == float_bits(sigmoid_eval(gate,
+                                                          np.array([v]))[0])
 
 
 def test_schedule_parameter_validation():
