@@ -177,9 +177,7 @@ def _number_or_matrix(value, path: str):
 
 
 def _root(value, path: str):
-    """A number, a list, or null for the origin."""
-    if value is None:
-        return None
+    """A number for every coordinate, or a list of them."""
     return (_vector if isinstance(value, list) else _number)(value, path)
 
 

@@ -29,6 +29,11 @@ bit, and batch results do not depend on how replicates are grouped into
 batches or workers. ``NOISE_CHUNK`` is part of the reproducibility
 contract; changing it changes every sampled trajectory.
 
+A batch holds one noise block per stream, refilled in place chunk after
+chunk: n_rep x min(NOISE_CHUNK, horizon) x dim doubles, twice with
+independent comparator streams. Bounding that per worker is the caller's
+job; ``montecarlo`` runs a large block of replicates in tiles.
+
 One replicate of a plan whose layers have an exact float form (see
 ``_lane_takes``) runs on Python floats instead of one-row arrays, on which
 numpy dispatch costs several times the arithmetic. The lane calls the
@@ -159,18 +164,20 @@ class SimResult:
     diverged_at: np.ndarray     # step of divergence per replicate, -1 if none
 
 
-def _noise_blocks(noise, rngs: list, span: int) -> np.ndarray:
-    """The next ``span`` noise vectors of each stream, as (span, n_rep, dim).
+def _noise_blocks(noise, rngs: list, block: np.ndarray) -> np.ndarray:
+    """Fill ``block``, shaped (span, dim, n_rep), with the next ``span``
+    noise vectors of each stream; returns it as a (span, n_rep, dim) view.
 
-    Stored with the replicate axis innermost, so step k's (n_rep, dim)
-    slice is one column-major block, the layout ``_rowops`` gives a large
-    batch's state, and adding it runs one inner loop per column, not one
-    per replicate. A single replicate's slice is one contiguous row.
+    The replicate axis is innermost, so step k's (n_rep, dim) slice is one
+    column-major block, the layout ``_rowops`` gives a large batch's state,
+    and adding it runs one inner loop per column, not one per replicate. A
+    single replicate's slice is one contiguous row. The kernel passes the
+    leading ``span`` steps of one buffer it reuses for every chunk, which
+    stay C-contiguous, so a short last chunk keeps the same layout.
     """
-    xi = np.empty((span, noise.dim, len(rngs)))
     for r, rng in enumerate(rngs):
-        xi[:, :, r] = noise.sample_block(rng, span)
-    return xi.transpose(0, 2, 1)
+        block[:, :, r] = noise.sample_block(rng, block.shape[0])
+    return block.transpose(0, 2, 1)
 
 
 def _lane_takes(problem: ProblemSpec, schedule: StepSchedule,
@@ -298,16 +305,23 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
                          diverged_at=diverged_at)
     mark = marks[slot]
     noise = problem.noise
+    # one noise buffer per stream, refilled in place for every chunk, so a
+    # batch holds one block of noise per stream and never two
+    chunk = min(NOISE_CHUNK, horizon)
+    buf = np.empty((chunk, dim, n_rep))
+    buf_z = None
+    if comparator is not None and comparator.rngs is not None:
+        buf_z = np.empty((chunk, dim, n_rep))
     t = 1
     # the divergence guard catches every overflow and NaN, so numpy need
     # not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         while t <= horizon and (n_alive or comparator is not None):
             span = min(NOISE_CHUNK, horizon - t + 1)
-            xi = _noise_blocks(noise, rngs, span)
+            xi = _noise_blocks(noise, rngs, buf[:span])
             xi_z = None
-            if comparator is not None and comparator.rngs is not None:
-                xi_z = _noise_blocks(noise, comparator.rngs, span)
+            if buf_z is not None:
+                xi_z = _noise_blocks(noise, comparator.rngs, buf_z[:span])
             for k in range(span):
                 tk = t + k
                 xi_k = xi[k]

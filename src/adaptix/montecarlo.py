@@ -24,7 +24,7 @@ import numpy as np
 
 from ._rowops import norm_rows
 from .asymptotics import AsymptoticPrediction
-from .core import (DEFAULT_DIVERGENCE_BOUND, ComparatorConfig,
+from .core import (DEFAULT_DIVERGENCE_BOUND, NOISE_CHUNK, ComparatorConfig,
                    InitialConditions, _simulate)
 from .errors import ConfigError, NumericError
 from .noise import NoiseModel
@@ -39,6 +39,12 @@ DEFAULT_KS_SCALE = 1.63
 #: ``coupling_gap`` calls the gap decreasing once its 90% quantile has
 #: dropped to this fraction of its first-checkpoint value.
 COUPLING_DROP_FACTOR = 0.5
+
+#: Bytes of noise one tile of replicates may hold: ``_run_block`` runs a
+#: worker's replicates in tiles of streams x tile x min(NOISE_CHUNK,
+#: horizon) x dim doubles at most, streams being 2 with independent
+#: comparator noise and 1 otherwise. Tiling changes no bit.
+NOISE_TILE_BYTES = 64 * 2**20
 
 
 def default_checkpoints(horizon: int) -> tuple:
@@ -137,33 +143,82 @@ def resolve_e0(plan: ExperimentPlan) -> E0Estimate:
                       plan.master_seed)
 
 
-def _run_block(plan: ExperimentPlan, e0_value: float, lo: int, hi: int):
-    rngs = [substream(plan.master_seed, TRAJECTORY_LANE, r)
-            for r in range(lo, hi)]
-    comparator = None
-    if plan.couple_comparator:
-        comp_rngs = None
-        if plan.comparator_noise == "independent":
-            comp_rngs = [substream(plan.master_seed, COMPARATOR_LANE, r)
-                         for r in range(lo, hi)]
-        comparator = ComparatorConfig(alpha=plan.problem.jacobian_at_root,
-                                      e0=e0_value, rngs=comp_rngs)
-    res = _simulate(plan.problem, plan.init, plan.schedule, plan.sigmoid,
-                    plan.horizon, rngs, plan.checkpoints,
-                    comparator=comparator,
-                    divergence_bound=plan.divergence_bound)
-    return res.x, res.s, res.z, res.diverged_at
+def _records(plan: ExperimentPlan, n_rep: int):
+    """Empty (x, s, z, diverged_at) arrays for ``n_rep`` replicates."""
+    shape = (len(plan.checkpoints), n_rep)
+    dim = plan.problem.dim
+    z = np.empty(shape + (dim,)) if plan.couple_comparator else None
+    return (np.empty(shape + (dim,)), np.empty(shape), z,
+            np.empty(n_rep, dtype=np.int64))
+
+
+def _store(out, rows: slice, piece) -> None:
+    """Copy the records ``piece`` into replicates ``rows`` of ``out``."""
+    x, s, z, diverged_at = out
+    x[:, rows] = piece[0]
+    s[:, rows] = piece[1]
+    if z is not None:
+        z[:, rows] = piece[2]
+    diverged_at[rows] = piece[3]
+
+
+def _run_block(plan: ExperimentPlan, e0_value: float, lo: int, hi: int,
+               out=None):
+    """Replicates ``lo`` to ``hi - 1``, simulated a tile at a time; fills
+    ``out`` (records of ``hi - lo`` replicates, made here if None) and
+    returns it. Substreams are made per tile, so neither the noise nor
+    the generators of a block grow with its size."""
+    if out is None:
+        out = _records(plan, hi - lo)
+    # as many replicates as keep one noise block per stream in the budget
+    independent = plan.comparator_noise == "independent"
+    streams = 2 if plan.couple_comparator and independent else 1
+    per_replicate = (streams * min(NOISE_CHUNK, plan.horizon)
+                     * plan.problem.dim * 8)
+    tile = max(1, NOISE_TILE_BYTES // per_replicate)
+    alpha = plan.problem.jacobian_at_root if plan.couple_comparator else None
+    for start in range(lo, hi, tile):
+        stop = min(start + tile, hi)
+        rngs = [substream(plan.master_seed, TRAJECTORY_LANE, r)
+                for r in range(start, stop)]
+        comparator = None
+        if plan.couple_comparator:
+            comp_rngs = None
+            if independent:
+                comp_rngs = [substream(plan.master_seed, COMPARATOR_LANE, r)
+                             for r in range(start, stop)]
+            comparator = ComparatorConfig(alpha=alpha, e0=e0_value,
+                                          rngs=comp_rngs)
+        res = _simulate(plan.problem, plan.init, plan.schedule, plan.sigmoid,
+                        plan.horizon, rngs, plan.checkpoints,
+                        comparator=comparator,
+                        divergence_bound=plan.divergence_bound)
+        _store(out, slice(start - lo, stop - lo),
+               (res.x, res.s, res.z, res.diverged_at))
+    return out
 
 
 def run_replicates(plan: ExperimentPlan, workers: int = 1) -> ReplicateSet:
     """Execute the plan; the result is bit-identical for any ``workers``.
 
-    At most one process per block, and no more blocks than replicates or
-    CPUs this process may run on: the pool forks all its workers up front.
-    The pool (and with it multiprocessing) is imported only to fork one.
+    The result arrays are allocated first, before E0 is resolved or any
+    stream is made; a replicate count whose records numpy cannot allocate
+    raises ConfigError. At most one process per block, and no more blocks
+    than replicates or CPUs this process may run on: the pool forks all
+    its workers up front. The pool (and with it multiprocessing) is
+    imported only to fork one.
     """
-    e0 = resolve_e0(plan)
     n = plan.n_replicates
+    try:
+        out = _records(plan, n)
+    except (ValueError, MemoryError):
+        per_replicate = len(plan.checkpoints) * (
+            plan.problem.dim * (2 if plan.couple_comparator else 1) + 1) + 1
+        raise ConfigError(
+            f"experiment.n_replicates = {n} needs {n * per_replicate * 8} "
+            "bytes of replicate records, more than can be allocated"
+        ) from None
+    e0 = resolve_e0(plan)
     n_blocks = max(1, min(int(workers), n, len(os.sched_getaffinity(0))))
     base, extra = divmod(n, n_blocks)
     bounds = []
@@ -173,19 +228,16 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1) -> ReplicateSet:
         bounds.append((lo, hi))
         lo = hi
     if n_blocks == 1:
-        pieces = [_run_block(plan, e0.value, lo, hi) for lo, hi in bounds]
+        _run_block(plan, e0.value, 0, n, out)
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_blocks) as pool:
             futures = [pool.submit(_run_block, plan, e0.value, lo, hi)
                        for lo, hi in bounds]
-            pieces = [f.result() for f in futures]
-    x = np.concatenate([p[0] for p in pieces], axis=1)
-    s = np.concatenate([p[1] for p in pieces], axis=1)
-    z = None
-    if plan.couple_comparator:
-        z = np.concatenate([p[2] for p in pieces], axis=1)
-    diverged_at = np.concatenate([p[3] for p in pieces])
+            # drop each piece once it is copied
+            for lo, hi in bounds:
+                _store(out, slice(lo, hi), futures.pop(0).result())
+    x, s, z, diverged_at = out
     return ReplicateSet(plan=plan, e0=e0,
                         ts=np.asarray(plan.checkpoints, dtype=np.int64),
                         x=x, s=s, z=z, diverged_at=diverged_at)

@@ -144,6 +144,18 @@ def test_noise_dim_is_checked_before_use(tmp_path, capsys, noise, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["linear", "tanh", "cubic1d"])
+def test_a_null_root_exits_2(tmp_path, capsys, kind):
+    # a linear or tanh root of null once meant the origin, and the echo
+    # wrote zeros in its place
+    path = make_config(tmp_path, problem={"kind": kind, "root": None})
+    out = tmp_path / "o"
+    assert run_cli("predict", "--config", path, "--out", out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["adaptix: error: problem.root must be a number, got None"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, path", [
     ("experiment.divergence_bound", float("nan"),
      "experiment.divergence_bound"),
@@ -538,6 +550,23 @@ def test_out_naming_a_file_exits_2_with_one_line(tmp_path):
     assert err[0].startswith("adaptix: error: cannot write artifacts to "
                              f"output directory {str(taken)!r}")
     assert taken.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("n_rep", [2**60, 2**50])
+def test_replicate_records_too_large_to_allocate_exit_2(tmp_path, capsys,
+                                                        n_rep):
+    # numpy calls 2**60 replicates too big for an array; 2**50, whose x
+    # alone is 48 PiB, exceeds any address space. The records are
+    # allocated before any substream is made, so neither grows memory.
+    path = make_config(tmp_path, **{"experiment.n_replicates": n_rep})
+    out = tmp_path / "o"
+    assert run_cli("replicate", "--config", path, "--out", out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    # x and s at 3 checkpoints of dim 2, and diverged_at: 10 doubles each
+    assert err == [f"adaptix: error: experiment.n_replicates = {n_rep} "
+                   f"needs {n_rep * 80} bytes of replicate records, more "
+                   "than can be allocated"]
+    assert sorted(os.listdir(out)) == ["config.json", "prediction.json"]
 
 
 def test_workers_env_fallback(tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ from adaptix import (AlgoState, DimensionMismatchError,
 from adaptix.core import (DEFAULT_DIVERGENCE_BOUND, NOISE_CHUNK,
                           ComparatorConfig, _lane_takes, _simulate,
                           _stride_ts)
-from adaptix.rng import TRAJECTORY_LANE, substream
+from adaptix.rng import COMPARATOR_LANE, TRAJECTORY_LANE, substream
 
 RECIPROCAL = reciprocal_schedule()
 KESTEN = kesten_gate()
@@ -434,6 +434,31 @@ def test_early_stop_memory_follows_recorded_times():
     assert np.all(res.y[2] == 2.0 * (-3.0)**11)
     assert np.all(res.s[2] == 12.0)
     assert res.x.shape == (3, 2, 1)
+
+
+def test_kernel_holds_one_noise_block_per_stream():
+    # three refills and a short last chunk, with independent comparator
+    # streams: each stream's buffer is refilled in place, so no chunk
+    # boundary holds the old block beside the new one
+    n_rep, dim, horizon = 256, 2, 3 * NOISE_CHUNK + 5
+    problem = linear_problem(matrix=np.diag([1.5, 3.0]),
+                             noise=gaussian_noise(np.eye(dim)))
+    init = InitialConditions(x0=np.array([1.0, 1.0]))
+    rngs = [substream(2, TRAJECTORY_LANE, r) for r in range(n_rep)]
+    comparator = ComparatorConfig(
+        alpha=problem.jacobian_at_root, e0=0.5,
+        rngs=[substream(2, COMPARATOR_LANE, r) for r in range(n_rep)])
+    tracemalloc.start()
+    try:
+        res = _simulate(problem, init, RECIPROCAL, KESTEN, horizon, rngs,
+                        [0, horizon], comparator=comparator)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = n_rep * NOISE_CHUNK * dim * 8
+    records = sum(a.nbytes for a in (res.x, res.s, res.y, res.z))
+    assert peak < 1.25 * 2 * block + records
+    assert np.all(res.diverged_at == -1)
 
 
 def test_mixed_divergence_batch_rows_match_single_runs():

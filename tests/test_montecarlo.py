@@ -11,11 +11,11 @@ from adaptix import (ConfigError, ExperimentPlan, InitialConditions,
                      gaussian_noise, kesten_gate, linear_problem,
                      normality_check, normality_stats, plakhov_almeida_gate,
                      predict, reciprocal_schedule, resolve_e0, run_replicates,
-                     run_trajectory, step_counter_drift, tanh_problem,
-                     uniform_ball_noise)
+                     run_trajectory, scaled_rademacher_noise,
+                     step_counter_drift, tanh_problem, uniform_ball_noise)
 from adaptix import montecarlo
 from adaptix._rowops import apply_rows
-from adaptix.core import NOISE_CHUNK
+from adaptix.core import NOISE_CHUNK, _simulate
 from adaptix.montecarlo import _ks_distance, chi2_cdf
 from adaptix.rng import TRAJECTORY_LANE, substream
 
@@ -114,6 +114,59 @@ def test_pool_size_is_bounded_by_work_and_cpus(monkeypatch, workers, n_rep,
     assert InlinePool.sizes == ([] if pool_size is None else [pool_size])
     assert np.array_equal(baseline.x, other.x)
     assert np.array_equal(baseline.s, other.s)
+
+
+def record_bytes(rset):
+    return [None if a is None else a.tobytes()
+            for a in (rset.x, rset.s, rset.z, rset.diverged_at)]
+
+
+@pytest.mark.parametrize("noise", [
+    gaussian_noise(np.eye(2)), uniform_ball_noise(2, 2.0),
+    scaled_rademacher_noise(2, 1.0)], ids=lambda n: n.kind)
+@pytest.mark.parametrize("comparator", [None, "shared", "independent"])
+def test_tiles_never_change_bits(monkeypatch, noise, comparator):
+    # the horizon refills the noise buffer once and ends on a short chunk;
+    # the bound freezes some replicates early and lets the others run
+    n_rep, horizon = 9, NOISE_CHUNK + 7
+    problem = linear_problem(matrix=np.diag([1.5, 3.0]), noise=noise)
+    plan = ExperimentPlan(
+        problem=problem, schedule=RECIPROCAL, sigmoid=KESTEN,
+        init=InitialConditions(x0=np.array([0.5, -0.5])), horizon=horizon,
+        n_replicates=n_rep, master_seed=5, checkpoints=(1, 500, horizon),
+        couple_comparator=comparator is not None,
+        comparator_noise=comparator or "shared", divergence_bound=3.5)
+    streams = 2 if comparator == "independent" else 1
+    per_replicate = streams * NOISE_CHUNK * 2 * 8
+    tiles = []
+
+    def kernel(problem, init, schedule, sigmoid, horizon, rngs, *args,
+               **kwargs):
+        tiles.append(len(rngs))
+        return _simulate(problem, init, schedule, sigmoid, horizon, rngs,
+                         *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_simulate", kernel)
+    baseline = run_replicates(plan)
+    assert tiles == [n_rep]
+    assert 0 < baseline.diverged.sum() < n_rep
+    for tile, sizes in ((1, [1] * n_rep), (7, [7, 2]), (n_rep, [n_rep])):
+        monkeypatch.setattr(montecarlo, "NOISE_TILE_BYTES",
+                            tile * per_replicate)
+        tiles.clear()
+        assert record_bytes(run_replicates(plan)) == record_bytes(baseline)
+        assert tiles == sizes
+    # two workers in tiles of at most 7: blocks of 5 and 4 replicates
+    monkeypatch.setattr(montecarlo, "NOISE_TILE_BYTES", 7 * per_replicate)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    tiles.clear()
+    assert record_bytes(run_replicates(plan, workers=2)) == \
+        record_bytes(baseline)
+    assert InlinePool.sizes == [2]
+    assert tiles == [5, 4]
 
 
 def test_each_row_is_its_own_substream():
