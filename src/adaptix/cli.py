@@ -29,9 +29,9 @@ from .config import RunConfig, canonical_config, load_config
 from .core import Trajectory, run_trajectory
 from .errors import (AdaptixError, ConfigError, DimensionMismatchError,
                      DivergedTrajectoryError, StabilityError)
-from .montecarlo import (convergence_summary, coupling_gap, normality_check,
-                         resolve_e0, run_replicates, solve_predicted_v,
-                         step_counter_drift)
+from .montecarlo import (allocate_records, convergence_summary, coupling_gap,
+                         normality_check, resolve_e0, run_replicates,
+                         solve_predicted_v, step_counter_drift)
 from .problems import validate_problem
 from .schedules import gamma_eval
 from .serialize import write_csv, write_json
@@ -185,6 +185,8 @@ def cmd_replicate(args) -> int:
     cfg, out_dir = _load(args)
     plan = cfg.plan
     workers = _resolve_workers(args)
+    # refuse a replicate count that cannot be held before E0 and the oracle
+    records = allocate_records(plan)
     prediction = _predict_with_artifact(cfg, out_dir)
     if not prediction.stable:
         print("adaptix: W = I/2 - J/E0 is not stable; refusing to test "
@@ -193,7 +195,7 @@ def cmd_replicate(args) -> int:
     # the normality test needs V invertible: decide that before simulating
     solve_predicted_v(prediction.v, np.eye(plan.problem.dim))
 
-    rset = run_replicates(plan, workers=workers)
+    rset = run_replicates(plan, workers=workers, records=records)
     summary: dict = {
         "command": "replicate",
         "master_seed": plan.master_seed,

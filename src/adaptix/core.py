@@ -31,8 +31,10 @@ contract; changing it changes every sampled trajectory.
 
 A batch holds one noise block per stream, refilled in place chunk after
 chunk: n_rep x min(NOISE_CHUNK, horizon) x dim doubles, twice with
-independent comparator streams. Bounding that per worker is the caller's
-job; ``montecarlo`` runs a large block of replicates in tiles.
+independent comparator streams, plus one replicate tile of at most
+``_NOISE_TILE_BYTES`` that the streams draw into. Bounding the blocks per
+worker is the caller's job; ``montecarlo`` runs a large block of
+replicates in tiles.
 
 One replicate of a plan whose layers have an exact float form (see
 ``_lane_takes``) runs on Python floats instead of one-row arrays, on which
@@ -57,6 +59,10 @@ from .schedules import SigmoidSpec, StepSchedule, gamma_eval, sigmoid_eval
 
 #: Noise block length for every trajectory path (reproducibility contract).
 NOISE_CHUNK = 1024
+
+#: Bytes of the replicate tile ``_noise_blocks`` draws into before storing
+#: a chunk's noise: a few replicates, so the tile stays in cache.
+_NOISE_TILE_BYTES = 128 * 2**10
 
 #: Default guard: a trajectory whose norm exceeds this is declared diverged.
 DEFAULT_DIVERGENCE_BOUND = 1e12
@@ -164,7 +170,8 @@ class SimResult:
     diverged_at: np.ndarray     # step of divergence per replicate, -1 if none
 
 
-def _noise_blocks(noise, rngs: list, block: np.ndarray) -> np.ndarray:
+def _noise_blocks(noise, rngs: list, block: np.ndarray,
+                  tile: np.ndarray) -> np.ndarray:
     """Fill ``block``, shaped (span, dim, n_rep), with the next ``span``
     noise vectors of each stream; returns it as a (span, n_rep, dim) view.
 
@@ -174,9 +181,21 @@ def _noise_blocks(noise, rngs: list, block: np.ndarray) -> np.ndarray:
     single replicate's slice is one contiguous row. The kernel passes the
     leading ``span`` steps of one buffer it reuses for every chunk, which
     stay C-contiguous, so a short last chunk keeps the same layout.
+
+    Each stream draws its chunk into a row of ``tile``, a C-contiguous
+    (replicates, >= span, dim) buffer, and each full or last tile goes into
+    ``block`` in one transposed copy: that writes a run of replicates per
+    cache line, where storing one replicate at a time writes a single
+    double in each line it touches.
     """
-    for r, rng in enumerate(rngs):
-        block[:, :, r] = noise.sample_block(rng, block.shape[0])
+    span = block.shape[0]
+    width = tile.shape[0]
+    for lo in range(0, len(rngs), width):
+        part = rngs[lo:lo + width]
+        for i, rng in enumerate(part):
+            noise.sample_block(rng, span, out=tile[i, :span])
+        block[:, :, lo:lo + len(part)] = \
+            tile[:len(part), :span].transpose(1, 2, 0)
     return block.transpose(0, 2, 1)
 
 
@@ -312,16 +331,19 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
     buf_z = None
     if comparator is not None and comparator.rngs is not None:
         buf_z = np.empty((chunk, dim, n_rep))
+    width = _NOISE_TILE_BYTES // (8 * dim * max(chunk, 1))
+    tile = np.empty((max(1, min(n_rep, width)), chunk, dim))
     t = 1
     # the divergence guard catches every overflow and NaN, so numpy need
     # not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         while t <= horizon and (n_alive or comparator is not None):
             span = min(NOISE_CHUNK, horizon - t + 1)
-            xi = _noise_blocks(noise, rngs, buf[:span])
+            xi = _noise_blocks(noise, rngs, buf[:span], tile)
             xi_z = None
             if buf_z is not None:
-                xi_z = _noise_blocks(noise, comparator.rngs, buf_z[:span])
+                xi_z = _noise_blocks(noise, comparator.rngs, buf_z[:span],
+                                     tile)
             for k in range(span):
                 tk = t + k
                 xi_k = xi[k]

@@ -198,19 +198,13 @@ def _run_block(plan: ExperimentPlan, e0_value: float, lo: int, hi: int,
     return out
 
 
-def run_replicates(plan: ExperimentPlan, workers: int = 1) -> ReplicateSet:
-    """Execute the plan; the result is bit-identical for any ``workers``.
-
-    The result arrays are allocated first, before E0 is resolved or any
-    stream is made; a replicate count whose records numpy cannot allocate
-    raises ConfigError. At most one process per block, and no more blocks
-    than replicates or CPUs this process may run on: the pool forks all
-    its workers up front. The pool (and with it multiprocessing) is
-    imported only to fork one.
-    """
+def allocate_records(plan: ExperimentPlan):
+    """Empty (x, s, z, diverged_at) records of every replicate of ``plan``,
+    for :func:`run_replicates` to fill. A replicate count whose records
+    numpy cannot allocate raises ConfigError."""
     n = plan.n_replicates
     try:
-        out = _records(plan, n)
+        return _records(plan, n)
     except (ValueError, MemoryError):
         per_replicate = len(plan.checkpoints) * (
             plan.problem.dim * (2 if plan.couple_comparator else 1) + 1) + 1
@@ -218,6 +212,21 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1) -> ReplicateSet:
             f"experiment.n_replicates = {n} needs {n * per_replicate * 8} "
             "bytes of replicate records, more than can be allocated"
         ) from None
+
+
+def run_replicates(plan: ExperimentPlan, workers: int = 1,
+                   records=None) -> ReplicateSet:
+    """Execute the plan; the result is bit-identical for any ``workers``.
+
+    The result fills ``records`` from :func:`allocate_records`. Without
+    them they are allocated first, before E0 is resolved or any stream is
+    made. At most one process per block, and no more blocks than
+    replicates or CPUs this process may run on: the pool forks all its
+    workers up front. The pool (and with it multiprocessing) is imported
+    only to fork one.
+    """
+    n = plan.n_replicates
+    out = allocate_records(plan) if records is None else records
     e0 = resolve_e0(plan)
     n_blocks = max(1, min(int(workers), n, len(os.sched_getaffinity(0))))
     base, extra = divmod(n, n_blocks)

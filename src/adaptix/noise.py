@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rowops import _column_matvec, norm_rows
+from ._rowops import _ROW_CHUNK, _column_matvec, norm_rows
 from .errors import ConfigError, DimensionMismatchError
 
 #: Config keys of each noise kind besides ``kind`` and ``dim``, with defaults.
@@ -110,26 +110,42 @@ class NoiseModel:
         """Positive probability on every ball around the origin."""
         return self.kind != "scaled_rademacher"
 
-    def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def sample_block(self, rng: np.random.Generator, count: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
         """Draw ``count`` noise vectors as a (count, dim) block.
 
-        A gaussian block is column-major: the transpose of the (dim, count)
-        buffer ``_rowops`` fills a column at a time.
+        ``out``, a C-contiguous float64 (count, dim) array, receives the
+        block and is returned; without it the block is a new array. Either
+        way the draws and the bits are the same.
         """
         n = self.dim
+        if out is None:
+            out = np.empty((count, n))
+        elif (out.shape != (count, n) or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape "
+                f"{(count, n)}, got {out.dtype} {out.shape}")
         if self.kind == "gaussian":
-            z = rng.standard_normal((count, n))
-            # Row-local affine map; see _rowops for why not a matmul.
-            return _column_matvec(self._gaussian_factor, z)
+            # Row-local affine map; see _rowops for why not a matmul. The
+            # map reads the normals into a buffer of its own.
+            out[...] = _column_matvec(self._gaussian_factor,
+                                      rng.standard_normal(out=out))
+            return out
         if self.kind == "uniform_ball":
-            g = rng.standard_normal((count, n))
+            rng.standard_normal(out=out)
             r = rng.random(count)
-            nrm = norm_rows(g)
-            nrm = np.where(nrm == 0.0, 1.0, nrm)
-            g *= (self.radius * r ** (1.0 / n) / nrm)[:, None]
-            return g
-        signs = 2.0 * rng.integers(0, 2, size=(count, n)) - 1.0
-        return self.scale * signs
+            for lo in range(0, count, _ROW_CHUNK):
+                g = out[lo:lo + _ROW_CHUNK]
+                nrm = norm_rows(g)
+                nrm = np.where(nrm == 0.0, 1.0, nrm)
+                g *= (self.radius * r[lo:lo + _ROW_CHUNK] ** (1.0 / n)
+                      / nrm)[:, None]
+            return out
+        np.multiply(2.0, rng.integers(0, 2, size=(count, n)), out=out)
+        out -= 1.0
+        out *= self.scale
+        return out
 
 
 def gaussian_noise(cov) -> NoiseModel:

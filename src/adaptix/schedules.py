@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ConfigError, NoClosedFormError
 from .noise import NoiseModel
 from .report import FAIL, PASS, ValidationReport
-from ._rowops import dot_rows
+from ._rowops import _ROW_CHUNK, dot_rows
 from .rng import E0_LANE, as_generator, substream
 
 #: Config keys of each schedule family, in config.json order, with defaults.
@@ -328,16 +328,23 @@ def e0_monte_carlo(sigmoid: SigmoidSpec, noise: NoiseModel,
         return E0Estimate(value=sigmoid.u_plus, stderr=0.0,
                           method="monte_carlo", n_samples=int(n_samples))
     rng = as_generator(seed)
+    xi1 = np.empty((min(_E0_BLOCK, n_samples), noise.dim))
+    xi2 = np.empty_like(xi1)
+    vals = np.empty(xi1.shape[0])
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < n_samples:
         count = min(_E0_BLOCK, n_samples - done)
-        xi1 = noise.sample_block(rng, count)
-        xi2 = noise.sample_block(rng, count)
-        vals = sigmoid_eval(sigmoid, -dot_rows(xi1, xi2))
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
+        a = noise.sample_block(rng, count, out=xi1[:count])
+        b = noise.sample_block(rng, count, out=xi2[:count])
+        v = vals[:count]
+        # row-local, so rows that stay in cache give the block's bits
+        for lo in range(0, count, _ROW_CHUNK):
+            hi = lo + _ROW_CHUNK
+            v[lo:hi] = sigmoid_eval(sigmoid, -dot_rows(a[lo:hi], b[lo:hi]))
+        total += float(np.sum(v))
+        total_sq += float(np.sum(np.multiply(v, v, out=v)))
         done += count
     value = total / n_samples
     var = max(total_sq - n_samples * value * value, 0.0) / (n_samples - 1)

@@ -557,7 +557,8 @@ def test_replicate_records_too_large_to_allocate_exit_2(tmp_path, capsys,
                                                         n_rep):
     # numpy calls 2**60 replicates too big for an array; 2**50, whose x
     # alone is 48 PiB, exceeds any address space. The records are
-    # allocated before any substream is made, so neither grows memory.
+    # allocated before E0, the prediction or any substream, so neither
+    # grows memory and no prediction.json is written.
     path = make_config(tmp_path, **{"experiment.n_replicates": n_rep})
     out = tmp_path / "o"
     assert run_cli("replicate", "--config", path, "--out", out) == 2
@@ -566,7 +567,7 @@ def test_replicate_records_too_large_to_allocate_exit_2(tmp_path, capsys,
     assert err == [f"adaptix: error: experiment.n_replicates = {n_rep} "
                    f"needs {n_rep * 80} bytes of replicate records, more "
                    "than can be allocated"]
-    assert sorted(os.listdir(out)) == ["config.json", "prediction.json"]
+    assert sorted(os.listdir(out)) == ["config.json"]
 
 
 def test_workers_env_fallback(tmp_path, monkeypatch):

@@ -461,6 +461,46 @@ def test_kernel_holds_one_noise_block_per_stream():
     assert np.all(res.diverged_at == -1)
 
 
+def per_replicate_store(noise, rngs, block, tile):
+    """The kernel's noise store before replicate tiles: each stream's
+    chunk goes straight into its strided column of ``block``."""
+    for r, rng in enumerate(rngs):
+        block[:, :, r] = noise.sample_block(rng, block.shape[0])
+    return block.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("independent", [False, True])
+def test_replicate_tiles_give_the_per_replicate_store(monkeypatch,
+                                                      independent):
+    # one replicate, both sides of a full tile and a short last tile, over
+    # a full chunk and a short one, with shared and own comparator noise
+    dim, horizon = 2, NOISE_CHUNK + 7
+    tile = core._NOISE_TILE_BYTES // (8 * dim * NOISE_CHUNK)
+    assert tile > 2
+    problem = linear_problem(matrix=np.array([[1.5, 0.2], [0.0, 3.0]]),
+                             noise=gaussian_noise([[1.0, 0.3], [0.3, 0.5]]))
+    init = InitialConditions(x0=np.array([1.0, -1.0]))
+
+    def run(n_rep):
+        rngs = [substream(4, TRAJECTORY_LANE, r) for r in range(n_rep)]
+        comp_rngs = None
+        if independent:
+            comp_rngs = [substream(4, COMPARATOR_LANE, r)
+                         for r in range(n_rep)]
+        comparator = ComparatorConfig(alpha=problem.jacobian_at_root,
+                                      e0=0.5, rngs=comp_rngs)
+        res = _simulate(problem, init, RECIPROCAL, KESTEN, horizon, rngs,
+                        range(horizon + 1), comparator=comparator)
+        return [a.tobytes() for a in (res.x, res.s, res.y, res.z,
+                                      res.diverged_at)]
+
+    for n_rep in (1, tile - 1, tile, tile + 1, 2 * tile + 3):
+        tiled = run(n_rep)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_noise_blocks", per_replicate_store)
+            assert run(n_rep) == tiled, n_rep
+
+
 def test_mixed_divergence_batch_rows_match_single_runs():
     # one batch in which replicates diverge at steps 1, 17 and 26 while the
     # others survive: every row must be that replicate's own run, with the

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from adaptix import (InitialConditions, gaussian_noise, kesten_gate,
-                     reciprocal_schedule, run_trajectory, tanh_problem,
+                     reciprocal_schedule, run_trajectory,
+                     scaled_rademacher_noise, tanh_problem,
                      uniform_ball_noise)
-from adaptix._rowops import (_MIN_ROWS_PER_COLUMN, apply_rows, dot_rows,
-                             norm_rows)
+from adaptix._rowops import (_MIN_ROWS_PER_COLUMN, _ROW_CHUNK, apply_rows,
+                             dot_rows, norm_rows)
 from adaptix.core import ComparatorConfig, _simulate
 from adaptix.rng import TRAJECTORY_LANE, substream
 
@@ -113,16 +114,45 @@ def test_signed_zero_rows_sum_to_plus_zero():
     assert np.array_equal(bits(got), bits(np.zeros(64)))
 
 
+def gaussian_rows(noise, rng, count):
+    z = rng.standard_normal((count, noise.dim))
+    return row_matvec(noise._gaussian_factor, z)
+
+
+def ball_rows(noise, rng, count):
+    g = rng.standard_normal((count, noise.dim))
+    r = rng.random(count)
+    nrm = np.sqrt(row_sum(g * g))
+    nrm = np.where(nrm == 0.0, 1.0, nrm)
+    return g * (noise.radius * r ** (1.0 / noise.dim) / nrm)[:, None]
+
+
+def rademacher_rows(noise, rng, count):
+    return noise.scale * (2.0 * rng.integers(0, 2, size=(count, noise.dim))
+                          - 1.0)
+
+
+def correlated_gaussian(dim):
+    a = np.random.default_rng(100 + dim).standard_normal((dim, dim))
+    return gaussian_noise(a @ a.T + np.eye(dim))
+
+
+#: Each noise kind with its row-wise formula.
+SAMPLERS = {
+    "gaussian": (correlated_gaussian, gaussian_rows),
+    "uniform_ball": (lambda dim: uniform_ball_noise(dim, 1.5), ball_rows),
+    "scaled_rademacher": (lambda dim: scaled_rademacher_noise(dim, 0.7),
+                          rademacher_rows),
+}
+
+
 @pytest.mark.parametrize("dim", DIMS)
 def test_gaussian_block_matches_the_row_wise_map(dim):
-    rng = np.random.default_rng(100 + dim)
-    a = rng.standard_normal((dim, dim))
-    noise = gaussian_noise(a @ a.T + np.eye(dim))
-    f = noise._gaussian_factor
+    noise = correlated_gaussian(dim)
     for count in row_counts(dim):
         block = noise.sample_block(substream(7, TRAJECTORY_LANE, dim), count)
-        z = substream(7, TRAJECTORY_LANE, dim).standard_normal((count, dim))
-        assert_same_bits(block, row_matvec(f, z))
+        want = gaussian_rows(noise, substream(7, TRAJECTORY_LANE, dim), count)
+        assert_same_bits(block, want)
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -130,12 +160,36 @@ def test_ball_block_matches_the_row_wise_scaling(dim):
     noise = uniform_ball_noise(dim, 1.5)
     for count in row_counts(dim):
         block = noise.sample_block(substream(3, TRAJECTORY_LANE, dim), count)
-        rng = substream(3, TRAJECTORY_LANE, dim)
-        g = rng.standard_normal((count, dim))
-        r = rng.random(count)
-        nrm = np.sqrt(row_sum(g * g))
-        nrm = np.where(nrm == 0.0, 1.0, nrm)
-        assert_same_bits(block, g * (1.5 * r ** (1.0 / dim) / nrm)[:, None])
+        want = ball_rows(noise, substream(3, TRAJECTORY_LANE, dim), count)
+        assert_same_bits(block, want)
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_block_drawn_into_out_matches_the_row_wise_formula(kind, dim):
+    # both sides of the ball transform's row chunk, and a whole E0 block
+    make, rows = SAMPLERS[kind]
+    noise = make(dim)
+    for count in (1, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, 100_000):
+        want = rows(noise, substream(5, TRAJECTORY_LANE, dim), count)
+        buf = np.full((count, dim), np.nan)
+        got = noise.sample_block(substream(5, TRAJECTORY_LANE, dim), count,
+                                 out=buf)
+        assert got is buf
+        assert_same_bits(buf, want)
+        fresh = noise.sample_block(substream(5, TRAJECTORY_LANE, dim), count)
+        assert_same_bits(fresh, want)
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_block_refuses_an_out_of_another_shape_dtype_or_order(kind):
+    noise = SAMPLERS[kind][0](3)
+    rng = substream(5, TRAJECTORY_LANE, 3)
+    for out in (np.empty((6, 3)), np.empty((5, 2)), np.empty(15),
+                np.empty((5, 3), dtype=np.float32),
+                np.empty((5, 3), order="F"), np.empty((5, 6))[:, ::2]):
+        with pytest.raises(ValueError, match="out must be"):
+            noise.sample_block(rng, 5, out=out)
 
 
 def coupled_problem(dim):

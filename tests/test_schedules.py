@@ -1,5 +1,8 @@
 """Step-size schedules, gate functions, and the drift constant E0."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,9 @@ from adaptix import (ConfigError, NoClosedFormError, constant_gate,
                      power_schedule, reciprocal_schedule,
                      scaled_rademacher_noise, sigmoid_eval, smooth_gate,
                      uniform_ball_noise, validate_schedule)
+from adaptix._rowops import dot_rows
 from adaptix.report import FAIL, NOT_CHECKED, PASS
+from adaptix.rng import as_generator
 
 
 def verdicts(report, *check_ids):
@@ -288,6 +293,59 @@ def test_e0_monte_carlo_error_scaling():
     assert small.stderr / double.stderr == pytest.approx(np.sqrt(2), rel=0.05)
     other = e0_monte_carlo(gate, noise, n_samples=100_000, seed=99)
     assert abs(small.value - other.value) <= 4.0 * small.stderr
+
+
+def whole_block_e0(sigmoid, noise, n_samples, seed):
+    """(value, stderr) as the Monte Carlo first computed them: two fresh
+    blocks of up to 100 000 pairs, and the gate over each whole block."""
+    rng = as_generator(seed)
+    total = total_sq = 0.0
+    done = 0
+    while done < n_samples:
+        count = min(100_000, n_samples - done)
+        xi1 = noise.sample_block(rng, count)
+        xi2 = noise.sample_block(rng, count)
+        vals = sigmoid_eval(sigmoid, -dot_rows(xi1, xi2))
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals * vals))
+        done += count
+    value = total / n_samples
+    var = max(total_sq - n_samples * value * value, 0.0) / (n_samples - 1)
+    return value, math.sqrt(var / n_samples)
+
+
+@pytest.mark.parametrize("noise", [
+    gaussian_noise([[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 0.5]]),
+    uniform_ball_noise(4, 2.0), scaled_rademacher_noise(3, 0.5)],
+    ids=lambda noise: noise.kind)
+@pytest.mark.parametrize("gate", [
+    kesten_gate(), plakhov_almeida_gate(-0.25, 1.0),
+    smooth_gate(-0.5, 1.0, beta=0.7)], ids=lambda gate: gate.family)
+def test_e0_monte_carlo_is_the_whole_block_formula(gate, noise):
+    # two full blocks and a short one that ends inside a row chunk
+    n = 250_001
+    est = e0_monte_carlo(gate, noise, n_samples=n, seed=17)
+    assert (est.value, est.stderr) == whole_block_e0(gate, noise, n, 17)
+    assert est.n_samples == n
+
+
+def test_e0_monte_carlo_memory_is_two_blocks():
+    # 1e6 dim-4 ball pairs: the two reused 100 000-pair blocks are 6.1 MiB,
+    # and the gate runs on rows that stay in cache; fresh blocks and
+    # whole-block temporaries peaked at 14.5 MiB
+    gate = plakhov_almeida_gate(-0.25, 1.0)
+    noise = uniform_ball_noise(4, 2.0)
+    # a first call imports modules numpy's seeding needs (0.7 MiB traced);
+    # that is not the Monte Carlo's memory
+    e0_monte_carlo(gate, noise, n_samples=2, seed=0)
+    tracemalloc.start()
+    try:
+        est = e0_monte_carlo(gate, noise, n_samples=1_000_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 2**20
+    assert est.n_samples == 1_000_000
 
 
 def test_e0_monte_carlo_rejects_negative_drift():
