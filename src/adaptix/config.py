@@ -321,11 +321,19 @@ def _reject_duplicates(pairs):
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh, object_pairs_hook=_reject_duplicates)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {str(path)!r}: "
+                          f"{exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {str(path)!r} is not UTF-8: {exc.reason} "
+                          f"at byte {exc.start}") from exc
+    try:
+        data = json.loads(text, object_pairs_hook=_reject_duplicates)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     return parse_config(data)

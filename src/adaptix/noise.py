@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rowops import _ROW_CHUNK, _column_matvec, norm_rows
+from ._rowops import _ROW_CHUNK, _column_matvec, _diagonal_matvec, norm_rows
 from .errors import ConfigError, DimensionMismatchError
 
 #: Config keys of each noise kind besides ``kind`` and ``dim``, with defaults.
@@ -98,6 +98,20 @@ class NoiseModel:
                 raise ConfigError("gaussian covariance is not PSD") from None
             return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
+    @cached_property
+    def _factor_is_diagonal(self) -> bool:
+        """Whether every off-diagonal entry of ``_gaussian_factor`` is
+        zero: a scalar or diagonal ``cov`` (Cholesky then returns an exactly
+        diagonal factor) or the zero matrix."""
+        f = self._gaussian_factor
+        return bool(np.array_equal(f, np.diag(np.diagonal(f))))
+
+    @cached_property
+    def _factor_scale(self) -> np.ndarray | None:
+        """The diagonal of a diagonal factor, None when it is all ones."""
+        d = np.diagonal(self._gaussian_factor).copy()
+        return None if (d == 1.0).all() else d
+
     @property
     def is_continuous(self) -> bool:
         """Whether the law has a density on R^dim."""
@@ -127,10 +141,13 @@ class NoiseModel:
                 f"out must be a C-contiguous float64 array of shape "
                 f"{(count, n)}, got {out.dtype} {out.shape}")
         if self.kind == "gaussian":
+            rng.standard_normal(out=out)
+            if self._factor_is_diagonal:
+                # the mat-vec's bits, scaled in place; see _diagonal_matvec
+                return _diagonal_matvec(self._factor_scale, out)
             # Row-local affine map; see _rowops for why not a matmul. The
             # map reads the normals into a buffer of its own.
-            out[...] = _column_matvec(self._gaussian_factor,
-                                      rng.standard_normal(out=out))
+            out[...] = _column_matvec(self._gaussian_factor, out)
             return out
         if self.kind == "uniform_ball":
             rng.standard_normal(out=out)

@@ -106,10 +106,14 @@ def gamma_eval(schedule: StepSchedule, s):
             return 1.0 / max(s, schedule.s_floor)
         return float(schedule.gamma0)
     arr = np.asarray(s, dtype=np.float64)
-    if (arr < 0).any():
+    # fmin skips NaN, as ``arr < 0`` is False on it; the 0.0 start covers
+    # an empty array
+    if np.fmin.reduce(arr, axis=None, initial=0.0) < 0:
         raise ValueError("counter values must be >= 0")
     if schedule.family == "reciprocal":
-        out = 1.0 / np.maximum(arr, schedule.s_floor)
+        # in one buffer; on a 0-d array np.maximum gives a scalar instead
+        out = np.maximum(arr, schedule.s_floor)
+        out = np.divide(1.0, out, out=out) if arr.ndim else 1.0 / out
     elif schedule.family == "power":
         out = schedule.gamma0 / np.power(1.0 + arr, schedule.p)
     else:

@@ -540,6 +540,24 @@ def test_empty_output_dir_exits_2_with_one_line(tmp_path):
                              "output directory ''")
 
 
+@pytest.mark.parametrize(("name", "reason"), [
+    ("missing.json", "cannot read config {!r}: No such file or directory"),
+    ("a_directory", "cannot read config {!r}: Is a directory"),
+    ("latin1.json", "config {!r} is not UTF-8: invalid continuation byte "
+                    "at byte 13")], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_config_exits_2_with_one_line(tmp_path, name, reason):
+    path = tmp_path / name
+    if name == "a_directory":
+        path.mkdir()
+    elif name == "latin1.json":
+        path.write_bytes('{"note": "caf\u00e9"}'.encode("latin-1"))
+    out = tmp_path / "o"
+    code, err = cli_stderr("predict", "--config", path, "--out", out)
+    assert code == 2
+    assert err == ["adaptix: error: " + reason.format(str(path))]
+    assert not out.exists()
+
+
 def test_out_naming_a_file_exits_2_with_one_line(tmp_path):
     path = make_config(tmp_path)
     taken = tmp_path / "taken"

@@ -9,6 +9,7 @@ from adaptix import (ConfigError, DimensionMismatchError,
                      linear_problem, plakhov_almeida_gate,
                      reciprocal_schedule, scaled_rademacher_noise,
                      tanh_problem, uniform_ball_noise, validate_problem)
+from adaptix._rowops import apply_rows
 from adaptix.asymptotics import MAX_DIM
 from adaptix.config import parse_config
 from adaptix.problems import jacobian_fd
@@ -37,6 +38,45 @@ def test_field_eval_batches():
     out = field_eval(problem, pts)
     assert out.shape == (4, 3, 2)
     assert np.allclose(out[..., 1], 2.0)
+
+
+def nan_bits(a):
+    """Bits with every NaN's payload dropped; see test_rowops."""
+    a = np.asarray(a, dtype=np.float64)
+    return np.where(np.isnan(a), np.nan, a).view(np.int64)
+
+
+#: Every pair of signed zeros, NaN, infinities and a plain value.
+SPECIAL_ROWS = np.array([(a, b) for a in (0.0, -0.0, np.nan, np.inf,
+                                          -np.inf, 1.5)
+                         for b in (0.0, -0.0, np.nan, np.inf, -np.inf, -2.0)])
+
+
+@pytest.mark.parametrize(("root", "skips"), [(0.0, True), (-0.0, False),
+                                             ([0.0, -0.0], False),
+                                             ([1.0, -0.5], False)],
+                         ids=["plus-zero", "minus-zero", "mixed-zero",
+                              "nonzero"])
+def test_field_eval_is_the_field_of_x_minus_root(root, skips):
+    # only an all +0.0 root skips the subtraction, which would change no
+    # bit; a -0.0 entry turns a -0.0 coordinate into +0.0
+    m = np.array([[2.0, 1.0], [-0.5, 3.0]])
+    root = np.broadcast_to(np.asarray(root, dtype=np.float64), (2,))
+    problem = linear_problem(matrix=m, root=root)
+    assert problem.root_is_zero is skips
+    with np.errstate(invalid="ignore"):
+        want = apply_rows(m, SPECIAL_ROWS - root)
+        assert np.array_equal(nan_bits(field_eval(problem, SPECIAL_ROWS)),
+                              nan_bits(want))
+        tanh = tanh_problem(matrix=m, root=root)
+        assert np.array_equal(
+            nan_bits(field_eval(tanh, SPECIAL_ROWS)),
+            nan_bits(apply_rows(m, np.tanh(SPECIAL_ROWS - root))))
+        cubic = cubic_problem(a=1.5, c=0.5, root=root[:1])
+        x = SPECIAL_ROWS[:, :1]
+        assert np.array_equal(
+            nan_bits(field_eval(cubic, x)),
+            nan_bits(1.5 * (x - root[0]) + 0.5 * (x - root[0]) ** 3))
 
 
 def test_scalar_matrix_becomes_multiple_of_identity():

@@ -13,17 +13,25 @@ The comparator replay in ``test_montecarlo.py`` calls ``apply_rows`` itself;
 this file is what keeps that cross-check independent of the column form.
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from adaptix import (InitialConditions, gaussian_noise, kesten_gate,
+from adaptix import (InitialConditions, e0_monte_carlo, gaussian_noise,
+                     kesten_gate, linear_problem, plakhov_almeida_gate,
                      reciprocal_schedule, run_trajectory,
-                     scaled_rademacher_noise, tanh_problem,
+                     scaled_rademacher_noise, smooth_gate, tanh_problem,
                      uniform_ball_noise)
-from adaptix._rowops import (_MIN_ROWS_PER_COLUMN, _ROW_CHUNK, apply_rows,
+from adaptix._rowops import (_MIN_ROWS_PER_COLUMN, _ROW_CHUNK,
+                             _column_matvec, _diagonal_matvec, apply_rows,
                              dot_rows, norm_rows)
-from adaptix.core import ComparatorConfig, _simulate
-from adaptix.rng import TRAJECTORY_LANE, substream
+from adaptix.core import NOISE_CHUNK, ComparatorConfig, _lane_takes, _simulate
+from adaptix.noise import NoiseModel
+from adaptix.rng import COMPARATOR_LANE, TRAJECTORY_LANE, substream
 
 DIMS = range(1, 13)
 SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -137,9 +145,26 @@ def correlated_gaussian(dim):
     return gaussian_noise(a @ a.T + np.eye(dim))
 
 
+def singular_gaussian(dim):
+    """diag(1, 0, 1, 0, ...): merely PSD, so its factor comes from eigh."""
+    return gaussian_noise(np.arange(1, dim + 1) % 2 * 1.0)
+
+
+#: Gaussian covariances by the shape of their factor; all but the
+#: correlated one (and dims 2 and up of the singular one) have a diagonal
+#: factor, which ``sample_block`` applies as an in-place scale.
+GAUSSIANS = {
+    "gaussian": correlated_gaussian,
+    "gaussian-identity": lambda dim: gaussian_noise(np.eye(dim)),
+    "gaussian-diagonal": lambda dim: gaussian_noise(
+        np.linspace(0.3, 4.0, dim)),
+    "gaussian-zero": lambda dim: gaussian_noise(np.zeros((dim, dim))),
+    "gaussian-singular": singular_gaussian,
+}
+
 #: Each noise kind with its row-wise formula.
 SAMPLERS = {
-    "gaussian": (correlated_gaussian, gaussian_rows),
+    **{name: (make, gaussian_rows) for name, make in GAUSSIANS.items()},
     "uniform_ball": (lambda dim: uniform_ball_noise(dim, 1.5), ball_rows),
     "scaled_rademacher": (lambda dim: scaled_rademacher_noise(dim, 0.7),
                           rademacher_rows),
@@ -148,11 +173,14 @@ SAMPLERS = {
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_gaussian_block_matches_the_row_wise_map(dim):
-    noise = correlated_gaussian(dim)
-    for count in row_counts(dim):
-        block = noise.sample_block(substream(7, TRAJECTORY_LANE, dim), count)
-        want = gaussian_rows(noise, substream(7, TRAJECTORY_LANE, dim), count)
-        assert_same_bits(block, want)
+    for make in GAUSSIANS.values():
+        noise = make(dim)
+        for count in row_counts(dim):
+            block = noise.sample_block(substream(7, TRAJECTORY_LANE, dim),
+                                       count)
+            want = gaussian_rows(noise, substream(7, TRAJECTORY_LANE, dim),
+                                 count)
+            assert_same_bits(block, want)
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -227,3 +255,137 @@ def test_batch_rows_match_single_runs_and_any_split(dim):
     single = run_trajectory(problem, init, schedule, gate, horizon, 4)
     assert_same_bits(single.x, whole.x[:, 0])
     assert_same_bits(single.s, whole.s[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# the diagonal gaussian factor as an in-place scale
+
+
+@pytest.mark.parametrize(("cov", "diagonal", "unit"), [
+    (1.0, True, True), (np.eye(3), True, True), ([0.5, 2.0], True, False),
+    (np.diag([4.0, 9.0, 0.25]), True, False), (np.zeros((2, 2)), True, False),
+    (np.diag([1.0, 0.0]), False, None),
+    ([[1.0, 0.3], [0.3, 0.5]], False, None)],
+    ids=["scalar", "identity", "diagonal", "diagonal-matrix", "zero",
+         "singular", "correlated"])
+def test_only_a_diagonal_factor_takes_the_scale(cov, diagonal, unit):
+    # diag(1, 0) is not positive definite: its eigh factor permutes columns
+    noise = gaussian_noise(cov)
+    assert noise._factor_is_diagonal is diagonal
+    if diagonal:
+        assert (noise._factor_scale is None) is unit
+
+
+#: Entries whose sign or size a mat-vec could treat differently: signed
+#: zeros, subnormals and the largest magnitudes.
+CRAFTED = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308,
+           1e308, -1e308, 1.0, -2.5]
+DIAGONALS = [None, [1.0, 1.0, 1.0], [2.0, 0.5, 3.0], [0.0, 0.0, 0.0],
+             [-0.0, -1.5, 1e-300], [1e10, 4e-320, 1.0]]
+
+
+def assert_diagonal_map_is_the_matvec(d, z):
+    ones = np.ones(z.shape[1])
+    m = np.diag(ones if d is None else d)
+    with np.errstate(all="ignore"):
+        want = _column_matvec(m, z)
+        got = _diagonal_matvec(None if d is None else np.asarray(d),
+                               z.copy())
+    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("d", DIAGONALS, ids=str)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_diagonal_map_is_the_matvec_on_crafted_rows(dim, d):
+    # every combination of crafted entries: -0.0 * 1.0 must come out +0.0
+    # as the mat-vec's zero start makes it
+    z = np.array(list(itertools.product(CRAFTED, repeat=dim)))
+    assert_diagonal_map_is_the_matvec(None if d is None else d[:dim], z)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_diagonal_map_is_the_matvec_on_any_finite_rows(data):
+    dim = data.draw(st.integers(1, 9))
+    rows = data.draw(st.integers(1, 40))
+    z = data.draw(hnp.arrays(np.float64, (rows, dim), elements=FINITE))
+    d = data.draw(st.none() | hnp.arrays(np.float64, dim, elements=FINITE))
+    assert_diagonal_map_is_the_matvec(d, z)
+
+
+@pytest.fixture
+def on_the_matvec(monkeypatch):
+    """Calls a function with every gaussian draw taking the mat-vec, the
+    route a non-diagonal factor takes."""
+    def call(fn):
+        with monkeypatch.context() as patch:
+            patch.setattr(NoiseModel, "_factor_is_diagonal",
+                          property(lambda self: False))
+            return fn()
+    return call
+
+
+DIAGONAL_COVS = {"identity": np.eye(2), "diagonal": [0.5, 2.0],
+                 "zero": np.zeros((2, 2))}
+
+
+@pytest.mark.parametrize("independent", [False, True])
+@pytest.mark.parametrize("cov", sorted(DIAGONAL_COVS))
+def test_batch_rows_are_the_matvec_route_rows(on_the_matvec, cov,
+                                               independent):
+    noise = gaussian_noise(DIAGONAL_COVS[cov])
+    assert noise._factor_is_diagonal
+    problem = linear_problem(matrix=np.array([[1.5, 0.2], [0.0, 3.0]]),
+                             noise=noise)
+    init = InitialConditions(x0=np.array([1.0, -1.0]))
+    horizon, n_rep = NOISE_CHUNK + 7, 5
+
+    def run():
+        rngs = [substream(6, TRAJECTORY_LANE, r) for r in range(n_rep)]
+        comp = None
+        if independent:
+            comp = [substream(6, COMPARATOR_LANE, r) for r in range(n_rep)]
+        comparator = ComparatorConfig(alpha=problem.jacobian_at_root,
+                                      e0=0.5, rngs=comp)
+        res = _simulate(problem, init, reciprocal_schedule(2.0),
+                        kesten_gate(), horizon, rngs, range(horizon + 1),
+                        comparator=comparator)
+        return [a.tobytes() for a in (res.x, res.s, res.y, res.z,
+                                      res.diverged_at)]
+
+    assert run() == on_the_matvec(run)
+
+
+@pytest.mark.parametrize("cov", sorted(DIAGONAL_COVS))
+def test_float_lane_is_the_matvec_route_lane(on_the_matvec, cov):
+    problem = linear_problem(matrix=np.array([[1.5, 0.2], [0.0, 3.0]]),
+                             noise=gaussian_noise(DIAGONAL_COVS[cov]))
+    init = InitialConditions(x0=np.array([1.0, -1.0]))
+    schedule, gate = reciprocal_schedule(2.0), kesten_gate()
+    assert _lane_takes(problem, schedule, gate, 1, None)
+
+    def run():
+        traj = run_trajectory(problem, init, schedule, gate,
+                              NOISE_CHUNK + 7, 9)
+        return [a.tobytes() for a in (traj.x, traj.s, traj.y)]
+
+    assert run() == on_the_matvec(run)
+
+
+@pytest.mark.parametrize("gate", [plakhov_almeida_gate(-0.25, 1.0),
+                                  smooth_gate(-0.5, 1.0, beta=0.7)],
+                         ids=lambda gate: gate.family)
+@pytest.mark.parametrize("cov", ["identity", "diagonal"])
+def test_e0_monte_carlo_is_the_matvec_route_estimate(on_the_matvec, gate,
+                                                     cov):
+    # a full block and a short one that ends inside a row chunk
+    noise = gaussian_noise(DIAGONAL_COVS[cov])
+
+    def run():
+        est = e0_monte_carlo(gate, noise, n_samples=120_001, seed=23)
+        return est.value, est.stderr
+
+    assert run() == on_the_matvec(run)

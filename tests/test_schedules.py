@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adaptix import (ConfigError, NoClosedFormError, constant_gate,
                      constant_schedule, e0_exact, e0_monte_carlo, gamma_eval,
@@ -63,6 +66,54 @@ def test_gamma_rejects_negative_counter():
         gamma_eval(reciprocal_schedule(), -0.5)
     with pytest.raises(ValueError):
         gamma_eval(reciprocal_schedule(), np.array([1.0, -0.5]))
+
+
+def old_gamma_eval(schedule, s):
+    """The array form before it shared one buffer: the test it raised on
+    and the values it gave."""
+    arr = np.asarray(s, dtype=np.float64)
+    if (arr < 0).any():
+        raise ValueError("counter values must be >= 0")
+    if schedule.family == "reciprocal":
+        return 1.0 / np.maximum(arr, schedule.s_floor)
+    if schedule.family == "power":
+        return schedule.gamma0 / np.power(1.0 + arr, schedule.p)
+    return np.full_like(arr, schedule.gamma0)
+
+
+def test_gamma_array_raises_on_a_negative_beside_nan_only():
+    sched = reciprocal_schedule(2.0)
+    with pytest.raises(ValueError):
+        gamma_eval(sched, np.array([np.nan, 3.0, -1e-300]))
+    counters = np.array([np.nan, -0.0, 0.0, 1.0, 2.5, np.inf])
+    got = gamma_eval(sched, counters)
+    assert got.tobytes() == (1.0 / np.maximum(counters, 2.0)).tobytes()
+    assert gamma_eval(sched, np.array([])).shape == (0,)
+
+
+SCHEDULES = [reciprocal_schedule(), reciprocal_schedule(2.5),
+             constant_schedule(0.3), power_schedule(0.7, 0.6)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(schedule=st.sampled_from(SCHEDULES),
+       counters=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0,
+                                                        max_dims=2,
+                                                        min_side=0)))
+def test_gamma_array_gives_the_old_value_or_the_old_error(schedule,
+                                                          counters):
+    # any float64 counters: NaN, signed zeros, infinities and negatives
+    with np.errstate(all="ignore"):
+        try:
+            want = old_gamma_eval(schedule, counters)
+        except ValueError:
+            with pytest.raises(ValueError):
+                gamma_eval(schedule, counters)
+            return
+        got = gamma_eval(schedule, counters)
+    if counters.ndim == 0:
+        assert type(got) is float
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 COUNTERS = [0.0, -0.0, 1e-300, 0.3, 1.0, 2.0, 2.5, 7.0, 1e300, np.inf, np.nan]
