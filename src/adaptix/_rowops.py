@@ -81,24 +81,6 @@ def _column_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc.T
 
 
-def _diagonal_matvec(d: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    """``_column_matvec(np.diag(d), x)`` computed in place in a 2-D ``x``
-    of finite entries and returned; ``d`` None stands for a diagonal of
-    ones, which multiplies nothing.
-
-    Each off-diagonal product ``x[r, j] * 0.0`` is a signed zero, and a sum
-    from a +0.0 start differs from its one other term ``x[r, i] * d[i]``
-    only in turning -0.0 into +0.0, as ``+= 0.0`` does. Scaling one column
-    at a time beats a broadcast along the short last axis.
-    """
-    if d is not None:
-        xt = x.T
-        for j, dj in enumerate(d):
-            xt[j] *= dj
-    x += 0.0
-    return x
-
-
 def apply_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product per row: ``out[..., i] = sum_j m[i, j] x[..., j]``.
 

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rowops import _ROW_CHUNK, _column_matvec, _diagonal_matvec, norm_rows
+from ._rowops import _ROW_CHUNK, _column_matvec, norm_rows
 from .errors import ConfigError, DimensionMismatchError
 
 #: Config keys of each noise kind besides ``kind`` and ``dim``, with defaults.
@@ -99,18 +99,10 @@ class NoiseModel:
             return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
     @cached_property
-    def _factor_is_diagonal(self) -> bool:
-        """Whether every off-diagonal entry of ``_gaussian_factor`` is
-        zero: a scalar or diagonal ``cov`` (Cholesky then returns an exactly
-        diagonal factor) or the zero matrix."""
-        f = self._gaussian_factor
-        return bool(np.array_equal(f, np.diag(np.diagonal(f))))
-
-    @cached_property
-    def _factor_scale(self) -> np.ndarray | None:
-        """The diagonal of a diagonal factor, None when it is all ones."""
-        d = np.diagonal(self._gaussian_factor).copy()
-        return None if (d == 1.0).all() else d
+    def _factor_is_identity(self) -> bool:
+        """Whether ``_gaussian_factor`` is the identity: ``cov`` 1.0 or I,
+        whose Cholesky factor is exactly I."""
+        return bool(np.array_equal(self._gaussian_factor, np.eye(self.dim)))
 
     @property
     def is_continuous(self) -> bool:
@@ -142,9 +134,12 @@ class NoiseModel:
                 f"{(count, n)}, got {out.dtype} {out.shape}")
         if self.kind == "gaussian":
             rng.standard_normal(out=out)
-            if self._factor_is_diagonal:
-                # the mat-vec's bits, scaled in place; see _diagonal_matvec
-                return _diagonal_matvec(self._factor_scale, out)
+            if self._factor_is_identity:
+                # The mat-vec's bits on finite normals: each z_j * 0.0 is a
+                # signed zero, and a sum from +0.0 differs from its one
+                # term z_i * 1.0 only in turning -0.0 into +0.0, as this does.
+                out += 0.0
+                return out
             # Row-local affine map; see _rowops for why not a matmul. The
             # map reads the normals into a buffer of its own.
             out[...] = _column_matvec(self._gaussian_factor, out)

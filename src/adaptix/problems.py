@@ -77,8 +77,6 @@ class ProblemSpec:
     # ``matrix`` and ``root`` as tuples of floats, for field_eval's float form
     matrix_rows: tuple | None = field(default=None, init=False, repr=False)
     root_floats: tuple = field(default=(), init=False, repr=False)
-    # every root entry is +0.0, so field_eval's ``x - root`` is x bit for bit
-    root_is_zero: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
@@ -89,8 +87,6 @@ class ProblemSpec:
                 f"root shape {root.shape} does not match dim {self.dim}")
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "root_floats", tuple(root.tolist()))
-        object.__setattr__(self, "root_is_zero",
-                           not (root.any() or np.signbit(root).any()))
         if self.noise.dim != self.dim:
             raise DimensionMismatchError(
                 f"noise dim {self.noise.dim} does not match problem dim {self.dim}")
@@ -149,9 +145,7 @@ def field_eval(problem: ProblemSpec, x) -> np.ndarray:
     if arr.shape[-1] != problem.dim:
         raise DimensionMismatchError(
             f"x has dimension {arr.shape[-1]}, problem has {problem.dim}")
-    # subtracting +0.0 changes no bit, -0.0 and NaN included; a -0.0 root
-    # still subtracts (it turns a -0.0 entry into +0.0)
-    centered = arr if problem.root_is_zero else arr - problem.root
+    centered = arr - problem.root
     if problem.kind == "linear":
         return apply_rows(problem.matrix, centered)
     if problem.kind == "tanh":

@@ -106,14 +106,10 @@ def gamma_eval(schedule: StepSchedule, s):
             return 1.0 / max(s, schedule.s_floor)
         return float(schedule.gamma0)
     arr = np.asarray(s, dtype=np.float64)
-    # fmin skips NaN, as ``arr < 0`` is False on it; the 0.0 start covers
-    # an empty array
-    if np.fmin.reduce(arr, axis=None, initial=0.0) < 0:
+    if (arr < 0).any():
         raise ValueError("counter values must be >= 0")
     if schedule.family == "reciprocal":
-        # in one buffer; on a 0-d array np.maximum gives a scalar instead
-        out = np.maximum(arr, schedule.s_floor)
-        out = np.divide(1.0, out, out=out) if arr.ndim else 1.0 / out
+        out = 1.0 / np.maximum(arr, schedule.s_floor)
     elif schedule.family == "power":
         out = schedule.gamma0 / np.power(1.0 + arr, schedule.p)
     else:

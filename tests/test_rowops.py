@@ -27,8 +27,7 @@ from adaptix import (InitialConditions, e0_monte_carlo, gaussian_noise,
                      scaled_rademacher_noise, smooth_gate, tanh_problem,
                      uniform_ball_noise)
 from adaptix._rowops import (_MIN_ROWS_PER_COLUMN, _ROW_CHUNK,
-                             _column_matvec, _diagonal_matvec, apply_rows,
-                             dot_rows, norm_rows)
+                             _column_matvec, apply_rows, dot_rows, norm_rows)
 from adaptix.core import NOISE_CHUNK, ComparatorConfig, _lane_takes, _simulate
 from adaptix.noise import NoiseModel
 from adaptix.rng import COMPARATOR_LANE, TRAJECTORY_LANE, substream
@@ -150,9 +149,8 @@ def singular_gaussian(dim):
     return gaussian_noise(np.arange(1, dim + 1) % 2 * 1.0)
 
 
-#: Gaussian covariances by the shape of their factor; all but the
-#: correlated one (and dims 2 and up of the singular one) have a diagonal
-#: factor, which ``sample_block`` applies as an in-place scale.
+#: Gaussian covariances by the shape of their factor; only the identity's
+#: skips the mat-vec in ``sample_block``.
 GAUSSIANS = {
     "gaussian": correlated_gaussian,
     "gaussian-identity": lambda dim: gaussian_noise(np.eye(dim)),
@@ -258,49 +256,48 @@ def test_batch_rows_match_single_runs_and_any_split(dim):
 
 
 # ---------------------------------------------------------------------------
-# the diagonal gaussian factor as an in-place scale
+# the identity gaussian factor, applied as ``+= 0.0``
 
 
-@pytest.mark.parametrize(("cov", "diagonal", "unit"), [
-    (1.0, True, True), (np.eye(3), True, True), ([0.5, 2.0], True, False),
-    (np.diag([4.0, 9.0, 0.25]), True, False), (np.zeros((2, 2)), True, False),
-    (np.diag([1.0, 0.0]), False, None),
-    ([[1.0, 0.3], [0.3, 0.5]], False, None)],
-    ids=["scalar", "identity", "diagonal", "diagonal-matrix", "zero",
-         "singular", "correlated"])
-def test_only_a_diagonal_factor_takes_the_scale(cov, diagonal, unit):
-    # diag(1, 0) is not positive definite: its eigh factor permutes columns
-    noise = gaussian_noise(cov)
-    assert noise._factor_is_diagonal is diagonal
-    if diagonal:
-        assert (noise._factor_scale is None) is unit
+@pytest.mark.parametrize(("cov", "identity"), [
+    (1.0, True), (np.eye(3), True), ([1.0, 1.0], True), (4.0, False),
+    ([0.5, 2.0], False), (np.zeros((2, 2)), False),
+    (np.diag([1.0, 0.0]), False), ([[1.0, 0.3], [0.3, 0.5]], False)],
+    ids=["scalar", "identity", "unit-diagonal", "scalar-4", "diagonal",
+         "zero", "singular", "correlated"])
+def test_only_the_identity_factor_skips_the_matvec(cov, identity):
+    assert gaussian_noise(cov)._factor_is_identity is identity
+
+
+class FixedNormals:
+    """A generator stand-in whose normals are given rows."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, out):
+        out[...] = self.z
+        return out
 
 
 #: Entries whose sign or size a mat-vec could treat differently: signed
 #: zeros, subnormals and the largest magnitudes.
 CRAFTED = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308,
            1e308, -1e308, 1.0, -2.5]
-DIAGONALS = [None, [1.0, 1.0, 1.0], [2.0, 0.5, 3.0], [0.0, 0.0, 0.0],
-             [-0.0, -1.5, 1e-300], [1e10, 4e-320, 1.0]]
 
 
-def assert_diagonal_map_is_the_matvec(d, z):
-    ones = np.ones(z.shape[1])
-    m = np.diag(ones if d is None else d)
-    with np.errstate(all="ignore"):
-        want = _column_matvec(m, z)
-        got = _diagonal_matvec(None if d is None else np.asarray(d),
-                               z.copy())
-    assert_same_bits(got, want)
+def assert_identity_draw_is_the_matvec(z):
+    dim = z.shape[1]
+    got = gaussian_noise(np.eye(dim)).sample_block(FixedNormals(z), len(z))
+    assert_same_bits(got, _column_matvec(np.eye(dim), z))
 
 
-@pytest.mark.parametrize("d", DIAGONALS, ids=str)
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_diagonal_map_is_the_matvec_on_crafted_rows(dim, d):
-    # every combination of crafted entries: -0.0 * 1.0 must come out +0.0
-    # as the mat-vec's zero start makes it
+def test_identity_draw_is_the_matvec_on_crafted_rows(dim):
+    # every combination of crafted entries: -0.0 must come out +0.0 as the
+    # mat-vec's zero start makes it
     z = np.array(list(itertools.product(CRAFTED, repeat=dim)))
-    assert_diagonal_map_is_the_matvec(None if d is None else d[:dim], z)
+    assert_identity_draw_is_the_matvec(z)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -308,36 +305,29 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_diagonal_map_is_the_matvec_on_any_finite_rows(data):
+def test_identity_draw_is_the_matvec_on_any_finite_rows(data):
     dim = data.draw(st.integers(1, 9))
     rows = data.draw(st.integers(1, 40))
-    z = data.draw(hnp.arrays(np.float64, (rows, dim), elements=FINITE))
-    d = data.draw(st.none() | hnp.arrays(np.float64, dim, elements=FINITE))
-    assert_diagonal_map_is_the_matvec(d, z)
+    assert_identity_draw_is_the_matvec(
+        data.draw(hnp.arrays(np.float64, (rows, dim), elements=FINITE)))
 
 
 @pytest.fixture
 def on_the_matvec(monkeypatch):
     """Calls a function with every gaussian draw taking the mat-vec, the
-    route a non-diagonal factor takes."""
+    route a factor other than the identity takes."""
     def call(fn):
         with monkeypatch.context() as patch:
-            patch.setattr(NoiseModel, "_factor_is_diagonal",
+            patch.setattr(NoiseModel, "_factor_is_identity",
                           property(lambda self: False))
             return fn()
     return call
 
 
-DIAGONAL_COVS = {"identity": np.eye(2), "diagonal": [0.5, 2.0],
-                 "zero": np.zeros((2, 2))}
-
-
 @pytest.mark.parametrize("independent", [False, True])
-@pytest.mark.parametrize("cov", sorted(DIAGONAL_COVS))
-def test_batch_rows_are_the_matvec_route_rows(on_the_matvec, cov,
-                                               independent):
-    noise = gaussian_noise(DIAGONAL_COVS[cov])
-    assert noise._factor_is_diagonal
+def test_batch_rows_are_the_matvec_route_rows(on_the_matvec, independent):
+    noise = gaussian_noise(np.eye(2))
+    assert noise._factor_is_identity
     problem = linear_problem(matrix=np.array([[1.5, 0.2], [0.0, 3.0]]),
                              noise=noise)
     init = InitialConditions(x0=np.array([1.0, -1.0]))
@@ -359,10 +349,9 @@ def test_batch_rows_are_the_matvec_route_rows(on_the_matvec, cov,
     assert run() == on_the_matvec(run)
 
 
-@pytest.mark.parametrize("cov", sorted(DIAGONAL_COVS))
-def test_float_lane_is_the_matvec_route_lane(on_the_matvec, cov):
+def test_float_lane_is_the_matvec_route_lane(on_the_matvec):
     problem = linear_problem(matrix=np.array([[1.5, 0.2], [0.0, 3.0]]),
-                             noise=gaussian_noise(DIAGONAL_COVS[cov]))
+                             noise=gaussian_noise([1.0, 1.0]))
     init = InitialConditions(x0=np.array([1.0, -1.0]))
     schedule, gate = reciprocal_schedule(2.0), kesten_gate()
     assert _lane_takes(problem, schedule, gate, 1, None)
@@ -378,11 +367,9 @@ def test_float_lane_is_the_matvec_route_lane(on_the_matvec, cov):
 @pytest.mark.parametrize("gate", [plakhov_almeida_gate(-0.25, 1.0),
                                   smooth_gate(-0.5, 1.0, beta=0.7)],
                          ids=lambda gate: gate.family)
-@pytest.mark.parametrize("cov", ["identity", "diagonal"])
-def test_e0_monte_carlo_is_the_matvec_route_estimate(on_the_matvec, gate,
-                                                     cov):
+def test_e0_monte_carlo_is_the_matvec_route_estimate(on_the_matvec, gate):
     # a full block and a short one that ends inside a row chunk
-    noise = gaussian_noise(DIAGONAL_COVS[cov])
+    noise = gaussian_noise(np.eye(2))
 
     def run():
         est = e0_monte_carlo(gate, noise, n_samples=120_001, seed=23)

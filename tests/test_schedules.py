@@ -68,9 +68,9 @@ def test_gamma_rejects_negative_counter():
         gamma_eval(reciprocal_schedule(), np.array([1.0, -0.5]))
 
 
-def old_gamma_eval(schedule, s):
-    """The array form before it shared one buffer: the test it raised on
-    and the values it gave."""
+def formula_gamma_eval(schedule, s):
+    """The array form written out: the check it raises on and the values
+    it gives."""
     arr = np.asarray(s, dtype=np.float64)
     if (arr < 0).any():
         raise ValueError("counter values must be >= 0")
@@ -100,12 +100,12 @@ SCHEDULES = [reciprocal_schedule(), reciprocal_schedule(2.5),
        counters=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0,
                                                         max_dims=2,
                                                         min_side=0)))
-def test_gamma_array_gives_the_old_value_or_the_old_error(schedule,
+def test_gamma_array_gives_the_formula_value_or_its_error(schedule,
                                                           counters):
     # any float64 counters: NaN, signed zeros, infinities and negatives
     with np.errstate(all="ignore"):
         try:
-            want = old_gamma_eval(schedule, counters)
+            want = formula_gamma_eval(schedule, counters)
         except ValueError:
             with pytest.raises(ValueError):
                 gamma_eval(schedule, counters)
