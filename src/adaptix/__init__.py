@@ -15,8 +15,8 @@ from .asymptotics import (AsymptoticPrediction, covariance_integral_oracle,
 from .config import RunConfig, canonical_config, load_config, parse_config
 from .core import AlgoState, InitialConditions, Trajectory, run_trajectory
 from .errors import (AdaptixError, ConfigError, DimensionMismatchError,
-                     DivergedTrajectoryError, NoClosedFormError, NumericError,
-                     StabilityError, TailBoundError)
+                     DivergedTrajectoryError, NumericError, StabilityError,
+                     TailBoundError)
 from .montecarlo import (ConvergenceSummary, CouplingSummary, ExperimentPlan,
                          NormalityReport,
                          ReplicateSet, convergence_summary, coupling_gap,
@@ -41,7 +41,7 @@ __all__ = [
     "ConvergenceSummary", "CouplingSummary", "DimensionMismatchError",
     "DivergedTrajectoryError",
     "E0Estimate", "ExperimentPlan", "InitialConditions",
-    "NoClosedFormError", "NoiseModel", "NormalityReport", "NumericError",
+    "NoiseModel", "NormalityReport", "NumericError",
     "ProblemSpec", "ReplicateSet",
     "RunConfig", "SigmoidSpec", "StabilityError", "StepSchedule",
     "TailBoundError", "Trajectory", "ValidationItem", "ValidationReport",

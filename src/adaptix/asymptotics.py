@@ -78,13 +78,17 @@ def stability_matrix(jacobian: np.ndarray, e0) -> tuple[np.ndarray, np.ndarray, 
     """Drift matrix W = I/2 - jacobian/E0 with its spectrum.
 
     Returns ``(W, eigen_real_parts, stable)`` where the real parts come
-    sorted ascending and ``stable`` means all of them are < 0.
+    sorted ascending and ``stable`` means all of them are < 0. A W that
+    overflows raises NumericError.
     """
     j = np.atleast_2d(np.asarray(jacobian, dtype=np.float64))
     if j.shape[0] != j.shape[1]:
         raise ValueError(f"jacobian must be square, got {j.shape}")
     value = _as_e0_value(e0)
-    w = 0.5 * np.eye(j.shape[0]) - j / value
+    with np.errstate(over="ignore"):
+        w = 0.5 * np.eye(j.shape[0]) - j / value
+    if not np.isfinite(w).all():
+        raise NumericError(f"W = I/2 - J/E0 is not finite at E0 = {value:.6g}")
     real_parts = np.sort(_eig_real_parts(w))
     return w, real_parts, bool(real_parts[-1] < 0.0)
 

@@ -134,10 +134,6 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _trajectory_stride(horizon: int) -> int:
-    return max(1, horizon // 10_000)
-
-
 def _write_trajectory(path, trajectory: Trajectory, schedule) -> None:
     header = ["t", "s", "gamma"] + [
         f"x_{i}" for i in range(trajectory.x.shape[1])]
@@ -145,6 +141,17 @@ def _write_trajectory(path, trajectory: Trajectory, schedule) -> None:
             for t, s, x in zip(trajectory.t.tolist(), trajectory.s.tolist(),
                                trajectory.x.tolist())]
     write_csv(path, header, rows)
+
+
+def _finish(cfg: RunConfig, out_dir: str, summary: dict, code: int,
+            reason: str | None) -> int:
+    """Record ``code`` in summary.json if emitted; print the reason line."""
+    summary["exit_code"] = code
+    if cfg.emit_summary:
+        write_json(os.path.join(out_dir, "summary.json"), summary)
+    if reason is not None:
+        print(f"adaptix: {reason}", file=sys.stderr)
+    return code
 
 
 def cmd_run(args) -> int:
@@ -156,13 +163,12 @@ def cmd_run(args) -> int:
         trajectory = run_trajectory(
             plan.problem, plan.init, plan.schedule, plan.sigmoid,
             plan.horizon, plan.master_seed,
-            record_stride=_trajectory_stride(plan.horizon),
+            record_stride=max(1, plan.horizon // 10_000),
             divergence_bound=plan.divergence_bound)
     except DivergedTrajectoryError as exc:
         trajectory = exc.trajectory
-        summary.update(diverged=True, diverged_at=exc.t,
-                       exit_code=EXIT_STATISTICAL)
-        print(f"adaptix: trajectory diverged at t={exc.t}", file=sys.stderr)
+        summary.update(diverged=True, diverged_at=exc.t)
+        code, reason = EXIT_STATISTICAL, f"trajectory diverged at t={exc.t}"
     else:
         # the last recorded row is the horizon, which the plan keeps >= 1
         final_s = float(trajectory.s[-1])
@@ -171,14 +177,12 @@ def cmd_run(args) -> int:
             final_error_norm=float(np.linalg.norm(
                 trajectory.x[-1] - plan.problem.root)),
             final_s=final_s,
-            final_s_over_t=final_s / plan.horizon,
-            exit_code=EXIT_OK)
+            final_s_over_t=final_s / plan.horizon)
+        code, reason = EXIT_OK, None
     if cfg.emit_trajectory:
         _write_trajectory(os.path.join(out_dir, "trajectory.csv"),
                           trajectory, plan.schedule)
-    if cfg.emit_summary:
-        write_json(os.path.join(out_dir, "summary.json"), summary)
-    return summary["exit_code"]
+    return _finish(cfg, out_dir, summary, code, reason)
 
 
 def cmd_replicate(args) -> int:
@@ -208,13 +212,9 @@ def cmd_replicate(args) -> int:
     }
     alive = int((~rset.diverged).sum())
     if alive < 2:
-        summary["exit_code"] = EXIT_STATISTICAL
-        if cfg.emit_summary:
-            write_json(os.path.join(out_dir, "summary.json"), summary)
-        print(f"adaptix: {summary['n_diverged']} of {rset.n_replicates} "
-              "replicates diverged; too few survivors for statistics",
-              file=sys.stderr)
-        return EXIT_STATISTICAL
+        return _finish(cfg, out_dir, summary, EXIT_STATISTICAL,
+                       f"{summary['n_diverged']} of {rset.n_replicates} "
+                       "replicates diverged; too few survivors for statistics")
 
     conv = convergence_summary(rset)
     rows = []
@@ -260,13 +260,8 @@ def cmd_replicate(args) -> int:
                   f"t={report.t}: cov_rel_err={report.cov_rel_err:.4f} "
                   f"(tol {report.cov_tol}), ks={report.mahalanobis_ks:.4f} "
                   f"(band {report.ks_band:.4f})")
-    code = EXIT_OK if reason is None else EXIT_STATISTICAL
-    summary["exit_code"] = code
-    if cfg.emit_summary:
-        write_json(os.path.join(out_dir, "summary.json"), summary)
-    if reason is not None:
-        print(f"adaptix: {reason}", file=sys.stderr)
-    return code
+    return _finish(cfg, out_dir, summary,
+                   EXIT_OK if reason is None else EXIT_STATISTICAL, reason)
 
 
 def cmd_validate(args) -> int:

@@ -108,8 +108,8 @@ def _choice(data, path: str, tag: str, names, default=None) -> str:
     return name
 
 
-def _parse_family(data, path: str, table: dict, default=None):
-    """A schedule or gate family and the values of its declared keys.
+def _parse_family(data, path: str, table: dict, spec, default=None):
+    """A schedule or gate ``spec`` built from its family's declared keys.
 
     A key is read where given, else filled by the first given key its
     declaration names, else defaulted; a key declared None is required.
@@ -132,7 +132,7 @@ def _parse_family(data, path: str, table: dict, default=None):
                 f"missing required key: {_dotted(path, names[-1])}")
         else:
             values[key] = declared
-    return family, values
+    return spec(family=family, **values)
 
 
 def _parse_noise(data, path: str, default_dim: int) -> NoiseModel:
@@ -195,17 +195,6 @@ def _parse_problem(data, path: str = "problem") -> ProblemSpec:
     return build_problem(kind, dim, **{
         key: readers.get(key, _number)(data[key], _dotted(path, key))
         for key in keys if key != "dim" and key in data})
-
-
-def _parse_sigmoid(data, path: str = "sigmoid") -> SigmoidSpec:
-    family, values = _parse_family(data, path, SIGMOID_FAMILIES)
-    return SigmoidSpec(family=family, **values)
-
-
-def _parse_schedule(data, path: str = "schedule") -> StepSchedule:
-    family, values = _parse_family(data, path, SCHEDULE_FAMILIES,
-                                   "reciprocal")
-    return StepSchedule(family=family, **values)
 
 
 def _parse_init(data: dict, problem: ProblemSpec,
@@ -297,8 +286,10 @@ def parse_config(data: dict) -> RunConfig:
         if key not in data:
             raise ConfigError(f"missing required key: {key}")
     problem = _parse_problem(data["problem"])
-    sigmoid = _parse_sigmoid(data["sigmoid"])
-    schedule = _parse_schedule(data["schedule"])
+    sigmoid = _parse_family(data["sigmoid"], "sigmoid", SIGMOID_FAMILIES,
+                            SigmoidSpec)
+    schedule = _parse_family(data["schedule"], "schedule", SCHEDULE_FAMILIES,
+                             StepSchedule, "reciprocal")
     init = _parse_init(data.get("init", {}), problem)
     plan = ExperimentPlan(
         problem=problem, schedule=schedule, sigmoid=sigmoid, init=init,

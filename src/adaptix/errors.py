@@ -38,10 +38,6 @@ class DivergedTrajectoryError(AdaptixError):
         self.trajectory = trajectory
 
 
-class NoClosedFormError(AdaptixError):
-    """Requested an exact expectation outside the supported closed forms."""
-
-
 class StabilityError(AdaptixError):
     """An operation required a stable (Hurwitz) matrix and was given one
     with an eigenvalue real part >= 0."""

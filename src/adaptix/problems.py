@@ -26,7 +26,7 @@ import numpy as np
 
 from ._rowops import apply_rows, norm_rows
 from .asymptotics import MAX_DIM, stability_matrix
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, NumericError
 from .noise import NoiseModel, gaussian_noise
 from .report import FAIL, NOT_CHECKED, PASS, ValidationReport
 from .rng import VALIDATION_LANE, substream
@@ -423,8 +423,7 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
                                          "margin": min_margin})
 
     # B3.3 -- stability of W = I/2 - phi'(x*)/E0 (needs E0 first).
-    e0_estimate = None
-    e0_error = None
+    e0_estimate = e0_error = None
     try:
         e0_estimate = e0_resolve(sigmoid, problem.noise, e0_mc_samples, seed)
     except ConfigError as err:
@@ -432,14 +431,20 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
     if e0_estimate is None:
         report.add("B3.3", NOT_CHECKED, f"E0 unavailable: {e0_error}")
     else:
-        _, real_parts, stable = stability_matrix(
-            problem.jacobian_at_root, e0_estimate)
-        report.add(
-            "B3.3", PASS if stable else FAIL,
-            f"eigenvalue real parts of I/2 - J/E0: "
-            f"[{real_parts.min():.6g}, {real_parts.max():.6g}] with E0 = "
-            f"{e0_estimate.value:.6g} ({e0_estimate.method})",
-            witness=None if stable else {"real_parts": real_parts.tolist()})
+        with_e0 = f"with E0 = {e0_estimate.value:.6g} ({e0_estimate.method})"
+        try:
+            _, real_parts, stable = stability_matrix(
+                problem.jacobian_at_root, e0_estimate)
+        except NumericError as err:
+            report.add("B3.3", FAIL, f"no spectrum of I/2 - J/E0 {with_e0}",
+                       witness=str(err))
+        else:
+            report.add(
+                "B3.3", PASS if stable else FAIL,
+                f"eigenvalue real parts of I/2 - J/E0: "
+                f"[{real_parts.min():.6g}, {real_parts.max():.6g}] {with_e0}",
+                witness=None if stable else {
+                    "real_parts": real_parts.tolist()})
 
     # B3.4 -- the field is asymptotically linear at the root.
     jac = problem.jacobian_at_root

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoClosedFormError
+from .errors import ConfigError
 from .noise import NoiseModel
 from .report import FAIL, PASS, ValidationReport
 from ._rowops import _ROW_CHUNK, dot_rows
@@ -249,20 +249,17 @@ def sigmoid_eval(sigmoid: SigmoidSpec, v):
 
     A Python float under a constant or step gate is compared on floats
     (``<``, ``>``, then the ``at_zero`` value), as the array form compares
-    it. A smooth gate always goes through scipy's ``expit``.
+    it; every level of a constant gate is c, so NaN gives c too. A smooth
+    gate always goes through scipy's ``expit``.
     """
     if type(v) is float and sigmoid.family != "smooth":
-        if sigmoid.family == "constant":
-            return float(sigmoid.u_plus)
         if v < 0.0:
             return float(sigmoid.u_minus)
         if v > 0.0:
             return float(sigmoid.u_plus)
         return float(sigmoid.u_at_zero)
     arr = np.asarray(v, dtype=np.float64)
-    if sigmoid.family == "constant":
-        out = np.full_like(arr, sigmoid.u_plus)
-    elif sigmoid.family == "smooth":
+    if sigmoid.family == "smooth":
         out = sigmoid.u_minus + (sigmoid.u_plus - sigmoid.u_minus) * _expit()(
             arr / sigmoid.beta)
     else:
@@ -281,27 +278,22 @@ class E0Estimate:
     n_samples: int = 0
 
 
-def e0_exact(sigmoid: SigmoidSpec, noise: NoiseModel) -> E0Estimate:
-    """Closed-form E0 where one exists.
+def e0_exact(sigmoid: SigmoidSpec, noise: NoiseModel) -> E0Estimate | None:
+    """Closed-form E0 where one exists, else None.
 
     * constant gate: E0 = c for any noise;
     * kesten gate with continuous noise: every built-in noise is
       sign-symmetric, so the inner product xi_1^T xi_2 is then symmetric
       about 0 with no atom there, and E0 = u_plus / 2.
 
-    Everything else raises NoClosedFormError; use :func:`e0_monte_carlo`.
+    Every other gate and noise pair needs :func:`e0_monte_carlo`.
     """
     if sigmoid.family == "constant":
         return E0Estimate(value=sigmoid.u_plus, stderr=0.0, method="exact")
-    if sigmoid.family == "kesten":
-        if noise.is_continuous:
-            return E0Estimate(value=0.5 * sigmoid.u_plus, stderr=0.0,
-                              method="exact")
-        raise NoClosedFormError(
-            "kesten closed form needs continuous sign-symmetric noise; "
-            f"got kind={noise.kind!r} (continuous={noise.is_continuous})")
-    raise NoClosedFormError(
-        f"no closed-form E0 for family {sigmoid.family!r}")
+    if sigmoid.family == "kesten" and noise.is_continuous:
+        return E0Estimate(value=0.5 * sigmoid.u_plus, stderr=0.0,
+                          method="exact")
+    return None
 
 
 _E0_BLOCK = 100_000
@@ -366,8 +358,5 @@ def e0_resolve(sigmoid: SigmoidSpec, noise: NoiseModel, n_samples: int,
     (master_seed, E0 lane, 0) substream, which rejects a non-positive
     estimate (B4.2).
     """
-    try:
-        return e0_exact(sigmoid, noise)
-    except NoClosedFormError:
-        return e0_monte_carlo(sigmoid, noise, n_samples=n_samples,
-                              seed=substream(master_seed, E0_LANE, 0))
+    return e0_exact(sigmoid, noise) or e0_monte_carlo(
+        sigmoid, noise, n_samples, substream(master_seed, E0_LANE, 0))

@@ -422,6 +422,40 @@ def test_replicate_artifacts_and_worker_invariance(tmp_path):
     assert summary["exit_code"] == 0
 
 
+def replicate_outcome(tmp_path, **edits):
+    """Exit code, stderr lines and summary.json of a 1-D replicate run."""
+    path = make_config(tmp_path, **{
+        "problem.dim": 1, "problem.matrix": [[1.0]],
+        "experiment.horizon": 200, "experiment.n_replicates": 50,
+        "experiment.checkpoints": None, **edits})
+    out = tmp_path / "o"
+    code, err = cli_stderr("replicate", "--config", path, "--out", out)
+    return code, err, json.loads((out / "summary.json").read_text())
+
+
+def test_replicate_failed_normality_gate_exits_4(tmp_path):
+    code, err, summary = replicate_outcome(tmp_path, **{
+        "tolerances.cov_tol": 1e-6,
+        "tolerances.normality_min_replicates": 2})
+    assert code == 4
+    assert len(err) == 1
+    assert err[0].startswith("adaptix: normality gate failed at t=200: ")
+    assert summary["normality_gate_applied"] is True
+    assert summary["normality"]["passed"] is False
+    assert summary["exit_code"] == 4
+
+
+def test_replicate_diverged_fraction_above_the_bound_exits_4(tmp_path):
+    code, err, summary = replicate_outcome(tmp_path, **{
+        "schedule": {"family": "constant", "gamma0": 1.9},
+        "experiment.divergence_bound": 12,
+        "tolerances.max_diverged_fraction": 0.0})
+    assert code == 4
+    assert err == ["adaptix: diverged fraction 0.3200 exceeds 0.0"]
+    assert summary["n_diverged"] == 16
+    assert summary["exit_code"] == 4
+
+
 def test_replicate_requires_an_ensemble(tmp_path):
     path = make_config(tmp_path, **{"experiment.n_replicates": 1})
     assert run_cli("replicate", "--config", path,
@@ -741,6 +775,36 @@ def test_validate_overflow_fails_its_checks_and_writes_the_report(tmp_path):
     assert doc["failed"] == ["B3.1d", "B3.2"]
     assert items["B3.1d"]["witness"]["v_after"] == "inf"
     assert items["B3.2"]["witness"]["margin"] == "-inf"
+
+
+# J/E0 overflows: 1e308 / 0.5 is past the largest float
+OVERFLOWING_W = {"problem": {"kind": "linear", "dim": 2,
+                             "matrix": [[1e308, 0.0], [0.0, 1.0]]},
+                 "experiment.horizon": 10, "experiment.n_replicates": 4,
+                 "experiment.checkpoints": None}
+
+
+def test_validate_records_an_overflowing_w_as_a_failed_b33(tmp_path):
+    path = make_config(tmp_path, **OVERFLOWING_W)
+    out = tmp_path / "out"
+    code, err = cli_stderr("validate", "--config", path, "--out", out)
+    assert code == 3
+    assert err == ["adaptix: assumption check(s) failed: B3.1d, B3.3"]
+    doc = json.loads((out / "validation.json").read_text())
+    items = {item["check_id"]: item for item in doc["items"]}
+    assert doc["failed"] == ["B3.1d", "B3.3"]
+    assert len(items) == 14
+    assert items["B3.3"]["verdict"] == "fail"
+    witness = "W = I/2 - J/E0 is not finite at E0 = 0.5"
+    assert items["B3.3"]["witness"] == witness
+
+
+@pytest.mark.parametrize("command", ["predict", "replicate"])
+def test_an_overflowing_w_exits_5_with_one_line(tmp_path, command):
+    path = make_config(tmp_path, **OVERFLOWING_W)
+    code, err = cli_stderr(command, "--config", path, "--out", tmp_path / "o")
+    assert code == 5
+    assert err == ["adaptix: error: W = I/2 - J/E0 is not finite at E0 = 0.5"]
 
 
 def test_console_script_entry_point(tmp_path):

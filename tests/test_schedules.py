@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from adaptix import (ConfigError, NoClosedFormError, constant_gate,
+from adaptix import (ConfigError, SigmoidSpec, constant_gate,
                      constant_schedule, e0_exact, e0_monte_carlo, gamma_eval,
                      gaussian_noise, kesten_gate, plakhov_almeida_gate,
                      power_schedule, reciprocal_schedule,
@@ -155,6 +155,18 @@ def test_gate_on_a_float_is_the_array_form(gate):
                                                           np.array([v]))[0])
 
 
+@pytest.mark.parametrize("at_zero", ["left", "right", "midpoint"])
+@pytest.mark.parametrize("c", [0.7, 1e308])
+def test_constant_gate_is_c_at_every_argument(c, at_zero):
+    # u_minus = u_plus = u(0) = c, so every comparison, NaN's included,
+    # lands on c; 1e308 is above max/2, where a midpoint (c + c)/2 overflows
+    gate = SigmoidSpec(family="constant", u_minus=c, u_plus=c,
+                       at_zero=at_zero)
+    assert [sigmoid_eval(gate, v) for v in ARGUMENTS] == [c] * len(ARGUMENTS)
+    assert sigmoid_eval(gate, np.array(ARGUMENTS)).tolist() == \
+        [c] * len(ARGUMENTS)
+
+
 def test_schedule_parameter_validation():
     with pytest.raises(ConfigError):
         reciprocal_schedule(s_floor=0.0)
@@ -283,12 +295,11 @@ def test_e0_kesten_uniform_ball():
 
 
 def test_e0_no_closed_form_cases():
-    with pytest.raises(NoClosedFormError):
-        e0_exact(kesten_gate(), scaled_rademacher_noise(2, 1.0))
-    with pytest.raises(NoClosedFormError):
-        e0_exact(plakhov_almeida_gate(-0.5, 1.0), gaussian_noise(np.eye(2)))
-    with pytest.raises(NoClosedFormError):
-        e0_exact(smooth_gate(-0.5, 1.0, 2.0), gaussian_noise(np.eye(2)))
+    assert e0_exact(kesten_gate(), scaled_rademacher_noise(2, 1.0)) is None
+    assert e0_exact(plakhov_almeida_gate(-0.5, 1.0),
+                    gaussian_noise(np.eye(2))) is None
+    assert e0_exact(smooth_gate(-0.5, 1.0, 2.0),
+                    gaussian_noise(np.eye(2))) is None
 
 
 def sign_symmetric_midpoint(gate):
