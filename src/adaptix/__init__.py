@@ -13,7 +13,7 @@ harness around all of it.
 from .asymptotics import (AsymptoticPrediction, covariance_integral_oracle,
                           predict, solve_lyapunov, stability_matrix)
 from .config import RunConfig, canonical_config, load_config, parse_config
-from .core import AlgoState, InitialConditions, Trajectory, run_trajectory
+from .core import InitialConditions, Trajectory, run_trajectory
 from .errors import (AdaptixError, ConfigError, DimensionMismatchError,
                      DivergedTrajectoryError, NumericError, StabilityError,
                      TailBoundError)
@@ -37,7 +37,7 @@ from .schedules import (E0Estimate, SigmoidSpec, StepSchedule, constant_gate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptixError", "AlgoState", "AsymptoticPrediction", "ConfigError",
+    "AdaptixError", "AsymptoticPrediction", "ConfigError",
     "ConvergenceSummary", "CouplingSummary", "DimensionMismatchError",
     "DivergedTrajectoryError",
     "E0Estimate", "ExperimentPlan", "InitialConditions",

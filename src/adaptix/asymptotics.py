@@ -74,6 +74,18 @@ def _as_e0_value(e0) -> float:
     return float(value)
 
 
+def _scaled_noise(noise_cov, e0) -> np.ndarray:
+    """C = S_xi / E0^2. E0^2 underflows to 0 below about 1e-162, so a C
+    that is not finite raises NumericError."""
+    value = _as_e0_value(e0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c = np.atleast_2d(np.asarray(noise_cov, dtype=np.float64)) / (
+            value * value)
+    if not np.isfinite(c).all():
+        raise NumericError(f"S_xi / E0^2 is not finite at E0 = {value:.6g}")
+    return c
+
+
 def stability_matrix(jacobian: np.ndarray, e0) -> tuple[np.ndarray, np.ndarray, bool]:
     """Drift matrix W = I/2 - jacobian/E0 with its spectrum.
 
@@ -118,8 +130,7 @@ def solve_lyapunov(w: np.ndarray, noise_cov: np.ndarray, e0) -> np.ndarray:
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     _require_stable(w)
     n = w.shape[0]
-    value = _as_e0_value(e0)
-    c = np.atleast_2d(np.asarray(noise_cov, dtype=np.float64)) / (value * value)
+    c = _scaled_noise(noise_cov, e0)
     if c.shape != (n, n):
         raise ValueError(f"noise covariance shape {c.shape} does not match W {w.shape}")
     eye = np.eye(n)
@@ -128,11 +139,14 @@ def solve_lyapunov(w: np.ndarray, noise_cov: np.ndarray, e0) -> np.ndarray:
         minus_v = np.linalg.solve(system, c.reshape(-1)).reshape(n, n)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Lyapunov system is singular: {exc}") from exc
-    v = -minus_v
-    v = 0.5 * (v + v.T)
-    residual = np.max(np.abs(w @ (-v) + (-v) @ w.T - c))
+    # a V or residual that overflows fails the residual check below, which
+    # a NaN fails too
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = -minus_v
+        v = 0.5 * (v + v.T)
+        residual = np.max(np.abs(w @ (-v) + (-v) @ w.T - c))
     tol = LYAPUNOV_RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(c))))
-    if residual > tol:
+    if not residual <= tol:
         raise NumericError(
             f"Lyapunov residual {residual:.3e} exceeds tolerance {tol:.3e}")
     return v
@@ -153,8 +167,7 @@ def covariance_integral_oracle(w: np.ndarray, noise_cov: np.ndarray, e0,
     """
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     real_parts = _require_stable(w)
-    value = _as_e0_value(e0)
-    c = np.atleast_2d(np.asarray(noise_cov, dtype=np.float64)) / (value * value)
+    c = _scaled_noise(noise_cov, e0)
     if t_max is None:
         t_max = float(np.log(1e12) / -real_parts[-1])
     per_panel = 12

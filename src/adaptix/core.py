@@ -52,7 +52,7 @@ from operator import add
 import numpy as np
 
 from ._rowops import _PAIRWISE_COLUMNS, apply_rows, dot_rows
-from .errors import DimensionMismatchError, DivergedTrajectoryError
+from .errors import DivergedTrajectoryError
 from .problems import ProblemSpec, field_eval
 from .rng import as_generator
 from .schedules import SigmoidSpec, StepSchedule, gamma_eval, sigmoid_eval
@@ -68,35 +68,6 @@ _NOISE_TILE_BYTES = 128 * 2**10
 DEFAULT_DIVERGENCE_BOUND = 1e12
 
 _FLOAT_MAX = float(np.finfo(np.float64).max)
-
-
-@dataclass(frozen=True)
-class AlgoState:
-    """Iteration state at time t.
-
-    ``y_prev`` is the measurement that produced this state (None at t = 0).
-    ``s_staged`` holds the initial counter destined for t = 1 until the
-    first measurement lands; it is None from then on.
-    """
-    t: int
-    x: np.ndarray
-    s: float
-    y_prev: np.ndarray | None = None
-    s_staged: float | None = None
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("state x must be finite")
-        object.__setattr__(self, "x", x)
-        if not (np.isfinite(self.s) and self.s >= 0.0):
-            raise ValueError(f"counter must be finite and >= 0, got {self.s}")
-        if self.y_prev is not None:
-            y = np.asarray(self.y_prev, dtype=np.float64).reshape(-1)
-            if y.shape != x.shape:
-                raise DimensionMismatchError(
-                    f"y_prev shape {y.shape} does not match x {x.shape}")
-            object.__setattr__(self, "y_prev", y)
 
 
 @dataclass(frozen=True)
@@ -120,34 +91,12 @@ class InitialConditions:
 @dataclass
 class Trajectory:
     """Recorded states as columns, one row per recorded time, in time
-    order; the last row is the final state.
-
-    ``y`` holds the measurement that produced each row, and ``s_staged``
-    the initial counter staged on the t = 0 state. :attr:`states` and
-    :attr:`final` build :class:`AlgoState` objects from the columns on
-    request.
-    """
+    order; the last row is the final state. ``y`` holds the measurement
+    that produced each row (zeros at t = 0)."""
     t: np.ndarray                   # (n,) int64
     x: np.ndarray                   # (n, dim)
     s: np.ndarray                   # (n,)
     y: np.ndarray                   # (n, dim)
-    s_staged: float | None = None
-
-    def _state(self, i: int) -> AlgoState:
-        t = int(self.t[i])
-        if t == 0:
-            return AlgoState(t=0, x=self.x[i], s=float(self.s[i]),
-                             s_staged=self.s_staged)
-        return AlgoState(t=t, x=self.x[i], s=float(self.s[i]),
-                         y_prev=self.y[i])
-
-    @property
-    def states(self) -> list[AlgoState]:
-        return [self._state(i) for i in range(len(self.t))]
-
-    @property
-    def final(self) -> AlgoState:
-        return self._state(len(self.t) - 1)
 
 
 @dataclass(frozen=True)
@@ -426,13 +375,13 @@ def run_trajectory(problem: ProblemSpec, init: InitialConditions,
     n = res.ts.size if t_div < 0 else int(
         np.searchsorted(res.ts, t_div - 1, side="right"))
     trajectory = Trajectory(t=res.ts[:n], x=res.x[:n, 0], s=res.s[:n, 0],
-                            y=res.y[:n, 0], s_staged=float(init.s1))
+                            y=res.y[:n, 0])
     if t_div >= 0:
-        last = AlgoState(t=t_div - 1, x=res.x[-1, 0], s=float(res.s[-1, 0]),
-                         y_prev=res.y[-1, 0] if t_div > 1 else None,
-                         s_staged=float(init.s1) if t_div == 1 else None)
+        # the last slot holds the frozen state of t_div - 1, which may lie
+        # off the stride grid
+        last = Trajectory(t=np.array([t_div - 1], dtype=np.int64),
+                          x=res.x[-1:, 0], s=res.s[-1:, 0], y=res.y[-1:, 0])
         raise DivergedTrajectoryError(
             f"iterate norm crossed {divergence_bound:.3g} at step {t_div}",
-            state=last, t=t_div, trajectory=trajectory)
+            t=t_div, trajectory=trajectory, last=last)
     return trajectory
-

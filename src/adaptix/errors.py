@@ -27,15 +27,16 @@ class DimensionMismatchError(AdaptixError):
 class DivergedTrajectoryError(AdaptixError):
     """A trajectory crossed the divergence guard.
 
-    ``state`` holds the last finite iterate; ``t`` the step at which the
-    guard triggered; ``trajectory`` whatever was recorded before that.
+    ``t`` is the step at which the guard triggered; ``trajectory`` whatever
+    was recorded before that; ``last`` the last finite state, at t - 1, as
+    a one-row trajectory.
     """
 
-    def __init__(self, message, state=None, t=None, trajectory=None):
+    def __init__(self, message, t=None, trajectory=None, last=None):
         super().__init__(message)
-        self.state = state
         self.t = t
         self.trajectory = trajectory
+        self.last = last
 
 
 class StabilityError(AdaptixError):

@@ -365,7 +365,6 @@ class NormalityReport:
     t: int
     n_used: int
     empirical_cov: np.ndarray
-    predicted_cov: np.ndarray
     cov_rel_err: float
     mahalanobis_ks: float
     ks_band: float
@@ -395,9 +394,8 @@ def normality_check(rset: ReplicateSet, prediction: AsymptoticPrediction,
     band = ks_scale / np.sqrt(rows.shape[0])
     return NormalityReport(
         t=t_val, n_used=int(rows.shape[0]), empirical_cov=empirical,
-        predicted_cov=np.atleast_2d(prediction.v), cov_rel_err=rel_err,
-        mahalanobis_ks=ks, ks_band=float(band), cov_tol=float(cov_tol),
-        passed=bool(rel_err <= cov_tol and ks <= band))
+        cov_rel_err=rel_err, mahalanobis_ks=ks, ks_band=float(band),
+        cov_tol=float(cov_tol), passed=bool(rel_err <= cov_tol and ks <= band))
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,16 @@
 Floats are rendered with repr-faithful 17 significant digits so that two
 runs producing the same numbers produce the same bytes; dict insertion
 order is preserved (never sorted) so artifact layout is part of the
-format. NaN and infinities are rejected rather than smuggled into JSON.
+format. NaN and infinities are rejected rather than smuggled into JSON;
+the error names the artifact file and, in a CSV, the column. Strings are
+escaped as JSON requires, with non-ASCII text written as is.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 
 import numpy as np
 
@@ -34,9 +38,7 @@ def _render(obj, pieces: list, indent: int, pad: str):
     elif isinstance(obj, (float, np.floating)):
         pieces.append(format_float(obj))
     elif isinstance(obj, str):
-        escaped = (obj.replace("\\", "\\\\").replace('"', '\\"')
-                      .replace("\n", "\\n").replace("\t", "\\t"))
-        pieces.append(f'"{escaped}"')
+        pieces.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, np.ndarray):
         _render(obj.tolist(), pieces, indent, pad)
     elif isinstance(obj, (list, tuple)):
@@ -58,7 +60,7 @@ def _render(obj, pieces: list, indent: int, pad: str):
         for i, (key, item) in enumerate(items):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
-            pieces.append(f'{inner}"{key}": ')
+            pieces.append(f'{inner}{json.dumps(key, ensure_ascii=False)}: ')
             _render(item, pieces, indent + 1, pad)
             pieces.append(",\n" if i + 1 < len(items) else "\n")
         pieces.append(here + "}")
@@ -88,11 +90,22 @@ def _csv_cell(value) -> str:
 
 
 def write_json(path, obj) -> None:
-    _write_lines(path, [dumps_json(obj)])
+    try:
+        text = dumps_json(obj)
+    except ValueError as exc:
+        raise ValueError(f"{exc} {os.path.basename(path)}") from None
+    _write_lines(path, [text])
 
 
 def write_csv(path, header: list, rows) -> None:
     """Rows of ints/floats; floats at 17 significant digits, LF endings."""
     lines = [",".join(header) + "\n"]
-    lines.extend(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    for row in rows:
+        try:
+            lines.append(",".join(map(_csv_cell, row)) + "\n")
+        except ValueError as exc:
+            column = next(name for name, value in zip(header, row)
+                          if not math.isfinite(value))
+            raise ValueError(f"{exc} {os.path.basename(path)}, column "
+                             f"{column}") from None
     _write_lines(path, lines)

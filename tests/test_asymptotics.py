@@ -111,6 +111,25 @@ def test_lyapunov_residual_identity():
     assert np.max(np.abs(residual)) < 1e-10 * max(1.0, np.max(np.abs(cov)) / (e0 * e0))
 
 
+@pytest.mark.parametrize(("w", "cov", "residual"), [
+    # V = 1.7e308 overflows when it is symmetrised
+    ([[-0.5]], [[1.7e308]], "inf"),
+    # the solve returns NaN entries, whose residual is NaN
+    ([[-1e-10, 1.0], [0.0, -1e-10]], [[1e300, 0.0], [0.0, 1e300]], "nan"),
+], ids=["overflow", "nan"])
+def test_a_non_finite_residual_is_refused(w, cov, residual):
+    with pytest.raises(NumericError, match=f"Lyapunov residual {residual} "):
+        solve_lyapunov(np.array(w), np.array(cov), 1.0)
+
+
+@pytest.mark.parametrize("route", [solve_lyapunov, covariance_integral_oracle])
+def test_a_tiny_e0_is_refused_by_both_routes(route):
+    # E0^2 underflows to 0, so S_xi / E0^2 is infinite
+    with pytest.raises(NumericError, match="S_xi / E0\\^2 is not finite at "
+                       "E0 = 1e-200"):
+        route(np.array([[-1.5]]), np.array([[1.0]]), 1e-200)
+
+
 def test_unstable_system_refused():
     with pytest.raises(StabilityError):
         solve_lyapunov(np.array([[0.1]]), np.array([[1.0]]), 0.5)

@@ -306,14 +306,15 @@ def test_run_diverged_exits_4(tmp_path):
         run_trajectory(plan.problem, plan.init, plan.schedule, plan.sigmoid,
                        plan.horizon, plan.master_seed,
                        divergence_bound=plan.divergence_bound)
-    state = exc.value.state
+    state = exc.value.last
     assert summary["diverged_at"] == exc.value.t
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 1 + exc.value.t      # header + t = 0..t_div - 1
     last = lines[-1].split(",")
-    assert int(last[0]) == exc.value.t - 1 == state.t
+    assert int(last[0]) == exc.value.t - 1 == state.t[0]
+    s = float(state.s[0])
     assert [float(v) for v in last[1:]] == [
-        state.s, gamma_eval(plan.schedule, state.s), state.x[0]]
+        s, gamma_eval(plan.schedule, s), state.x[0, 0]]
 
 
 def cli_stderr(*argv):
@@ -326,6 +327,13 @@ def cli_stderr(*argv):
                            *(str(a) for a in argv)],
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stderr.splitlines()
+
+
+def test_an_in_process_numpy_warning_fails_the_test():
+    # pyproject.toml makes a RuntimeWarning an error, so a numpy warning
+    # that would print beside a command's reason line fails the suite
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        np.array([1.0]) / 0.0
 
 
 def test_run_overflow_prints_only_the_divergence_line(tmp_path):
@@ -367,8 +375,8 @@ def test_run_takes_a_bound_too_large_to_square(tmp_path):
 
 def test_trajectory_csv_matches_the_per_state_rendering(tmp_path, monkeypatch):
     # horizon 25 001 records every 2nd state and appends the final one; the
-    # columnar writer must give the bytes of the AlgoState-by-AlgoState
-    # rendering of the same trajectory
+    # columnar writer must give the bytes of a row-by-row rendering of the
+    # same trajectory
     runs = []
 
     def recording_run_trajectory(*args, **kwargs):
@@ -386,8 +394,10 @@ def test_trajectory_csv_matches_the_per_state_rendering(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run_cli("run", "--config", path, "--out", out) == 0
     schedule = load_config(path).plan.schedule
-    rows = [[state.t, state.s, float(gamma_eval(schedule, state.s))]
-            + list(state.x) for state in runs[0].states]
+    traj = runs[0]
+    rows = [[int(traj.t[i]), float(traj.s[i]),
+             float(gamma_eval(schedule, float(traj.s[i])))] + list(traj.x[i])
+            for i in range(len(traj.t))]
     assert len(rows) == 12_502 and rows[-2][0] == 25_000
     assert rows[-1][0] == 25_001
     expected = tmp_path / "expected.csv"
@@ -563,6 +573,19 @@ def test_output_dir_from_config(tmp_path):
     assert (target / "prediction.json").exists()
     echoed = json.loads((target / "config.json").read_text())
     assert echoed["output"]["dir"] == str(target)
+
+
+def test_config_json_escapes_control_characters(tmp_path):
+    # a carriage return in output.dir must not make config.json invalid
+    path = make_config(tmp_path, **{"output.dir": "x\ry"})
+    out = tmp_path / "o"
+    assert run_cli("predict", "--config", path, "--out", out) == 0
+    echoed = json.loads((out / "config.json").read_text())
+    assert echoed["output"]["dir"] == "x\ry"
+    assert run_cli("predict", "--config", out / "config.json",
+                   "--out", tmp_path / "replay") == 0
+    assert (tmp_path / "replay" / "prediction.json").read_bytes() == \
+        (out / "prediction.json").read_bytes()
 
 
 def test_empty_output_dir_exits_2_with_one_line(tmp_path):
@@ -805,6 +828,31 @@ def test_an_overflowing_w_exits_5_with_one_line(tmp_path, command):
     code, err = cli_stderr(command, "--config", path, "--out", tmp_path / "o")
     assert code == 5
     assert err == ["adaptix: error: W = I/2 - J/E0 is not finite at E0 = 0.5"]
+
+
+def test_a_tiny_e0_exits_5_with_one_line(tmp_path):
+    # E0 = 5e-301 leaves W = -1.5 stable, but E0^2 underflows to 0, so
+    # S_xi / E0^2 is infinite
+    path = make_config(tmp_path, **{
+        "problem.dim": 1, "problem.matrix": 1e-300,
+        "sigmoid": {"family": "kesten", "u_plus": 1e-300}})
+    out = tmp_path / "o"
+    code, err = cli_stderr("predict", "--config", path, "--out", out)
+    assert code == 5
+    assert err == ["adaptix: error: S_xi / E0^2 is not finite at "
+                   "E0 = 5e-301"]
+    assert not (out / "prediction.json").exists()
+
+
+def test_a_non_finite_artifact_value_names_its_file_and_column(tmp_path):
+    # a constant gate of 1e308 overflows the counter to inf at t = 3
+    path = make_config(tmp_path, **{
+        "sigmoid": {"family": "constant", "c": 1e308},
+        "experiment.horizon": 10, "experiment.checkpoints": None})
+    code, err = cli_stderr("run", "--config", path, "--out", tmp_path / "o")
+    assert code == 5
+    assert err == ["adaptix: error: non-finite value inf in artifact "
+                   "trajectory.csv, column s"]
 
 
 def test_console_script_entry_point(tmp_path):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adaptix import (AlgoState, DimensionMismatchError,
+from adaptix import (DimensionMismatchError,
                      DivergedTrajectoryError, InitialConditions,
                      SigmoidSpec, StepSchedule, constant_gate,
                      constant_schedule, core, cubic_problem, field_eval,
@@ -26,11 +26,6 @@ KESTEN = kesten_gate()
 ZERO_NOISE_1D = gaussian_noise([[0.0]])
 
 
-def state_at(t, x, s, y_prev=None, s_staged=None):
-    return AlgoState(t=t, x=np.atleast_1d(np.asarray(x, dtype=float)),
-                     s=s, y_prev=y_prev, s_staged=s_staged)
-
-
 def zero_noise_run(matrix, x0, s0, s1, sigmoid, schedule=RECIPROCAL,
                    horizon=2):
     """A noiseless scalar run: step t measures y_t = matrix * x_{t-1}."""
@@ -46,51 +41,49 @@ def zero_noise_run(matrix, x0, s0, s1, sigmoid, schedule=RECIPROCAL,
 def test_step_moves_against_measurement():
     # gamma(4) = 1/4 prices both steps; y_1 = 1 and y_2 = 0.75 are aligned
     traj = zero_noise_run(1.0, 1.0, 4.0, 4.0, KESTEN)
-    first, second = traj.states[1], traj.states[2]
-    assert first.x[0] == 0.75
-    assert first.y_prev[0] == 1.0
-    assert second.x[0] == 0.75 - 0.25 * 0.75
-    assert second.t == 2
+    assert traj.x[1, 0] == 0.75
+    assert traj.y[1, 0] == 1.0
+    assert traj.x[2, 0] == 0.75 - 0.25 * 0.75
+    assert traj.t[2] == 2
     # consecutive measurements aligned: kesten adds nothing
-    assert second.s == 4.0
-    assert second.y_prev[0] == 0.75
-    assert second.s_staged is None
+    assert traj.s[2] == 4.0
+    assert traj.y[2, 0] == 0.75
 
 
 def test_step_counts_a_sign_flip():
     # gamma(s0) = 2 overshoots the root: y_1 = 1, y_2 = -1
     traj = zero_noise_run(1.0, 1.0, 0.5, 4.0, KESTEN,
                           schedule=reciprocal_schedule(0.5))
-    assert traj.states[1].x[0] == -1.0
-    assert traj.states[2].x[0] == -1.0 + 0.25
-    assert traj.states[2].s == 5.0
+    assert traj.x[1, 0] == -1.0
+    assert traj.x[2, 0] == -1.0 + 0.25
+    assert traj.s[2] == 5.0
 
 
 def test_step_left_convention_at_tie():
     # gamma(s0) = 1 lands on the root, so y_2 = 0 and the gate sees -0.0
     gate = plakhov_almeida_gate(-0.5, 1.0, at_zero="left")
     traj = zero_noise_run(1.0, 1.0, 1.0, 2.0, gate)
-    assert traj.states[1].x[0] == 0.0
-    assert traj.states[2].y_prev[0] == 0.0
-    assert traj.states[2].s == 1.5     # (2 - 0.5)+ under the left convention
+    assert traj.x[1, 0] == 0.0
+    assert traj.y[2, 0] == 0.0
+    assert traj.s[2] == 1.5            # (2 - 0.5)+ under the left convention
 
 
 def test_step_counter_clamped_at_zero():
     gate = plakhov_almeida_gate(-0.5, 1.0)
     traj = zero_noise_run(1.0, 1.0, 4.0, 0.2, gate)
-    assert traj.states[1].s == 0.2
+    assert traj.s[1] == 0.2
     # aligned measurements: (0.2 - 0.5)+ is +0.0
-    assert np.array(traj.states[2].s).tobytes() == np.array(0.0).tobytes()
+    assert traj.s[2].tobytes() == np.array(0.0).tobytes()
 
 
 def test_first_step_consumes_staged_counter():
     traj = zero_noise_run(2.0, 1.0, 4.0, 7.0, KESTEN, horizon=1)
-    start, new = traj.states
-    assert start.s == 4.0 and start.s_staged == 7.0
-    assert new.x[0] == 0.5             # priced at gamma(s0) = 1/4
-    assert new.y_prev[0] == 2.0
-    assert new.s == 7.0                # staged value becomes the counter
-    assert new.s_staged is None
+    assert list(traj.t) == [0, 1]
+    assert traj.s[0] == 4.0
+    assert traj.y[0, 0] == 0.0         # no measurement before the first step
+    assert traj.x[1, 0] == 0.5         # priced at gamma(s0) = 1/4
+    assert traj.y[1, 0] == 2.0
+    assert traj.s[1] == 7.0            # staged value becomes the counter
 
 
 def test_step_rejects_bad_measurements():
@@ -104,23 +97,23 @@ def test_step_rejects_bad_measurements():
     # a measurement that overflows to inf never becomes a state: the run
     # stops at step 1 with the initial state as its last finite one
     with pytest.raises(DivergedTrajectoryError) as exc:
-        zero_noise_run(10.0, 1e308, 1.0, 1.0, KESTEN,
+        zero_noise_run(10.0, 1e308, 2.0, 3.0, KESTEN,
                        schedule=constant_schedule(1.0))
     assert exc.value.t == 1
-    assert exc.value.state.x[0] == 1e308
-    assert exc.value.state.y_prev is None
-    assert exc.value.state.s_staged == 1.0
+    last = exc.value.last
+    assert list(last.t) == [0]
+    assert last.x[0, 0] == 1e308
+    assert last.y[0, 0] == 0.0         # no measurement yet
+    assert last.s[0] == 2.0            # s0; s1 was never installed
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        state_at(0, np.inf, 1.0)
-    with pytest.raises(ValueError):
-        state_at(0, 1.0, -0.5)
-    with pytest.raises(DimensionMismatchError):
-        state_at(1, [1.0], 1.0, y_prev=[1.0, 2.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        InitialConditions(x0=np.array([1.0, np.inf]))
+    with pytest.raises(ValueError, match="s0 must be finite and >= 0"):
         InitialConditions(x0=np.array([1.0]), s0=-1.0)
+    with pytest.raises(ValueError, match="s1 must be finite and >= 0"):
+        InitialConditions(x0=np.array([1.0]), s1=np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +127,7 @@ def test_deterministic_contraction():
     init = InitialConditions(x0=np.array([1.0]), s0=1.0, s1=1.0)
     traj = run_trajectory(problem, init, constant_schedule(0.5), KESTEN,
                           horizon=10, seed=0)
-    assert traj.final.x[0] == 0.5**10
+    assert traj.x[-1, 0] == 0.5**10
     assert np.all(traj.s[1:] == 1.0)
 
 
@@ -142,10 +135,10 @@ def test_staged_counter_through_engine():
     problem = linear_problem(matrix=1.0, dim=1, noise=ZERO_NOISE_1D)
     init = InitialConditions(x0=np.array([1.0]), s0=4.0, s1=7.0)
     traj = run_trajectory(problem, init, RECIPROCAL, KESTEN, horizon=2, seed=0)
-    assert traj.states[1].x[0] == 0.75
-    assert traj.states[1].s == 7.0
-    assert traj.states[2].x[0] == 0.75 - (1.0 / 7.0) * 0.75
-    assert traj.states[2].s == 7.0
+    assert traj.x[1, 0] == 0.75
+    assert traj.s[1] == 7.0
+    assert traj.x[2, 0] == 0.75 - (1.0 / 7.0) * 0.75
+    assert traj.s[2] == 7.0
 
 
 def test_record_stride_keeps_endpoints():
@@ -154,7 +147,7 @@ def test_record_stride_keeps_endpoints():
     traj = run_trajectory(problem, init, RECIPROCAL, KESTEN, horizon=10,
                           seed=3, record_stride=3)
     assert list(traj.t) == [0, 3, 6, 9, 10]
-    assert traj.final.t == 10
+    assert traj.x.shape == traj.y.shape == (5, 1) and traj.s.shape == (5,)
 
 
 def test_negative_horizon_is_rejected_by_the_kernel():
@@ -183,15 +176,17 @@ def as_bytes(value):
 def assert_run_is_batch_row(problem, init, schedule, sigmoid, horizon,
                             seed, stride=1, bound=DEFAULT_DIVERGENCE_BOUND):
     """``run_trajectory`` gives row 0 of the batch bit for bit: every
-    recorded x, s and y, the step of divergence and the frozen state.
-    Returns that step, or -1."""
+    recorded x, s and y, the step of divergence and the frozen state,
+    which is the final row of a run that did not diverge. Returns that
+    step, or -1."""
     try:
         traj = run_trajectory(problem, init, schedule, sigmoid, horizon,
                               seed, record_stride=stride,
                               divergence_bound=bound)
-        t_div, last = -1, traj.final
+        t_div, last = -1, traj
     except DivergedTrajectoryError as exc:
-        traj, t_div, last = exc.trajectory, exc.t, exc.state
+        traj, t_div, last = exc.trajectory, exc.t, exc.last
+        assert list(last.t) == [t_div - 1]
     res = batch_row(problem, init, schedule, sigmoid, horizon, seed,
                     _stride_ts(horizon, stride), bound=bound)
     assert res.diverged_at[0] == t_div
@@ -200,10 +195,9 @@ def assert_run_is_batch_row(problem, init, schedule, sigmoid, horizon,
     assert traj.s.tobytes() == res.s[:n, 0].tobytes()
     assert traj.y.tobytes() == res.y[:n, 0].tobytes()
     # a frozen run's later rows all hold its last finite state
-    assert as_bytes(last.x) == res.x[-1, 0].tobytes()
-    assert as_bytes(last.s) == res.s[-1, 0].tobytes()
-    y_last = np.zeros(problem.dim) if last.y_prev is None else last.y_prev
-    assert as_bytes(y_last) == res.y[-1, 0].tobytes()
+    assert last.x[-1].tobytes() == res.x[-1, 0].tobytes()
+    assert last.s[-1].tobytes() == res.s[-1, 0].tobytes()
+    assert last.y[-1].tobytes() == res.y[-1, 0].tobytes()
     return t_div
 
 
@@ -407,9 +401,9 @@ def test_divergence_raises_with_last_finite_state():
                        horizon=20, seed=0, divergence_bound=1e6)
     err = exc.value
     assert err.t == 13                      # 3^13 is the first power above 1e6
-    assert err.state.t == 12
-    assert err.state.x[0] == (-3.0)**12
-    assert err.state.y_prev[0] == 2.0 * (-3.0)**11
+    assert list(err.last.t) == [12]
+    assert err.last.x[0, 0] == (-3.0)**12
+    assert err.last.y[0, 0] == 2.0 * (-3.0)**11
     recorded = err.trajectory.t
     assert recorded.max() <= 12
 
@@ -521,24 +515,23 @@ def test_mixed_divergence_batch_rows_match_single_runs():
             traj = run_trajectory(problem, init, schedule, gate, horizon, seed,
                                   divergence_bound=bound)
         except DivergedTrajectoryError as exc:
-            t_div, last, traj = exc.t, exc.state, exc.trajectory
+            t_div, last, traj = exc.t, exc.last, exc.trajectory
             assert res.diverged_at[r] == t_div
-            assert traj.t[-1] == t_div - 1
+            assert traj.t[-1] == last.t[0] == t_div - 1
             # from the last finite state on, every row repeats it
             assert np.all(res.x[t_div - 1:, r] == last.x)
             assert np.all(res.s[t_div - 1:, r] == last.s)
-            if last.y_prev is not None:
-                assert np.array_equal(res.y[-1, r], last.y_prev)
+            assert np.all(res.y[t_div - 1:, r] == last.y)
         else:
             assert res.diverged_at[r] == -1
-            last = traj.final
-            assert np.array_equal(res.y[-1, r], last.y_prev)
+            last = traj
         n = len(traj.t)
         assert np.array_equal(res.x[:n, r], traj.x)
         assert np.array_equal(res.s[:n, r], traj.s)
         assert np.array_equal(res.y[:n, r], traj.y)
-        assert np.array_equal(res.x[-1, r], last.x)
-        assert res.s[-1, r] == last.s
+        assert np.array_equal(res.x[-1, r], last.x[-1])
+        assert res.s[-1, r] == last.s[-1]
+        assert np.array_equal(res.y[-1, r], last.y[-1])
 
 
 @pytest.mark.parametrize("n_rep", [1, 3])

@@ -176,8 +176,8 @@ def test_each_row_is_its_own_substream():
         traj = run_trajectory(plan.problem, plan.init, plan.schedule,
                               plan.sigmoid, plan.horizon,
                               substream(plan.master_seed, TRAJECTORY_LANE, r))
-        assert np.array_equal(rset.x[-1, r], traj.final.x)
-        assert rset.s[-1, r] == traj.final.s
+        assert np.array_equal(rset.x[-1, r], traj.x[-1])
+        assert rset.s[-1, r] == traj.s[-1]
 
 
 def test_plain_int_seed_is_replicate_zero():
@@ -185,7 +185,7 @@ def test_plain_int_seed_is_replicate_zero():
     rset = run_replicates(plan)
     traj = run_trajectory(plan.problem, plan.init, plan.schedule,
                           plan.sigmoid, 60, seed=plan.master_seed)
-    assert np.array_equal(rset.x[-1, 0], traj.final.x)
+    assert np.array_equal(rset.x[-1, 0], traj.x[-1])
 
 
 def test_zero_noise_replicates_coincide():

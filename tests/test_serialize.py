@@ -39,6 +39,18 @@ def test_json_layout_and_types():
     assert '"b": true' in text
 
 
+def test_every_control_character_round_trips():
+    # JSON forbids a raw character below U+0020 inside a string
+    for code in range(0x20):
+        text = f"a{chr(code)}b"
+        assert json.loads(dumps_json({text: text})) == {text: text}
+
+
+def test_json_string_bytes_without_control_characters():
+    assert dumps_json({"k": 'tab\there "q" \\ nl\n caf\u00e9'}) == \
+        '{\n  "k": "tab\\there \\"q\\" \\\\ nl\\n caf\u00e9"\n}\n'
+
+
 def test_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         dumps_json({"x": {1: "non-string key"}})
@@ -73,3 +85,13 @@ def test_a_value_that_cannot_be_written_leaves_no_file(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "a.csv", ["t", "a"], rows)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_non_finite_value_is_reported_with_its_place(tmp_path):
+    with pytest.raises(ValueError, match=r"^non-finite value inf in "
+                       r"artifact a\.json$"):
+        write_json(tmp_path / "a.json", {"ok": 1.0, "bad": float("inf")})
+    rows = [[1, 0.5, 2.0], [2, 0.25, float("-inf")], [3, float("nan"), 1.0]]
+    with pytest.raises(ValueError, match=r"^non-finite value -inf in "
+                       r"artifact b\.csv, column y$"):
+        write_csv(tmp_path / "b.csv", ["t", "x", "y"], rows)
