@@ -50,24 +50,9 @@ _EXIT_CODES = (
     (DivergedTrajectoryError, EXIT_STATISTICAL),
 )
 
-WORKERS_ENV = "ADAPTIX_WORKERS"
-
 CHECKPOINT_HEADER = ["t", "quantile_50", "quantile_90", "quantile_99",
                      "s_over_t_mean", "s_over_t_sd", "cov_rel_err",
                      "mahalanobis_ks"]
-
-
-def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"{WORKERS_ENV} must be an integer, got {env!r}")
-    return 1
 
 
 def _load(args):
@@ -188,7 +173,6 @@ def cmd_run(args) -> int:
 def cmd_replicate(args) -> int:
     cfg, out_dir = _load(args)
     plan = cfg.plan
-    workers = _resolve_workers(args)
     # refuse a replicate count that cannot be held before E0 and the oracle
     records = allocate_records(plan)
     prediction = _predict_with_artifact(cfg, out_dir)
@@ -199,7 +183,7 @@ def cmd_replicate(args) -> int:
     # the normality test needs V invertible: decide that before simulating
     solve_predicted_v(prediction.v, np.eye(plan.problem.dim))
 
-    rset = run_replicates(plan, workers=workers, records=records)
+    rset = run_replicates(plan, workers=args.workers, records=records)
     summary: dict = {
         "command": "replicate",
         "master_seed": plan.master_seed,
@@ -313,9 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "from the config, else .)")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override experiment.master_seed")
-        cmd.add_argument("--workers", type=int, default=None,
-                         help=f"worker processes (default: ${WORKERS_ENV} "
-                              "or 1); results do not depend on this")
+        cmd.add_argument("--workers", type=int, default=1,
+                         help="worker processes (default: 1); results do "
+                              "not depend on this")
         cmd.set_defaults(func=func)
     return parser
 

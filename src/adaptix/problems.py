@@ -1,8 +1,8 @@
 """Built-in root-finding problems and the assumption validators.
 
 A problem bundles the mean field phi (with a known root x* and Jacobian
-there), the noise model, and an optional quadratic Lyapunov certificate
-V(x) = (x - x*)^T P (x - x*) used by the drift checks.
+there), the noise model, and a quadratic Lyapunov certificate
+V(x) = (x - x*)^T P (x - x*), P = I unless given, used by the drift checks.
 
 Built-ins:
 
@@ -71,7 +71,7 @@ class ProblemSpec:
     matrix: np.ndarray | None = None      # A, for linear / tanh
     a: float | None = None                # the cubic's coefficients
     c: float | None = None
-    lyap_matrix: np.ndarray | None = None
+    lyap_matrix: np.ndarray | None = None  # P; None is the identity
     b32_radius: float | None = None
     b32_beta0: float | None = None
     # ``matrix`` and ``root`` as tuples of floats, for field_eval's float form
@@ -107,18 +107,19 @@ class ProblemSpec:
             object.__setattr__(self, "matrix", m)
             object.__setattr__(self, "matrix_rows",
                                tuple(map(tuple, m.tolist())))
-        if self.lyap_matrix is not None:
-            p = np.atleast_2d(np.asarray(self.lyap_matrix, dtype=np.float64))
-            if p.shape != (self.dim, self.dim):
-                raise DimensionMismatchError(
-                    f"lyap matrix shape {p.shape} does not match dim {self.dim}")
-            if not np.allclose(p, p.T, atol=1e-12):
-                raise ConfigError("lyap matrix must be symmetric")
-            try:
-                np.linalg.cholesky(p)
-            except np.linalg.LinAlgError:
-                raise ConfigError("lyap matrix must be positive definite") from None
-            object.__setattr__(self, "lyap_matrix", p)
+        p = np.atleast_2d(np.asarray(
+            np.eye(self.dim) if self.lyap_matrix is None else self.lyap_matrix,
+            dtype=np.float64))
+        if p.shape != (self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"lyap matrix shape {p.shape} does not match dim {self.dim}")
+        if not np.allclose(p, p.T, atol=1e-12):
+            raise ConfigError("lyap matrix must be symmetric")
+        try:
+            np.linalg.cholesky(p)
+        except np.linalg.LinAlgError:
+            raise ConfigError("lyap matrix must be positive definite") from None
+        object.__setattr__(self, "lyap_matrix", p)
         residual = float(norm_rows(field_eval(self, self.root)))
         if residual > 1e-12:
             raise ConfigError(f"field at the declared root has norm {residual:.3e}")
@@ -228,8 +229,6 @@ def build_problem(kind: str, dim: int | None = None,
         fields["root"] = np.full(dim, root)
     if fields["noise"] is None:
         fields["noise"] = gaussian_noise(np.eye(dim))
-    if fields["lyap_matrix"] is None:
-        fields["lyap_matrix"] = np.eye(dim)
     return ProblemSpec(kind=kind, dim=dim, **fields)
 
 
@@ -265,6 +264,31 @@ def _drift(problem: ProblemSpec, p: np.ndarray, dirs: np.ndarray,
     phi = field_eval(problem, points)
     grad_v = 2.0 * apply_rows(p, points - problem.root)
     return points, phi, np.sum(phi * grad_v, axis=-1)
+
+
+def _lowest(scans):
+    """The first lowest value over ``(points, values)`` scans, and its
+    point; a NaN is the lowest, so it fails the check and is its witness."""
+    points, values = map(np.concatenate, zip(*scans))
+    idx = int(np.argmin(values))
+    return float(values[idx]), points[idx]
+
+
+def _descent(problem: ProblemSpec, p: np.ndarray, step: float,
+             start: np.ndarray) -> dict | None:
+    """The first of DESCENT_STEPS steps z <- z - step phi(z) from ``start``
+    whose V is not <= the V before it (a NaN V included), or None."""
+    root = problem.root
+    z = start
+    v_prev = float((z - root) @ p @ (z - root))
+    for k in range(DESCENT_STEPS):
+        z = z - step * field_eval(problem, z)
+        v_next = float((z - root) @ p @ (z - root))
+        if not v_next <= v_prev * (1.0 + 1e-10) + 1e-300:
+            return {"gamma": float(step), "start": start.tolist(),
+                    "step_index": k, "v_before": v_prev, "v_after": v_next}
+        v_prev = v_next
+    return None
 
 
 # a field too large for floats fails its checks, or yields a value no
@@ -316,108 +340,72 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
     # B2.1-B2.3 -- schedule conditions.
     report.merge(validate_schedule(schedule))
 
+    # B3.1a -- structural: the certificate is a centered quadratic form
+    # with P positive definite (verified at construction), so V(x*) = 0
+    # and V > 0 everywhere else.
     p = problem.lyap_matrix
+    report.add("B3.1a", PASS, "V(x) = (x-x*)^T P (x-x*), P positive definite")
+
+    # B3.1b -- curvature bound M = largest eigenvalue of the Hessian 2P.
+    m_bound = float(np.linalg.eigvalsh(2.0 * p).max())
+    report.add("B3.1b", PASS, f"Hessian bound M = {m_bound:.6g}")
+
+    # B3.1c and B3.2 read one drift evaluation per radius.
     radii = CUBIC_RADII if problem.kind == "cubic1d" else RADII
-    if p is None:
-        for check_id in ("B3.1a", "B3.1b", "B3.1c", "B3.1d", "B3.2"):
-            report.add(check_id, NOT_CHECKED, "no Lyapunov matrix supplied")
+    has_margin = (problem.b32_radius is not None
+                  and problem.b32_beta0 is not None)
+    b32_radii = []
+    if has_margin:
+        r0 = float(problem.b32_radius)
+        b32_radii = sorted({r0, *[r for r in radii if r >= r0]})
+    drift = {r: _drift(problem, p, dirs, r) for r in (*radii, *b32_radii)}
+
+    # B3.1c -- drift positivity phi^T grad V > 0 away from the root.
+    worst_val, worst_point = _lowest(
+        (points, vals) for points, _, vals in map(drift.get, radii))
+    ok = worst_val > 0.0
+    report.add(
+        "B3.1c", PASS if ok else FAIL,
+        f"min phi^T grad V = {worst_val:.6g} over {len(dirs)} directions "
+        f"x radii {radii}",
+        witness=None if ok else {"x": worst_point.tolist(), "value": worst_val})
+
+    # B3.1d -- deterministic monotone descent of V under any step below
+    # gamma(0), simulated on the sampled grid of steps and starts.
+    gamma0 = gamma_eval(schedule, 0.0)
+    start_radius = max(radii)
+    witnesses = (_descent(problem, p, frac * gamma0, root + start_radius * d)
+                 for frac in GAMMA_FRACTIONS for d in dirs)
+    descent_witness = next((w for w in witnesses if w is not None), None)
+    report.add(
+        "B3.1d", PASS if descent_witness is None else FAIL,
+        f"V non-increasing over {DESCENT_STEPS} deterministic steps, "
+        f"gamma* in {tuple(float(f * gamma0) for f in GAMMA_FRACTIONS)}, "
+        f"starts at radius {start_radius}",
+        witness=descent_witness)
+
+    # B3.2 -- quantitative drift margin outside radius R.
+    if not has_margin:
+        reason = ("no (R, beta0) supplied"
+                  if problem.kind != "cubic1d" else
+                  "no (R, beta0) supplied: superlinear field growth beats "
+                  "the margin at large radii for any gamma(0) > 0")
+        report.add("B3.2", NOT_CHECKED, reason)
     else:
-        # B3.1a -- structural: the certificate is a centered quadratic form
-        # with P positive definite (verified at construction), so V(x*) = 0
-        # and V > 0 everywhere else.
-        report.add("B3.1a", PASS,
-                   "V(x) = (x-x*)^T P (x-x*), P positive definite")
-
-        # B3.1b -- curvature bound M = largest eigenvalue of the Hessian 2P.
-        m_bound = float(np.linalg.eigvalsh(2.0 * p).max())
-        report.add("B3.1b", PASS, f"Hessian bound M = {m_bound:.6g}")
-
-        # B3.1c and B3.2 read one drift evaluation per radius.
-        has_margin = (problem.b32_radius is not None
-                      and problem.b32_beta0 is not None)
-        b32_radii = []
-        if has_margin:
-            r0 = float(problem.b32_radius)
-            b32_radii = sorted({r0, *[r for r in radii if r >= r0]})
-        drift = {r: _drift(problem, p, dirs, r) for r in (*radii, *b32_radii)}
-
-        # B3.1c -- drift positivity phi^T grad V > 0 away from the root.
-        worst_val = np.inf
-        worst_point = None
-        for r in radii:
-            points, _, vals = drift[r]
-            idx = int(np.argmin(vals))
-            if vals[idx] < worst_val:
-                worst_val = float(vals[idx])
-                worst_point = points[idx]
-        ok = worst_val > 0.0
+        beta0 = float(problem.b32_beta0)
+        trace_term = m_bound * float(np.trace(problem.noise.cov))
+        min_margin, min_point = _lowest(
+            (points, lhs - 0.5 * gamma0 * (m_bound * np.sum(phi * phi, axis=-1)
+                                           + trace_term))
+            for points, phi, lhs in map(drift.get, b32_radii))
+        ok = min_margin >= beta0
         report.add(
-            "B3.1c", PASS if ok else FAIL,
-            f"min phi^T grad V = {worst_val:.6g} over {len(dirs)} directions "
-            f"x radii {radii}",
-            witness=None if ok else {"x": worst_point.tolist(), "value": worst_val})
-
-        # B3.1d -- deterministic monotone descent of V under any step below
-        # gamma(0), simulated on the sampled grid of steps and starts.
-        gamma0 = gamma_eval(schedule, 0.0)
-        descent_ok = True
-        descent_witness = None
-        start_radius = max(radii)
-        for frac in GAMMA_FRACTIONS:
-            step = frac * gamma0
-            for d in dirs:
-                z = root + start_radius * d
-                v_prev = float((z - root) @ p @ (z - root))
-                for k in range(DESCENT_STEPS):
-                    z = z - step * field_eval(problem, z)
-                    v_next = float((z - root) @ p @ (z - root))
-                    if v_next > v_prev * (1.0 + 1e-10) + 1e-300:
-                        descent_ok = False
-                        descent_witness = {"gamma": float(step),
-                                           "start": (root + start_radius * d).tolist(),
-                                           "step_index": k,
-                                           "v_before": v_prev, "v_after": v_next}
-                        break
-                    v_prev = v_next
-                if not descent_ok:
-                    break
-            if not descent_ok:
-                break
-        report.add(
-            "B3.1d", PASS if descent_ok else FAIL,
-            f"V non-increasing over {DESCENT_STEPS} deterministic steps, "
-            f"gamma* in {tuple(float(f * gamma0) for f in GAMMA_FRACTIONS)}, "
-            f"starts at radius {start_radius}",
-            witness=descent_witness)
-
-        # B3.2 -- quantitative drift margin outside radius R.
-        if not has_margin:
-            reason = ("no (R, beta0) supplied"
-                      if problem.kind != "cubic1d" else
-                      "no (R, beta0) supplied: superlinear field growth beats "
-                      "the margin at large radii for any gamma(0) > 0")
-            report.add("B3.2", NOT_CHECKED, reason)
-        else:
-            beta0 = float(problem.b32_beta0)
-            trace_term = m_bound * float(np.trace(problem.noise.cov))
-            min_margin = np.inf
-            min_point = None
-            for r in b32_radii:
-                points, phi, lhs = drift[r]
-                quad = m_bound * np.sum(phi * phi, axis=-1)
-                margins = lhs - 0.5 * gamma0 * (quad + trace_term)
-                idx = int(np.argmin(margins))
-                if margins[idx] < min_margin:
-                    min_margin = float(margins[idx])
-                    min_point = points[idx]
-            ok = min_margin >= beta0
-            report.add(
-                "B3.2", PASS if ok else FAIL,
-                f"min drift margin {min_margin:.6g} vs beta0 = {beta0} on "
-                f"radii {tuple(b32_radii)} (gamma(0) = {gamma0:.6g}, M = "
-                f"{m_bound:.6g})",
-                witness=None if ok else {"x": min_point.tolist(),
-                                         "margin": min_margin})
+            "B3.2", PASS if ok else FAIL,
+            f"min drift margin {min_margin:.6g} vs beta0 = {beta0} on "
+            f"radii {tuple(b32_radii)} (gamma(0) = {gamma0:.6g}, M = "
+            f"{m_bound:.6g})",
+            witness=None if ok else {"x": min_point.tolist(),
+                                     "margin": min_margin})
 
     # B3.3 -- stability of W = I/2 - phi'(x*)/E0 (needs E0 first).
     e0_estimate = e0_error = None

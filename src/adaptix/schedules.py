@@ -111,7 +111,8 @@ def gamma_eval(schedule: StepSchedule, s):
     if schedule.family == "reciprocal":
         out = 1.0 / np.maximum(arr, schedule.s_floor)
     elif schedule.family == "power":
-        out = schedule.gamma0 / np.power(1.0 + arr, schedule.p)
+        with np.errstate(over="ignore"):  # gamma0 / inf is the exact 0
+            out = schedule.gamma0 / np.power(1.0 + arr, schedule.p)
     else:
         out = np.full_like(arr, schedule.gamma0)
     return float(out) if arr.ndim == 0 else out
@@ -260,8 +261,10 @@ def sigmoid_eval(sigmoid: SigmoidSpec, v):
         return float(sigmoid.u_at_zero)
     arr = np.asarray(v, dtype=np.float64)
     if sigmoid.family == "smooth":
+        with np.errstate(over="ignore"):  # expit(+-inf) is exactly 1 or 0
+            scaled = arr / sigmoid.beta
         out = sigmoid.u_minus + (sigmoid.u_plus - sigmoid.u_minus) * _expit()(
-            arr / sigmoid.beta)
+            scaled)
     else:
         out = np.where(
             arr < 0.0, sigmoid.u_minus,

@@ -336,6 +336,27 @@ def test_an_in_process_numpy_warning_fails_the_test():
         np.array([1.0]) / 0.0
 
 
+SMOOTH_TINY_BETA = {"family": "smooth", "u_minus": 0.0, "u_plus": 1.0,
+                    "beta": 1e-310}
+
+
+@pytest.mark.parametrize("command, edits", [
+    # (1 + s)^150 overflows once s passes about 110: gamma is then 0
+    ("run", {"problem": {"kind": "linear", "dim": 1, "matrix": 1.0},
+             "schedule": {"family": "power", "gamma0": 1.0, "p": 150},
+             "experiment.horizon": 4000}),
+    # v / 1e-310 overflows for |v| > 1.8e-2: the gate is then u_minus or
+    # u_plus
+    ("predict", {"sigmoid": SMOOTH_TINY_BETA}),
+    ("replicate", {"sigmoid": SMOOTH_TINY_BETA}),
+], ids=["run-power", "predict-smooth", "replicate-smooth"])
+def test_an_overflow_with_an_exact_limit_prints_nothing(tmp_path, command,
+                                                        edits):
+    path = make_config(tmp_path, **edits)
+    assert cli_stderr(command, "--config", path,
+                      "--out", tmp_path / "out") == (0, [])
+
+
 def test_run_overflow_prints_only_the_divergence_line(tmp_path):
     # the cubic field overflows the squared norm before the bound is crossed
     path = tmp_path / "cubic.json"
@@ -645,21 +666,6 @@ def test_replicate_records_too_large_to_allocate_exit_2(tmp_path, capsys,
     assert sorted(os.listdir(out)) == ["config.json"]
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch):
-    path = make_config(tmp_path)
-    serial = tmp_path / "serial"
-    assert run_cli("replicate", "--config", path, "--out", serial,
-                   "--workers", "1") == 0
-    monkeypatch.setenv("ADAPTIX_WORKERS", "2")
-    out = tmp_path / "env"
-    assert run_cli("replicate", "--config", path, "--out", out) == 0
-    assert (out / "checkpoints.csv").read_bytes() == \
-           (serial / "checkpoints.csv").read_bytes()
-    monkeypatch.setenv("ADAPTIX_WORKERS", "many")
-    assert run_cli("replicate", "--config", path,
-                   "--out", tmp_path / "bad") == 2
-
-
 # ---------------------------------------------------------------------------
 # validate
 
@@ -673,6 +679,24 @@ def test_validate_artifacts(tmp_path):
     assert len(doc["items"]) == 14
     ids = [item["check_id"] for item in doc["items"]]
     assert ids == sorted(ids) or len(set(ids)) == 14
+
+
+def test_validate_fails_the_drift_checks_on_a_nan_drift(tmp_path):
+    # phi overflows to +-inf past radius 1, so phi^T grad V, the B3.2
+    # margin and the descent's V are NaN at some sampled points: each
+    # fails its check and is the witness, written as a string
+    path = make_config(tmp_path, **{
+        "problem.matrix": [[1e308, 1e308], [-1e308, 1e308]],
+        "schedule.s_floor": 2.0})
+    out = tmp_path / "out"
+    assert run_cli("validate", "--config", path, "--out", out) == 3
+    doc = json.loads((out / "validation.json").read_text(),
+                     parse_constant=lambda name: pytest.fail(name))
+    assert doc["failed"] == ["B3.1c", "B3.1d", "B3.2", "B3.3"]
+    items = {item["check_id"]: item for item in doc["items"]}
+    assert items["B3.1c"]["witness"]["value"] == "nan"
+    assert items["B3.1d"]["witness"]["v_after"] == "nan"
+    assert items["B3.2"]["witness"]["margin"] == "nan"
 
 
 def test_validate_flags_constant_schedule(tmp_path):
@@ -784,7 +808,8 @@ def test_a_dim_above_the_bound_is_refused_at_once(tmp_path, capsys, problem,
 
 def test_validate_overflow_fails_its_checks_and_writes_the_report(tmp_path):
     # a field entry near the largest float overflows the drift checks; the
-    # failed checks' witnesses record the infinities as strings
+    # failed checks' witnesses record the infinity and the NaN margin
+    # (inf - inf) as strings
     path = make_config(tmp_path, **{
         "problem": {"kind": "linear", "dim": 2,
                     "matrix": [[1e307, 0.0], [0.0, 1.0]]},
@@ -797,7 +822,7 @@ def test_validate_overflow_fails_its_checks_and_writes_the_report(tmp_path):
     items = {item["check_id"]: item for item in doc["items"]}
     assert doc["failed"] == ["B3.1d", "B3.2"]
     assert items["B3.1d"]["witness"]["v_after"] == "inf"
-    assert items["B3.2"]["witness"]["margin"] == "-inf"
+    assert items["B3.2"]["witness"]["margin"] == "nan"
 
 
 # J/E0 overflows: 1e308 / 0.5 is past the largest float
@@ -812,10 +837,11 @@ def test_validate_records_an_overflowing_w_as_a_failed_b33(tmp_path):
     out = tmp_path / "out"
     code, err = cli_stderr("validate", "--config", path, "--out", out)
     assert code == 3
-    assert err == ["adaptix: assumption check(s) failed: B3.1d, B3.3"]
+    assert err == ["adaptix: assumption check(s) failed: B3.1d, B3.2, B3.3"]
     doc = json.loads((out / "validation.json").read_text())
     items = {item["check_id"]: item for item in doc["items"]}
-    assert doc["failed"] == ["B3.1d", "B3.3"]
+    # B3.2's margin is inf - inf off the second axis
+    assert doc["failed"] == ["B3.1d", "B3.2", "B3.3"]
     assert len(items) == 14
     assert items["B3.3"]["verdict"] == "fail"
     witness = "W = I/2 - J/E0 is not finite at E0 = 0.5"

@@ -100,6 +100,8 @@ class InlinePool:
     (100_000, 7, 3, 3),      # bounded by the CPUs this process may use
     (5, 7, 8, 5),
     (5, 7, 1, None),         # one CPU: runs inline, no pool
+    (0, 7, 8, None),         # a count below one runs inline
+    (-3, 7, 8, None),
 ])
 def test_pool_size_is_bounded_by_work_and_cpus(monkeypatch, workers, n_rep,
                                                cpus, pool_size):

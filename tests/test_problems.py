@@ -12,7 +12,7 @@ from adaptix import (ConfigError, DimensionMismatchError,
 from adaptix._rowops import apply_rows
 from adaptix.asymptotics import MAX_DIM
 from adaptix.config import parse_config
-from adaptix.problems import jacobian_fd
+from adaptix.problems import ProblemSpec, jacobian_fd
 from adaptix.report import FAIL, FULL_CHECK_IDS, NOT_CHECKED, PASS
 from adaptix.rng import substream
 
@@ -127,6 +127,17 @@ def test_problem_construction_errors():
     with pytest.raises(ConfigError):
         linear_problem(matrix=np.eye(2),
                        lyap_matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_a_spec_without_a_lyapunov_matrix_gets_the_identity():
+    problem = ProblemSpec(kind="linear", dim=2, root=np.zeros(2),
+                          noise=gaussian_noise(np.eye(2)),
+                          matrix=np.diag([1.5, 3.0]))
+    assert np.array_equal(problem.lyap_matrix, np.eye(2))
+    report = validate_problem(problem, FLOOR4, KESTEN, seed=0)
+    assert [report.verdict(cid) for cid in ("B3.1a", "B3.1b", "B3.1c",
+                                            "B3.1d")] == [PASS] * 4
+    assert not report.failed_ids
 
 
 def test_scalar_root_means_that_value_in_every_coordinate():

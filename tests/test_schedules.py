@@ -245,6 +245,20 @@ def test_smooth_gate_values():
     assert gate.u_at_zero == pytest.approx(0.25)
 
 
+def test_an_overflowing_power_is_a_zero_step():
+    # (1 + 1e9)^150 overflows to inf, and gamma0 / inf = 0 is its limit
+    sched = power_schedule(gamma0=1.0, p=150.0)
+    assert gamma_eval(sched, np.array([0.0, 1e9])).tolist() == [1.0, 0.0]
+    assert gamma_eval(sched, 1e9) == 0.0
+
+
+def test_a_tiny_beta_smooth_gate_is_its_step_limits():
+    # v / 1e-310 overflows to +-inf, where expit is exactly 1 or 0
+    gate = smooth_gate(-0.5, 1.0, beta=1e-310)
+    assert sigmoid_eval(gate, np.array([-1.0, 1.0])).tolist() == [-0.5, 1.0]
+    assert sigmoid_eval(gate, 1.0) == 1.0
+
+
 def test_gate_is_monotone_and_bounded():
     grid = np.linspace(-50.0, 50.0, 1001)
     for gate in (kesten_gate(), plakhov_almeida_gate(-0.3, 0.8),
