@@ -96,8 +96,6 @@ def apply_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
                 acc += xj * mij
             out.append(acc)
         return tuple(out)
-    if x.ndim == 2:
-        return _column_matvec(m, x)
     out = _column_matvec(m, x.reshape(-1, x.shape[-1]))
     return out.reshape(x.shape[:-1] + (m.shape[0],))
 

@@ -72,9 +72,10 @@ def _load(args):
     try:
         os.makedirs(out_dir, exist_ok=True)
         write_json(os.path.join(out_dir, "config.json"), canonical_config(cfg))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        reason = getattr(exc, "strerror", exc)
         raise ConfigError(f"cannot write artifacts to output directory "
-                          f"{out_dir!r}: {exc.strerror}") from None
+                          f"{out_dir!r}: {reason}") from None
     return cfg, out_dir
 
 
@@ -94,6 +95,7 @@ def _prediction_dict(prediction, oracle_diff: float | None) -> dict:
 
 
 def _predict_with_artifact(cfg: RunConfig, out_dir: str):
+    """Write prediction.json; an unstable W, left without V, then raises."""
     plan = cfg.plan
     e0 = resolve_e0(plan)
     prediction = predict(plan.problem.jacobian_at_root,
@@ -106,16 +108,14 @@ def _predict_with_artifact(cfg: RunConfig, out_dir: str):
     if cfg.emit_prediction:
         write_json(os.path.join(out_dir, "prediction.json"),
                    _prediction_dict(prediction, oracle_diff))
+    if not prediction.stable:
+        raise StabilityError("W = I/2 - J/E0 is not stable; "
+                             "no limit covariance")
     return prediction
 
 
 def cmd_predict(args) -> int:
-    cfg, out_dir = _load(args)
-    prediction = _predict_with_artifact(cfg, out_dir)
-    if not prediction.stable:
-        print("adaptix: W = I/2 - J/E0 is not stable; no limit covariance",
-              file=sys.stderr)
-        return EXIT_ASSUMPTION
+    _predict_with_artifact(*_load(args))
     return EXIT_OK
 
 
@@ -176,10 +176,6 @@ def cmd_replicate(args) -> int:
     # refuse a replicate count that cannot be held before E0 and the oracle
     records = allocate_records(plan)
     prediction = _predict_with_artifact(cfg, out_dir)
-    if not prediction.stable:
-        print("adaptix: W = I/2 - J/E0 is not stable; refusing to test "
-              "normality against a nonexistent limit", file=sys.stderr)
-        return EXIT_ASSUMPTION
     # the normality test needs V invertible: decide that before simulating
     solve_predicted_v(prediction.v, np.eye(plan.problem.dim))
 

@@ -323,7 +323,8 @@ def load_config(path) -> RunConfig:
                           f"at byte {exc.start}") from exc
     try:
         data = json.loads(text, object_pairs_hook=_reject_duplicates)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also an integer past int's digit limit, or nesting too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")

@@ -73,6 +73,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if self.horizon >= 2**63:  # record times are int64
+            raise ConfigError(f"horizon must be < 2**63, got {self.horizon}")
         if self.n_replicates < 2:
             raise ConfigError(
                 f"n_replicates must be >= 2, got {self.n_replicates}")
@@ -143,15 +145,6 @@ def resolve_e0(plan: ExperimentPlan) -> E0Estimate:
                       plan.master_seed)
 
 
-def _records(plan: ExperimentPlan, n_rep: int):
-    """Empty (x, s, z, diverged_at) arrays for ``n_rep`` replicates."""
-    shape = (len(plan.checkpoints), n_rep)
-    dim = plan.problem.dim
-    z = np.empty(shape + (dim,)) if plan.couple_comparator else None
-    return (np.empty(shape + (dim,)), np.empty(shape), z,
-            np.empty(n_rep, dtype=np.int64))
-
-
 def _store(out, rows: slice, piece) -> None:
     """Copy the records ``piece`` into replicates ``rows`` of ``out``."""
     x, s, z, diverged_at = out
@@ -169,7 +162,7 @@ def _run_block(plan: ExperimentPlan, e0_value: float, lo: int, hi: int,
     returns it. Substreams are made per tile, so neither the noise nor
     the generators of a block grow with its size."""
     if out is None:
-        out = _records(plan, hi - lo)
+        out = allocate_records(plan, hi - lo)
     # as many replicates as keep one noise block per stream in the budget
     independent = plan.comparator_noise == "independent"
     streams = 2 if plan.couple_comparator and independent else 1
@@ -198,13 +191,16 @@ def _run_block(plan: ExperimentPlan, e0_value: float, lo: int, hi: int,
     return out
 
 
-def allocate_records(plan: ExperimentPlan):
-    """Empty (x, s, z, diverged_at) records of every replicate of ``plan``,
-    for :func:`run_replicates` to fill. A replicate count whose records
-    numpy cannot allocate raises ConfigError."""
-    n = plan.n_replicates
+def allocate_records(plan: ExperimentPlan, n: int | None = None):
+    """Empty (x, s, z, diverged_at) records of ``n`` replicates (default:
+    all of ``plan``'s) for :func:`run_replicates` to fill. Records numpy
+    cannot allocate raise ConfigError."""
+    n = plan.n_replicates if n is None else n
+    shape = (len(plan.checkpoints), n)
+    vectors = shape + (plan.problem.dim,)
     try:
-        return _records(plan, n)
+        z = np.empty(vectors) if plan.couple_comparator else None
+        return np.empty(vectors), np.empty(shape), z, np.empty(n, np.int64)
     except (ValueError, MemoryError):
         per_replicate = len(plan.checkpoints) * (
             plan.problem.dim * (2 if plan.couple_comparator else 1) + 1) + 1
@@ -229,13 +225,9 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1,
     out = allocate_records(plan) if records is None else records
     e0 = resolve_e0(plan)
     n_blocks = max(1, min(int(workers), n, len(os.sched_getaffinity(0))))
-    base, extra = divmod(n, n_blocks)
-    bounds = []
-    lo = 0
-    for b in range(n_blocks):
-        hi = lo + base + (1 if b < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
+    # ceil(n b / n_blocks): block sizes differ by at most one replicate
+    edges = [-(-n * b // n_blocks) for b in range(n_blocks + 1)]
+    bounds = list(zip(edges, edges[1:]))
     if n_blocks == 1:
         _run_block(plan, e0.value, 0, n, out)
     else:

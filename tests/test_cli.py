@@ -187,6 +187,8 @@ def test_non_finite_numbers_rejected_with_path(tmp_path, capsys, key, value,
     ("problem.dim", -1, "problem.dim"),
     ("problem", {"kind": "linear", "root": 0.5,
                  "noise": {"kind": "gaussian", "dim": -2}}, "noise dim"),
+    # record times are int64
+    ("experiment.horizon", 2**63, "horizon"),
 ])
 def test_out_of_range_values_exit_2_and_name_the_key(tmp_path, capsys, key,
                                                      value, name):
@@ -239,15 +241,27 @@ def test_predict_identity_fixed_point(tmp_path):
     assert pred["oracle_max_abs_diff"] <= 1e-8
 
 
-def test_predict_unstable_exits_3_and_omits_v(tmp_path):
-    path = make_config(tmp_path, **{"problem.matrix": [[0.2, 0.0],
-                                                       [0.0, 0.2]]})
-    out = tmp_path / "out"
-    assert run_cli("predict", "--config", path, "--out", out) == 3
+UNSTABLE_W_LINE = ("adaptix: error: W = I/2 - J/E0 is not stable; "
+                   "no limit covariance")
+
+
+def assert_refused_unstable(out, capsys):
+    """Exit 3's artifacts and reason line: prediction.json without V, and
+    nothing a replicate ensemble would write."""
+    assert capsys.readouterr().err.splitlines() == [UNSTABLE_W_LINE]
     pred = json.loads((out / "prediction.json").read_text())
     assert pred["stable"] is False
     assert "V" not in pred
     assert "oracle_max_abs_diff" not in pred
+    assert sorted(os.listdir(out)) == ["config.json", "prediction.json"]
+
+
+def test_predict_unstable_exits_3_and_omits_v(tmp_path, capsys):
+    path = make_config(tmp_path, **{"problem.matrix": [[0.2, 0.0],
+                                                       [0.0, 0.2]]})
+    out = tmp_path / "out"
+    assert run_cli("predict", "--config", path, "--out", out) == 3
+    assert_refused_unstable(out, capsys)
 
 
 def test_predict_byte_stable(tmp_path):
@@ -493,11 +507,12 @@ def test_replicate_requires_an_ensemble(tmp_path):
                    "--out", tmp_path / "o") == 2
 
 
-def test_replicate_unstable_exits_3(tmp_path):
+def test_replicate_unstable_exits_3(tmp_path, capsys):
     path = make_config(tmp_path, **{"problem.matrix": [[0.2, 0.0],
                                                        [0.0, 0.2]]})
-    assert run_cli("replicate", "--config", path,
-                   "--out", tmp_path / "o") == 3
+    out = tmp_path / "o"
+    assert run_cli("replicate", "--config", path, "--out", out) == 3
+    assert_refused_unstable(out, capsys)
 
 
 def test_replicate_names_a_singular_predicted_v(tmp_path, capsys):
@@ -616,19 +631,38 @@ def test_empty_output_dir_exits_2_with_one_line(tmp_path):
     assert len(err) == 1
     assert err[0].startswith("adaptix: error: cannot write artifacts to "
                              "output directory ''")
+    # a NUL in the name is refused by Python before any system call
+    path = make_config(tmp_path, **{"output.dir": "a\u0000b"})
+    code, err = cli_stderr("predict", "--config", path)
+    assert code == 2
+    assert err == ["adaptix: error: cannot write artifacts to output "
+                   "directory 'a\\x00b': embedded null byte"]
 
 
 @pytest.mark.parametrize(("name", "reason"), [
     ("missing.json", "cannot read config {!r}: No such file or directory"),
     ("a_directory", "cannot read config {!r}: Is a directory"),
     ("latin1.json", "config {!r} is not UTF-8: invalid continuation byte "
-                    "at byte 13")], ids=["missing", "directory", "not-utf8"])
+                    "at byte 13"),
+    ("deep.json", "config is not valid JSON: maximum recursion depth "
+                  "exceeded while decoding a JSON array from a unicode "
+                  "string"),
+    ("digits.json", "config is not valid JSON: Exceeds the limit (4300 "
+                    "digits) for integer string conversion: value has 5000 "
+                    "digits; use sys.set_int_max_str_digits() to increase "
+                    "the limit")],
+    ids=["missing", "directory", "not-utf8", "nested-too-deep",
+         "too-many-digits"])
 def test_unreadable_config_exits_2_with_one_line(tmp_path, name, reason):
     path = tmp_path / name
     if name == "a_directory":
         path.mkdir()
     elif name == "latin1.json":
         path.write_bytes('{"note": "caf\u00e9"}'.encode("latin-1"))
+    elif name == "deep.json":
+        path.write_text("[" * 200_000 + "]" * 200_000)
+    elif name == "digits.json":
+        path.write_text('{"note": ' + "1" * 5000 + "}")
     out = tmp_path / "o"
     code, err = cli_stderr("predict", "--config", path, "--out", out)
     assert code == 2

@@ -171,6 +171,31 @@ def test_tiles_never_change_bits(monkeypatch, noise, comparator):
     assert tiles == [5, 4]
 
 
+@pytest.mark.parametrize("n_rep, workers", [(10, 3), (11, 4), (12, 5)])
+def test_blocks_cover_the_replicates_evenly(monkeypatch, n_rep, workers):
+    plan = scalar_plan(n_replicates=n_rep, horizon=60, checkpoints=(10, 60))
+    baseline = run_replicates(plan, workers=1)
+    blocks = []
+
+    class BlockPool(InlinePool):
+        def submit(self, fn, *args):
+            blocks.append(args[-2:])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BlockPool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: set(range(workers)))
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    assert record_bytes(run_replicates(plan, workers=workers)) == \
+        record_bytes(baseline)
+    assert InlinePool.sizes == [workers]
+    # consecutive blocks from 0 to n_rep, one per worker, sizes within one
+    assert blocks[0][0] == 0 and blocks[-1][1] == n_rep
+    assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+    sizes = [hi - lo for lo, hi in blocks]
+    assert len(sizes) == workers and max(sizes) - min(sizes) <= 1
+
+
 def test_each_row_is_its_own_substream():
     plan = scalar_plan(n_replicates=4, horizon=80, checkpoints=(80,))
     rset = run_replicates(plan)
