@@ -7,9 +7,10 @@ Subcommands:
 * ``replicate`` -- a replicate ensemble with per-checkpoint statistics.
 * ``validate``  -- assumption checks for the configured problem/schedule/gate.
 
-Exit codes: 0 success; 2 bad configuration; 3 assumption or stability
-failure; 4 statistical failure (divergence or a failed normality gate);
-5 numeric failure (ill-conditioned solve, tail bound, non-finite values).
+Exit codes: 0 success; 2 bad configuration or an artifact that cannot be
+written; 3 assumption or stability failure; 4 statistical failure
+(divergence or a failed normality gate); 5 numeric failure
+(ill-conditioned solve, tail bound, non-finite values).
 
 Every command echoes the fully resolved configuration to config.json in
 the output directory, so a run can be replayed from its artifacts.
@@ -71,11 +72,11 @@ def _load(args):
     out_dir = args.out if args.out is not None else cfg.out_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
-        write_json(os.path.join(out_dir, "config.json"), canonical_config(cfg))
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
         reason = getattr(exc, "strerror", exc)
         raise ConfigError(f"cannot write artifacts to output directory "
                           f"{out_dir!r}: {reason}") from None
+    write_json(os.path.join(out_dir, "config.json"), canonical_config(cfg))
     return cfg, out_dir
 
 
@@ -122,7 +123,7 @@ def cmd_predict(args) -> int:
 def _write_trajectory(path, trajectory: Trajectory, schedule) -> None:
     header = ["t", "s", "gamma"] + [
         f"x_{i}" for i in range(trajectory.x.shape[1])]
-    rows = [[t, s, gamma_eval(schedule, s)] + x
+    rows = [(t, s, gamma_eval(schedule, s), *x)
             for t, s, x in zip(trajectory.t.tolist(), trajectory.s.tolist(),
                                trajectory.x.tolist())]
     write_csv(path, header, rows)

@@ -169,14 +169,18 @@ def _lane(problem: ProblemSpec, init: InitialConditions,
 
     x and y_prev are tuples and s a float; each layer is called through
     this module once per step, as the batch loop calls it, and takes its
-    float form. Records into slots ``slot`` on, freezes a diverged state as
-    the batch loop does and returns its step, or -1.
+    float form. Records into slots ``slot`` on, once per noise chunk, so
+    at most a chunk of records is held as Python objects; freezes a
+    diverged state as the batch loop does and returns its step, or -1.
     """
     x = tuple(init.x0.tolist())
     s = float(init.s0)
     s1 = float(init.s1)
     y_prev = (0.0,) * problem.dim
     mark = marks[slot]
+    # x, s and y_prev of the marks passed in this chunk, x and y_prev
+    # flattened; stored at its end
+    xs, ss, ys = [], [], []
     t = 1
     while t <= horizon:
         span = min(NOISE_CHUNK, horizon - t + 1)
@@ -194,19 +198,38 @@ def _lane(problem: ProblemSpec, init: InitialConditions,
                 if s_new <= 0.0:
                     s_new = 0.0
             if not ok:
+                _store_records(slot, xs, ss, ys, x_rec, s_rec, y_rec)
                 x_rec[slot:, 0] = x
                 s_rec[slot:, 0] = s
                 y_rec[slot:, 0] = y_prev
                 return tk
             x, s, y_prev = x_new, s_new, y
             if tk == mark:
-                x_rec[slot, 0] = x
-                s_rec[slot, 0] = s
-                y_rec[slot, 0] = y_prev
+                xs += x
+                ss.append(s)
+                ys += y_prev
                 slot += 1
                 mark = marks[slot]
+        _store_records(slot, xs, ss, ys, x_rec, s_rec, y_rec)
         t += span
     return -1
+
+
+def _store_records(end: int, xs: list, ss: list, ys: list, x_rec: np.ndarray,
+                   s_rec: np.ndarray, y_rec: np.ndarray) -> None:
+    """Store the lane's pending records, which fill the slots up to
+    ``end``, with one slice assignment per array, and empty the lists.
+    ``xs`` and ``ys`` hold the states flattened: numpy converts a flat list
+    of floats about twice as fast as a list of tuples."""
+    if ss:
+        lo = end - len(ss)
+        dim = x_rec.shape[2]
+        x_rec[lo:end, 0] = np.reshape(xs, (-1, dim))
+        s_rec[lo:end, 0] = ss
+        y_rec[lo:end, 0] = np.reshape(ys, (-1, dim))
+        xs.clear()
+        ss.clear()
+        ys.clear()
 
 
 def _simulate(problem: ProblemSpec, init: InitialConditions,

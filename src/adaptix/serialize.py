@@ -4,8 +4,9 @@ Floats are rendered with repr-faithful 17 significant digits so that two
 runs producing the same numbers produce the same bytes; dict insertion
 order is preserved (never sorted) so artifact layout is part of the
 format. NaN and infinities are rejected rather than smuggled into JSON;
-the error names the artifact file and, in a CSV, the column. Strings are
-escaped as JSON requires, with non-ASCII text written as is.
+the error names the artifact file and, in a CSV, the column. A file that
+cannot be opened or written raises ConfigError naming the artifact. Strings
+are escaped as JSON requires, with non-ASCII text written as is.
 """
 
 from __future__ import annotations
@@ -13,8 +14,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from operator import itemgetter, mod
 
 import numpy as np
+
+from .errors import ConfigError
+
+_INTEGERS = (int, np.integer)
 
 
 def format_float(value: float) -> str:
@@ -78,15 +84,12 @@ def dumps_json(obj) -> str:
 def _write_lines(path, lines: list) -> None:
     # the whole text is rendered before the file is opened, so a value that
     # cannot be written leaves no empty or truncated artifact behind
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(
-            value, (bool, np.bool_)):
-        return str(int(value))
-    return format_float(value)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifact {os.path.basename(path)}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def write_json(path, obj) -> None:
@@ -98,14 +101,52 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, header: list, rows) -> None:
-    """Rows of ints/floats; floats at 17 significant digits, LF endings."""
+    """Rows of ints/floats, each as wide as the first; ints as written,
+    floats at 17 significant digits, LF endings.
+
+    Each column is decided once, not each cell: a column of ints (Python
+    or numpy, bools included) renders as ``%d`` and any other as ``%.17g``,
+    which writes a float as ``format_float`` does. One numpy pass over a
+    float column's values finds its non-finite cells and its negative
+    zeros, which ``%.17g`` writes as ``-0``. A row holding a negative zero,
+    or an int in a float column, gets a format of its own, with ``%.1f``
+    or ``%d`` in that cell.
+    """
+    rows = list(rows)
+    width = len(rows[0]) if rows else 0
+    specs = []
+    bad = []                # (row, column) of each column's first NaN or inf
+    exact = {}              # row -> {column: spec} where "%.17g" misrenders
+    for j in range(width):
+        column = list(map(itemgetter(j), rows))
+        is_int = [issubclass(kind, _INTEGERS)
+                  for kind in set(map(type, column))]
+        if all(is_int):
+            specs.append("%d")
+            continue
+        specs.append("%.17g")
+        if any(is_int):
+            for i, value in enumerate(column):
+                if isinstance(value, _INTEGERS):
+                    exact.setdefault(i, {})[j] = "%d"
+                    column[i] = 0.0     # it may lie beyond the float range
+        values = np.fromiter(column, np.float64, len(column))
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad.append((int(np.argmin(finite)), j))
+        # "-0" would read back as the integer 0, losing the sign
+        for i in np.flatnonzero(np.signbit(values) & (values == 0.0)).tolist():
+            exact.setdefault(i, {})[j] = "%.1f"
+    if bad:
+        i, j = min(bad)
+        raise ValueError(f"non-finite value {float(rows[i][j])!r} in artifact "
+                         f"{os.path.basename(path)}, column {header[j]}")
+    formats = [",".join(specs) + "\n"] * len(rows)
+    for i, cells in exact.items():
+        row_specs = specs.copy()
+        for j, spec in cells.items():
+            row_specs[j] = spec
+        formats[i] = ",".join(row_specs) + "\n"
     lines = [",".join(header) + "\n"]
-    for row in rows:
-        try:
-            lines.append(",".join(map(_csv_cell, row)) + "\n")
-        except ValueError as exc:
-            column = next(name for name, value in zip(header, row)
-                          if not math.isfinite(value))
-            raise ValueError(f"{exc} {os.path.basename(path)}, column "
-                             f"{column}") from None
+    lines += map(mod, formats, map(tuple, rows))
     _write_lines(path, lines)

@@ -20,7 +20,7 @@ from adaptix.core import run_trajectory
 from adaptix.errors import (ConfigError, DimensionMismatchError,
                             DivergedTrajectoryError)
 from adaptix.schedules import gamma_eval
-from adaptix.serialize import dumps_json, write_csv
+from adaptix.serialize import dumps_json, format_float
 
 BASE_CONFIG = {
     "problem": {"kind": "linear", "dim": 2,
@@ -410,8 +410,8 @@ def test_run_takes_a_bound_too_large_to_square(tmp_path):
 
 def test_trajectory_csv_matches_the_per_state_rendering(tmp_path, monkeypatch):
     # horizon 25 001 records every 2nd state and appends the final one; the
-    # columnar writer must give the bytes of a row-by-row rendering of the
-    # same trajectory
+    # writer must give the bytes of a cell-by-cell rendering of the same
+    # trajectory
     runs = []
 
     def recording_run_trajectory(*args, **kwargs):
@@ -430,14 +430,16 @@ def test_trajectory_csv_matches_the_per_state_rendering(tmp_path, monkeypatch):
     assert run_cli("run", "--config", path, "--out", out) == 0
     schedule = load_config(path).plan.schedule
     traj = runs[0]
-    rows = [[int(traj.t[i]), float(traj.s[i]),
-             float(gamma_eval(schedule, float(traj.s[i])))] + list(traj.x[i])
-            for i in range(len(traj.t))]
-    assert len(rows) == 12_502 and rows[-2][0] == 25_000
-    assert rows[-1][0] == 25_001
-    expected = tmp_path / "expected.csv"
-    write_csv(expected, ["t", "s", "gamma", "x_0"], rows)
-    assert (out / "trajectory.csv").read_bytes() == expected.read_bytes()
+    lines = ["t,s,gamma,x_0\n"]
+    for i in range(len(traj.t)):
+        s = float(traj.s[i])
+        cells = [str(int(traj.t[i])), format_float(s),
+                 format_float(gamma_eval(schedule, s))]
+        lines.append(",".join(cells + [format_float(v) for v in traj.x[i]])
+                     + "\n")
+    assert len(lines) == 1 + 12_502
+    assert lines[-2].startswith("25000,") and lines[-1].startswith("25001,")
+    assert (out / "trajectory.csv").read_bytes() == "".join(lines).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +684,25 @@ def test_out_naming_a_file_exits_2_with_one_line(tmp_path):
     assert taken.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize(("command", "artifact", "written"), [
+    ("run", "trajectory.csv", ["config.json"]),
+    ("replicate", "checkpoints.csv", ["config.json", "prediction.json"]),
+    ("predict", "prediction.json", ["config.json"]),
+    ("predict", "config.json", [])])
+def test_an_artifact_that_cannot_be_written_exits_2_naming_it(
+        tmp_path, command, artifact, written):
+    # a directory where the artifact goes: one line, no traceback
+    path = make_config(tmp_path)
+    out = tmp_path / "o"
+    (out / artifact).mkdir(parents=True)
+    code, err = cli_stderr(command, "--config", path, "--out", out)
+    assert code == 2
+    assert err == [f"adaptix: error: cannot write artifact {artifact}: "
+                   "Is a directory"]
+    assert sorted(os.listdir(out)) == sorted(written + [artifact])
+    assert os.listdir(out / artifact) == []
+
+
 @pytest.mark.parametrize("n_rep", [2**60, 2**50])
 def test_replicate_records_too_large_to_allocate_exit_2(tmp_path, capsys,
                                                         n_rep):
@@ -913,6 +934,7 @@ def test_a_non_finite_artifact_value_names_its_file_and_column(tmp_path):
     assert code == 5
     assert err == ["adaptix: error: non-finite value inf in artifact "
                    "trajectory.csv, column s"]
+    assert sorted(os.listdir(tmp_path / "o")) == ["config.json"]
 
 
 def test_console_script_entry_point(tmp_path):

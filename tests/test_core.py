@@ -300,6 +300,78 @@ def test_the_sweep_overflows_the_squared_norm_mid_run():
     assert sum(1 < t <= 5 for t in steps) >= 6
 
 
+# One plan in five over three noise blocks, at strides 1 and 7: the lane
+# stores its records at the end of each block.
+LONG_PLANS = range(1, len(LANE_PLANS), 5)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("index", LONG_PLANS,
+                         ids=["-".join(LANE_PLANS[i]) for i in LONG_PLANS])
+def test_lane_records_over_three_blocks_are_the_batch_rows(index, stride):
+    problem, init, schedule, sigmoid, _, _ = lane_plan(index,
+                                                       *LANE_PLANS[index])
+    assert_run_is_batch_row(problem, init, schedule, sigmoid,
+                            3 * NOISE_CHUNK + 5, seed=index, stride=stride)
+
+
+def growing_plan():
+    """A dim-2 lane plan whose iterate norm grows about 1% a step: the
+    constant step 2.01 on the identity field maps x to about -1.01 x."""
+    problem = linear_problem(matrix=np.eye(2),
+                             noise=gaussian_noise(1e-4 * np.eye(2)))
+    init = InitialConditions(x0=np.array([1.0, -1.0]))
+    return problem, init, constant_schedule(2.01), KESTEN
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("t_div", [-1, 2 * NOISE_CHUNK + 1, 2051, 2800, 2801,
+                                   2803, 3 * NOISE_CHUNK])
+def test_lane_divergence_in_the_third_block_is_the_batch_row(t_div, stride):
+    # the third noise block holds steps 2049 to 3072. At stride 7, 2051 and
+    # 2800 are record marks, 2801 follows one, and 2049, 2803 and 3072 are
+    # off the marks; at stride 1 every step is one. A bound between the
+    # norms of steps t_div - 1 and t_div freezes the run at t_div.
+    problem, init, schedule, sigmoid = growing_plan()
+    horizon = 3 * NOISE_CHUNK + 100
+    bound = 1e200
+    if t_div > 0:
+        free = run_trajectory(problem, init, schedule, sigmoid, horizon,
+                              seed=3, divergence_bound=bound)
+        norms = np.linalg.norm(free.x, axis=1)
+        bound = float(np.sqrt(norms[t_div - 1] * norms[t_div]))
+        assert norms[:t_div].max() < bound < norms[t_div]
+    assert assert_run_is_batch_row(problem, init, schedule, sigmoid, horizon,
+                                   seed=3, stride=stride,
+                                   bound=bound) == t_div
+
+
+def test_the_lane_holds_at_most_one_block_of_records(monkeypatch):
+    # a stride-1 run over 32 noise blocks: beyond the record arrays,
+    # allocated before it starts, the lane holds at most one block of
+    # records and of noise as Python objects, under 2 KiB a step of the
+    # block (about 0.6 KiB measured). Tracing makes a lane step about 15
+    # times slower, so the run is no longer.
+    lane = core._lane
+    peaks = []
+
+    def traced_lane(*args):
+        tracemalloc.start()
+        try:
+            return lane(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(core, "_lane", traced_lane)
+    horizon = 32 * NOISE_CHUNK
+    problem = linear_problem(matrix=np.diag([1.5, 3.0]))
+    traj = run_trajectory(problem, InitialConditions(x0=np.ones(2)),
+                          RECIPROCAL, KESTEN, horizon, seed=1)
+    assert len(traj.t) == horizon + 1
+    assert len(peaks) == 1 and peaks[0] < NOISE_CHUNK * 2**11
+
+
 def test_lane_keeps_a_negative_zero_counter_off_the_record():
     # aligned noiseless measurements: s1 = -0.0 plus the gate's -0.0 is
     # -0.0, which np.maximum turns into +0.0 in the batch loop
