@@ -95,28 +95,36 @@ def _prediction_dict(prediction, oracle_diff: float | None) -> dict:
     return out
 
 
-def _predict_with_artifact(cfg: RunConfig, out_dir: str):
-    """Write prediction.json; an unstable W, left without V, then raises."""
+def _predict_or_refuse(cfg: RunConfig, out_dir: str):
+    """The prediction; an unstable W writes prediction.json without V and
+    raises. A stable W's prediction.json is left to ``_write_prediction``."""
     plan = cfg.plan
-    e0 = resolve_e0(plan)
     prediction = predict(plan.problem.jacobian_at_root,
-                         plan.problem.noise.cov, e0)
-    oracle_diff = None
-    if prediction.stable:
-        oracle = covariance_integral_oracle(prediction.w,
-                                            plan.problem.noise.cov, e0.value)
-        oracle_diff = float(np.max(np.abs(prediction.v - oracle)))
-    if cfg.emit_prediction:
-        write_json(os.path.join(out_dir, "prediction.json"),
-                   _prediction_dict(prediction, oracle_diff))
+                         plan.problem.noise.cov, resolve_e0(plan))
     if not prediction.stable:
+        if cfg.emit_prediction:
+            write_json(os.path.join(out_dir, "prediction.json"),
+                       _prediction_dict(prediction, None))
         raise StabilityError("W = I/2 - J/E0 is not stable; "
                              "no limit covariance")
     return prediction
 
 
+def _write_prediction(cfg: RunConfig, out_dir: str, prediction) -> None:
+    """Cross-check a stable prediction's V against the integral oracle and
+    write prediction.json with the gap."""
+    oracle = covariance_integral_oracle(prediction.w,
+                                        cfg.plan.problem.noise.cov,
+                                        prediction.e0.value)
+    oracle_diff = float(np.max(np.abs(prediction.v - oracle)))
+    if cfg.emit_prediction:
+        write_json(os.path.join(out_dir, "prediction.json"),
+                   _prediction_dict(prediction, oracle_diff))
+
+
 def cmd_predict(args) -> int:
-    _predict_with_artifact(*_load(args))
+    cfg, out_dir = _load(args)
+    _write_prediction(cfg, out_dir, _predict_or_refuse(cfg, out_dir))
     return EXIT_OK
 
 
@@ -176,11 +184,17 @@ def cmd_replicate(args) -> int:
     plan = cfg.plan
     # refuse a replicate count that cannot be held before E0 and the oracle
     records = allocate_records(plan)
-    prediction = _predict_with_artifact(cfg, out_dir)
-    # the normality test needs V invertible: decide that before simulating
-    solve_predicted_v(prediction.v, np.eye(plan.problem.dim))
+    prediction = _predict_or_refuse(cfg, out_dir)
 
-    rset = run_replicates(plan, workers=args.workers, records=records)
+    def check_prediction():
+        _write_prediction(cfg, out_dir, prediction)
+        # the normality test needs V invertible: decide that before
+        # simulating
+        solve_predicted_v(prediction.v, np.eye(plan.problem.dim))
+
+    # with a pool, the oracle runs here while a worker resolves E0 again
+    rset = run_replicates(plan, workers=args.workers, records=records,
+                          meanwhile=check_prediction)
     summary: dict = {
         "command": "replicate",
         "master_seed": plan.master_seed,

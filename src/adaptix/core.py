@@ -163,7 +163,7 @@ def _lane_takes(problem: ProblemSpec, schedule: StepSchedule,
 
 def _lane(problem: ProblemSpec, init: InitialConditions,
           schedule: StepSchedule, sigmoid: SigmoidSpec, horizon: int, rng,
-          marks: list, slot: int, bound_sq: float, x_rec: np.ndarray,
+          ts: np.ndarray, slot: int, bound_sq: float, x_rec: np.ndarray,
           s_rec: np.ndarray, y_rec: np.ndarray) -> int:
     """The batch loop's step for one replicate, on Python floats.
 
@@ -177,7 +177,8 @@ def _lane(problem: ProblemSpec, init: InitialConditions,
     s = float(init.s0)
     s1 = float(init.s1)
     y_prev = (0.0,) * problem.dim
-    mark = marks[slot]
+    n_slots = ts.size
+    mark = ts.item(slot) if slot < n_slots else -1
     # x, s and y_prev of the marks passed in this chunk, x and y_prev
     # flattened; stored at its end
     xs, ss, ys = [], [], []
@@ -209,7 +210,7 @@ def _lane(problem: ProblemSpec, init: InitialConditions,
                 ss.append(s)
                 ys += y_prev
                 slot += 1
-                mark = marks[slot]
+                mark = ts.item(slot) if slot < n_slots else -1
         _store_records(slot, xs, ss, ys, x_rec, s_rec, y_rec)
         t += span
     return -1
@@ -250,7 +251,11 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    ts = np.asarray(sorted({int(t) for t in record_ts}), dtype=np.int64)
+    # an int64 copy; np.unique, which hashes and sorts (about 0.5 s for a
+    # million times), runs only on times out of order or repeated
+    ts = np.array(record_ts, dtype=np.int64)
+    if not (ts[1:] > ts[:-1]).all():
+        ts = np.unique(ts)
     if ts.size and (ts[0] < 0 or ts[-1] > horizon):
         raise ValueError(f"recorded times must lie in [0, {horizon}]")
 
@@ -278,11 +283,11 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
         z = np.tile(init.x0, (n_rep, 1))
         z_rec = np.zeros((n_slots, n_rep, dim))
 
-    # cursor into the sorted record times; the sentinel horizon + 1 is
-    # never reached, so the memory cost follows ts, not the horizon
-    marks = ts.tolist() + [horizon + 1]
+    # ``slot`` is a cursor into the sorted record times and ``mark`` the
+    # time it points at, read when a record is taken; past the last one it
+    # is -1, which no step reaches
     slot = 0
-    if marks[0] == 0:
+    if n_slots and ts[0] == 0:
         x_rec[0] = x
         s_rec[0] = s
         if z is not None:
@@ -290,11 +295,11 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
         slot = 1
     if _lane_takes(problem, schedule, sigmoid, n_rep, comparator):
         diverged_at[0] = _lane(problem, init, schedule, sigmoid, horizon,
-                               rngs[0], marks, slot, bound_sq, x_rec, s_rec,
+                               rngs[0], ts, slot, bound_sq, x_rec, s_rec,
                                y_rec)
         return SimResult(ts=ts, x=x_rec, s=s_rec, y=y_rec, z=None,
                          diverged_at=diverged_at)
-    mark = marks[slot]
+    mark = ts.item(slot) if slot < n_slots else -1
     noise = problem.noise
     # one noise buffer per stream, refilled in place for every chunk, so a
     # batch holds one block of noise per stream and never two
@@ -359,7 +364,7 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
                     if z is not None:
                         z_rec[slot] = z
                     slot += 1
-                    mark = marks[slot]
+                    mark = ts.item(slot) if slot < n_slots else -1
                 if not n_alive and comparator is None:
                     # every replicate is frozen: later slots repeat this state
                     x_rec[slot:] = x
@@ -371,11 +376,12 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
                      diverged_at=diverged_at)
 
 
-def _stride_ts(horizon: int, record_stride: int) -> list[int]:
+def _stride_ts(horizon: int, record_stride: int) -> np.ndarray:
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
     # a negative horizon is left for the kernel to reject
-    return list(range(0, horizon, record_stride)) + [horizon]
+    return np.append(np.arange(0, horizon, record_stride, dtype=np.int64),
+                     horizon)
 
 
 def run_trajectory(problem: ProblemSpec, init: InitialConditions,

@@ -145,6 +145,12 @@ def resolve_e0(plan: ExperimentPlan) -> E0Estimate:
                       plan.master_seed)
 
 
+def _resolve_e0(plan: ExperimentPlan) -> E0Estimate:
+    """:func:`resolve_e0` as a pool task: submitted by this name, the task
+    pickles even where ``resolve_e0`` has been rebound to a wrapper."""
+    return resolve_e0(plan)
+
+
 def _store(out, rows: slice, piece) -> None:
     """Copy the records ``piece`` into replicates ``rows`` of ``out``."""
     x, s, z, diverged_at = out
@@ -211,7 +217,7 @@ def allocate_records(plan: ExperimentPlan, n: int | None = None):
 
 
 def run_replicates(plan: ExperimentPlan, workers: int = 1,
-                   records=None) -> ReplicateSet:
+                   records=None, meanwhile=None) -> ReplicateSet:
     """Execute the plan; the result is bit-identical for any ``workers``.
 
     The result fills ``records`` from :func:`allocate_records`. Without
@@ -220,19 +226,32 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1,
     replicates or CPUs this process may run on: the pool forks all its
     workers up front. The pool (and with it multiprocessing) is imported
     only to fork one.
+
+    ``meanwhile``, a callable without arguments, runs in this process
+    before any replicate is simulated; an exception it raises ends the run.
+    With a pool it runs while a worker resolves E0, and the blocks are
+    submitted once it returns; with one block it runs before E0.
     """
     n = plan.n_replicates
     out = allocate_records(plan) if records is None else records
-    e0 = resolve_e0(plan)
     n_blocks = max(1, min(int(workers), n, len(os.sched_getaffinity(0))))
     # ceil(n b / n_blocks): block sizes differ by at most one replicate
     edges = [-(-n * b // n_blocks) for b in range(n_blocks + 1)]
     bounds = list(zip(edges, edges[1:]))
     if n_blocks == 1:
+        if meanwhile is not None:
+            meanwhile()
+        e0 = resolve_e0(plan)
         _run_block(plan, e0.value, 0, n, out)
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_blocks) as pool:
+            # the first submit forks every worker, before meanwhile can
+            # import anything into this process
+            e0_future = pool.submit(_resolve_e0, plan)
+            if meanwhile is not None:
+                meanwhile()
+            e0 = e0_future.result()
             futures = [pool.submit(_run_block, plan, e0.value, lo, hi)
                        for lo, hi in bounds]
             # drop each piece once it is copied

@@ -35,6 +35,16 @@ KINDS = {
 }
 
 
+def _square(value: float, name: str) -> float:
+    """``value**2``; a square that overflows a float, from about 1.3e154,
+    raises ConfigError naming ``name``."""
+    try:
+        return value**2
+    except OverflowError:
+        raise ConfigError(f"{name} {value!r} is too large: its square "
+                          "overflows a float") from None
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
     """A noise law; construction makes every check on its parameters.
@@ -58,12 +68,13 @@ class NoiseModel:
             if self.radius <= 0:
                 raise ConfigError(
                     f"ball radius must be > 0, got {self.radius}")
-            cov = self.radius**2 / (self.dim + 2) * np.eye(self.dim)
+            cov = (_square(self.radius, "ball radius") / (self.dim + 2)
+                   * np.eye(self.dim))
         elif self.kind == "scaled_rademacher":
             if self.scale <= 0:
                 raise ConfigError(
                     f"rademacher scale must be > 0, got {self.scale}")
-            cov = self.scale**2 * np.eye(self.dim)
+            cov = _square(self.scale, "rademacher scale") * np.eye(self.dim)
         else:
             cov = np.asarray(self.cov, dtype=np.float64)
             if cov.ndim == 0:

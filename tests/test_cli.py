@@ -1,8 +1,10 @@
 """Command-line harness: config parsing, artifacts, exit codes."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -566,6 +568,56 @@ def test_nearly_unstable_w_exits_5_before_the_oracle_allocates(tmp_path,
                    "-1.11022e-16"]
 
 
+# At two workers the oracle runs in this process while a worker resolves E0;
+# a refusal there must end the command as at one worker.
+REFUSED_PREDICTIONS = {
+    "oracle-nodes": ({"problem.dim": 1, "problem.matrix": 0.25000000000000006,
+                      "experiment.horizon": 50,
+                      "experiment.checkpoints": None}, None, 5),
+    "singular-v": ({"problem.noise": {"kind": "gaussian",
+                                      "cov": [[1.0, 0.0], [0.0, 0.0]]},
+                    "experiment.horizon": 50, "experiment.n_replicates": 10,
+                    "experiment.checkpoints": None}, None, 5),
+    "unwritable-prediction": ({}, "prediction.json", 2),
+}
+
+
+@pytest.mark.parametrize(("edits", "blocked", "code"),
+                         REFUSED_PREDICTIONS.values(),
+                         ids=REFUSED_PREDICTIONS.keys())
+def test_a_refused_prediction_ends_alike_at_two_workers(tmp_path, capsys,
+                                                        monkeypatch, edits,
+                                                        blocked, code):
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountedPool)
+    # two blocks even on a one-core host
+    monkeypatch.setattr("adaptix.montecarlo.os.sched_getaffinity",
+                        lambda pid: {0, 1})
+    path = make_config(tmp_path, **edits)
+    outcomes = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        if blocked is not None:
+            (out / blocked).mkdir(parents=True)
+        assert run_cli("replicate", "--config", path, "--out", out,
+                       "--workers", workers) == code
+        artifacts = {name: (out / name).read_bytes()
+                     if (out / name).is_file() else None
+                     for name in sorted(os.listdir(out))}
+        outcomes.append((capsys.readouterr().err.splitlines(), artifacts))
+    assert len(outcomes[0][0]) == 1
+    assert outcomes[1] == outcomes[0]
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
 def test_replicate_coupling_summary(tmp_path):
     path = make_config(tmp_path, **{
         "experiment.couple_comparator": True,
@@ -923,6 +975,23 @@ def test_a_tiny_e0_exits_5_with_one_line(tmp_path):
     assert err == ["adaptix: error: S_xi / E0^2 is not finite at "
                    "E0 = 5e-301"]
     assert not (out / "prediction.json").exists()
+
+
+@pytest.mark.parametrize(("kind", "key", "name"), [
+    ("uniform_ball", "radius", "ball radius"),
+    ("scaled_rademacher", "scale", "rademacher scale")])
+def test_a_noise_size_whose_square_overflows_exits_2_naming_it(
+        tmp_path, kind, key, name):
+    # the covariance squares the size, which overflows from about 1.3e154
+    path = make_config(tmp_path, **{
+        "problem.dim": 1, "problem.matrix": 1.0,
+        "problem.noise": {"kind": kind, "dim": 1, key: 1e308}})
+    out = tmp_path / "o"
+    code, err = cli_stderr("predict", "--config", path, "--out", out)
+    assert code == 2
+    assert err == [f"adaptix: error: {name} 1e+308 is too large: its square "
+                   "overflows a float"]
+    assert not out.exists()
 
 
 def test_a_non_finite_artifact_value_names_its_file_and_column(tmp_path):

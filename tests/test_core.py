@@ -150,6 +150,22 @@ def test_record_stride_keeps_endpoints():
     assert traj.x.shape == traj.y.shape == (5, 1) and traj.s.shape == (5,)
 
 
+@pytest.mark.parametrize("n_rep", [1, 2])
+def test_record_times_out_of_order_or_repeated_are_recorded_once(n_rep):
+    problem = linear_problem(matrix=1.0, dim=1)
+    init = InitialConditions(x0=np.array([1.0]))
+
+    def run(record_ts):
+        rngs = [substream(3, TRAJECTORY_LANE, r) for r in range(n_rep)]
+        res = _simulate(problem, init, RECIPROCAL, KESTEN, 10, rngs,
+                        record_ts)
+        return [a.tobytes() for a in (res.ts, res.x, res.s, res.y)]
+
+    plain = run([0, 3, 10])
+    assert run((10, 3, 0)) == plain
+    assert run([3, 3, 10, 0, 10]) == plain
+
+
 def test_negative_horizon_is_rejected_by_the_kernel():
     problem = linear_problem(matrix=1.0, dim=1)
     init = InitialConditions(x0=np.array([1.0]))
@@ -221,7 +237,10 @@ def test_engine_matches_stepwise_composition(noise_builder, horizon):
 # Every plan the lane takes: each noise kind, gate family, schedule family
 # and at_zero convention, dims 1-7, s0 = 0 in every other plan, and a bound
 # that freezes the run at step 1, the default, or one whose square is not a
-# float (the guard then only checks finiteness).
+# float (the guard then only checks finiteness). The bound, the record
+# stride and the horizon past a noise block are drawn from different digits
+# of the plan's index, so every stride meets every bound, and so does a
+# horizon past the first block.
 NOISE_KINDS = ("gaussian", "uniform_ball", "scaled_rademacher")
 LANE_GATES = ("constant", "kesten", "plakhov_almeida")
 LANE_SCHEDULES = ("reciprocal", "constant")
@@ -267,9 +286,17 @@ def lane_plan(index, noise_kind, gate, schedule, at_zero):
                "plakhov_almeida": -gen.uniform(0.1, 1.0)}[gate]
     sigmoid = SigmoidSpec(gate, u_minus=u_minus, u_plus=u_plus,
                           at_zero=at_zero)
-    # one plan in six crosses a noise block boundary
-    horizon = NOISE_CHUNK + 7 if index % 6 == 0 else int(gen.integers(2, 300))
+    # one plan in four crosses a noise block boundary
+    horizon = NOISE_CHUNK + 7 if index % 4 == 0 else int(gen.integers(2, 300))
     return problem, init, schedule, sigmoid, horizon, far
+
+
+def sweep_bound(index):
+    return BOUNDS[index % 3]
+
+
+def sweep_stride(index):
+    return 1 + index // 3 % 3
 
 
 @pytest.mark.parametrize("index", range(len(LANE_PLANS)),
@@ -278,12 +305,33 @@ def test_lane_matches_the_batch_row_bit_for_bit(index):
     problem, init, schedule, sigmoid, horizon, _ = lane_plan(
         index, *LANE_PLANS[index])
     assert _lane_takes(problem, schedule, sigmoid, 1, None)
-    bound = BOUNDS[index % 3]
+    bound = sweep_bound(index)
     t_div = assert_run_is_batch_row(problem, init, schedule, sigmoid,
-                                    horizon, seed=index, stride=1 + index % 3,
-                                    bound=bound)
+                                    horizon, seed=index,
+                                    stride=sweep_stride(index), bound=bound)
     if bound == TINY_BOUND:
         assert t_div == 1
+
+
+def test_the_sweep_records_past_step_1_and_the_first_block_at_stride_1():
+    # every stride meets every bound, at a horizon within one noise block
+    # and at one past it
+    plans = [(index, *lane_plan(index, *plan)[:5])
+             for index, plan in enumerate(LANE_PLANS)]
+    assert {(sweep_stride(index), sweep_bound(index), horizon > NOISE_CHUNK)
+            for index, *_, horizon in plans} == set(
+        itertools.product((1, 2, 3), BOUNDS, (False, True)))
+    # and stride-1 plans record every step up to the second block
+    rows = []
+    for index, *args in plans:
+        if sweep_stride(index) == 1 and sweep_bound(index) != TINY_BOUND:
+            try:
+                traj = run_trajectory(*args, seed=index,
+                                      divergence_bound=sweep_bound(index))
+            except DivergedTrajectoryError as exc:
+                traj = exc.trajectory
+            rows.append(len(traj.t))
+    assert max(rows) > NOISE_CHUNK + 1
 
 
 def test_the_sweep_overflows_the_squared_norm_mid_run():
@@ -294,7 +342,7 @@ def test_the_sweep_overflows_the_squared_norm_mid_run():
         *args, far = lane_plan(index, *plan)
         if far:
             steps.append(assert_run_is_batch_row(*args, seed=index,
-                                                 stride=1 + index % 3,
+                                                 stride=sweep_stride(index),
                                                  bound=1e200))
     assert len(steps) == 8
     assert sum(1 < t <= 5 for t in steps) >= 6
@@ -500,6 +548,29 @@ def test_early_stop_memory_follows_recorded_times():
     assert np.all(res.y[2] == 2.0 * (-3.0)**11)
     assert np.all(res.s[2] == 12.0)
     assert res.x.shape == (3, 2, 1)
+
+
+@pytest.mark.parametrize("n_rep", [1, 2])
+def test_record_times_cost_a_few_int64_arrays(n_rep):
+    # a million record times and a freeze at step 1: beyond the records,
+    # the times may take three int64 arrays' worth (the stride grid, made
+    # by appending to an arange, and the kernel's copy), not a Python int
+    # each
+    horizon = 10**6
+    problem = linear_problem(matrix=np.diag([1.5, 3.0]))
+    init = InitialConditions(x0=np.ones(2))
+    rngs = [substream(1, TRAJECTORY_LANE, r) for r in range(n_rep)]
+    tracemalloc.start()
+    try:
+        res = _simulate(problem, init, RECIPROCAL, KESTEN, horizon, rngs,
+                        _stride_ts(horizon, 1), divergence_bound=1.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(res.diverged_at) == [1] * n_rep
+    records = sum(a.nbytes for a in (res.x, res.s, res.y))
+    assert records == (horizon + 1) * n_rep * 5 * 8
+    assert peak < records + 3 * 8 * (horizon + 1)
 
 
 def test_kernel_holds_one_noise_block_per_stream():

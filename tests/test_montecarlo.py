@@ -73,6 +73,7 @@ def test_worker_count_never_changes_bits():
         assert np.array_equal(baseline.x, other.x)
         assert np.array_equal(baseline.s, other.s)
         assert np.array_equal(baseline.diverged_at, other.diverged_at)
+        assert other.e0 == baseline.e0
 
 
 class InlinePool:
@@ -179,7 +180,8 @@ def test_blocks_cover_the_replicates_evenly(monkeypatch, n_rep, workers):
 
     class BlockPool(InlinePool):
         def submit(self, fn, *args):
-            blocks.append(args[-2:])
+            if fn is montecarlo._run_block:
+                blocks.append(args[-2:])
             return super().submit(fn, *args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BlockPool)
@@ -194,6 +196,90 @@ def test_blocks_cover_the_replicates_evenly(monkeypatch, n_rep, workers):
     assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
     sizes = [hi - lo for lo, hi in blocks]
     assert len(sizes) == workers and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("workers, order", [
+    (1, ["meanwhile", "e0", "kernel"]),
+    # InlinePool runs a task when it is submitted
+    (2, ["submit _resolve_e0", "e0", "meanwhile", "submit _run_block",
+         "kernel", "submit _run_block", "kernel"]),
+])
+def test_meanwhile_runs_beside_e0_and_before_the_blocks(monkeypatch, workers,
+                                                        order):
+    # Monte Carlo E0, so that the pool has work to do while meanwhile runs
+    plan = scalar_plan(n_replicates=4, horizon=60, checkpoints=(10, 60),
+                       sigmoid=plakhov_almeida_gate(-0.25, 1.0),
+                       e0_mc_samples=100)
+    baseline = run_replicates(plan)
+    events = []
+
+    class OrderPool(InlinePool):
+        def submit(self, fn, *args):
+            events.append(f"submit {fn.__name__}")
+            return super().submit(fn, *args)
+
+    def recorded(name, fn):
+        def call(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(montecarlo, "resolve_e0",
+                        recorded("e0", montecarlo.resolve_e0))
+    monkeypatch.setattr(montecarlo, "_simulate",
+                        recorded("kernel", montecarlo._simulate))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OrderPool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    rset = run_replicates(plan, workers=workers,
+                          meanwhile=lambda: events.append("meanwhile"))
+    assert events == order
+    assert rset.e0 == baseline.e0
+    assert record_bytes(rset) == record_bytes(baseline)
+
+
+def test_a_worker_resolves_e0_even_under_a_wrapper(monkeypatch):
+    # a tracer that rebinds resolve_e0 to a closure, which cannot be
+    # pickled, must still be able to run the pool
+    original = montecarlo.resolve_e0
+    calls = []
+
+    def wrapped(plan):
+        calls.append(plan)
+        return original(plan)
+
+    monkeypatch.setattr(montecarlo, "resolve_e0", wrapped)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    plan = scalar_plan(n_replicates=4)
+    assert run_replicates(plan, workers=2).e0 == original(plan)
+    assert calls == []      # the worker's copy of the wrapper ran
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_error_in_meanwhile_ends_the_run_before_any_block(monkeypatch,
+                                                             workers):
+    plan = scalar_plan(n_replicates=4)
+    submitted = []
+
+    class TaskPool(InlinePool):
+        def submit(self, fn, *args):
+            submitted.append(fn.__name__)
+            return super().submit(fn, *args)
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("the batch kernel was entered")
+
+    def meanwhile():
+        raise ConfigError("refused")
+
+    monkeypatch.setattr(montecarlo, "_simulate", kernel)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", TaskPool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    with pytest.raises(ConfigError, match="refused"):
+        run_replicates(plan, workers=workers, meanwhile=meanwhile)
+    assert submitted == ([] if workers == 1 else ["_resolve_e0"])
 
 
 def test_each_row_is_its_own_substream():
