@@ -97,8 +97,7 @@ def stability_matrix(jacobian: np.ndarray, e0) -> tuple[np.ndarray, np.ndarray, 
     if j.shape[0] != j.shape[1]:
         raise ValueError(f"jacobian must be square, got {j.shape}")
     value = _as_e0_value(e0)
-    with np.errstate(over="ignore"):
-        w = 0.5 * np.eye(j.shape[0]) - j / value
+    w = 0.5 * np.eye(j.shape[0]) - j / value
     if not np.isfinite(w).all():
         raise NumericError(f"W = I/2 - J/E0 is not finite at E0 = {value:.6g}")
     real_parts = np.sort(_eig_real_parts(w))

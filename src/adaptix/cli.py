@@ -318,7 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # numpy warns of nothing: the checks that refuse a non-finite value
+        # keep stderr to one line, here and in the forked workers
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (AdaptixError, ValueError) as exc:
         print(f"adaptix: error: {exc}", file=sys.stderr)
         return next((code for types, code in _EXIT_CODES

@@ -291,9 +291,6 @@ def _descent(problem: ProblemSpec, p: np.ndarray, step: float,
     return None
 
 
-# a field too large for floats fails its checks, or yields a value no
-# artifact accepts, so numpy need not warn about the overflow
-@np.errstate(over="ignore", invalid="ignore")
 def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
                      sigmoid: SigmoidSpec, seed: int = 0,
                      e0_mc_samples: int = DEFAULT_E0_MC_SAMPLES
@@ -411,7 +408,7 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
     e0_estimate = e0_error = None
     try:
         e0_estimate = e0_resolve(sigmoid, problem.noise, e0_mc_samples, seed)
-    except ConfigError as err:
+    except (ConfigError, NumericError) as err:
         e0_error = err
     if e0_estimate is None:
         report.add("B3.3", NOT_CHECKED, f"E0 unavailable: {e0_error}")
@@ -431,22 +428,27 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
                 witness=None if stable else {
                     "real_parts": real_parts.tolist()})
 
-    # B3.4 -- the field is asymptotically linear at the root.
+    # B3.4 -- the field is asymptotically linear at the root. A Jacobian
+    # that overflows (3c in the cubic's) has no norm and fails.
     jac = problem.jacobian_at_root
-    jac_norm = float(np.linalg.norm(jac, 2))
-    ratios = []
-    for r in SHRINK_RADII:
-        points = root + r * dirs
-        linearized = apply_rows(jac, points - root)
-        err = norm_rows(field_eval(problem, points) - linearized)
-        ratios.append(float(err.max() / r))
-    shrinking = all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
-    small = ratios[-1] <= 0.01 * (1.0 + jac_norm)
-    report.add(
-        "B3.4", PASS if (shrinking and small) else FAIL,
-        f"max ||phi - J (x - x*)||/||x - x*|| over radii "
-        f"{SHRINK_RADII}: {[f'{v:.3g}' for v in ratios]}",
-        witness=None if (shrinking and small) else {"ratios": ratios})
+    if not np.isfinite(jac).all():
+        report.add("B3.4", FAIL, "the Jacobian at the root is not finite",
+                   witness={"jacobian": jac.tolist()})
+    else:
+        jac_norm = float(np.linalg.norm(jac, 2))
+        ratios = []
+        for r in SHRINK_RADII:
+            points = root + r * dirs
+            linearized = apply_rows(jac, points - root)
+            err = norm_rows(field_eval(problem, points) - linearized)
+            ratios.append(float(err.max() / r))
+        shrinking = all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
+        small = ratios[-1] <= 0.01 * (1.0 + jac_norm)
+        report.add(
+            "B3.4", PASS if (shrinking and small) else FAIL,
+            f"max ||phi - J (x - x*)||/||x - x*|| over radii "
+            f"{SHRINK_RADII}: {[f'{v:.3g}' for v in ratios]}",
+            witness=None if (shrinking and small) else {"ratios": ratios})
 
     # B4.1 -- gate shape: bounded, non-decreasing, positive right limit.
     span = 3.0 * (sigmoid.beta if sigmoid.beta else 1.0)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .noise import NoiseModel
 from .report import FAIL, PASS, ValidationReport
 from ._rowops import _ROW_CHUNK, dot_rows
@@ -313,7 +313,8 @@ def e0_monte_carlo(sigmoid: SigmoidSpec, noise: NoiseModel,
     Deterministic given ``seed`` (an int or a Generator).
     stderr is the sample standard deviation over sqrt(n_samples). A
     non-positive estimate raises a ConfigError citing B4.2: the increment
-    must be positive for s_t/t to grow towards E0.
+    must be positive for s_t/t to grow towards E0. An estimate or stderr
+    that is not finite, because a sum overflows, raises NumericError.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -348,6 +349,13 @@ def e0_monte_carlo(sigmoid: SigmoidSpec, noise: NoiseModel,
         raise ConfigError(
             f"estimated E0 = {value:.6g} +/- {stderr:.2g} is not positive",
             assumption="B4.2")
+    if not math.isfinite(value):
+        raise NumericError(f"Monte Carlo E0 = {value} is not finite: a sum "
+                           f"over {n_samples} noise pairs overflows")
+    if not math.isfinite(stderr):
+        raise NumericError(f"the stderr of Monte Carlo E0 = {value:.6g} is "
+                           f"not finite: a sum of squares over {n_samples} "
+                           "noise pairs overflows")
     return E0Estimate(value=value, stderr=stderr, method="monte_carlo",
                       n_samples=int(n_samples))
 

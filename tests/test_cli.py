@@ -994,6 +994,107 @@ def test_a_noise_size_whose_square_overflows_exits_2_naming_it(
     assert not out.exists()
 
 
+def test_a_huge_gaussian_cov_exits_2_with_the_b42_line_alone(tmp_path):
+    # xi_1 xi_2 overflows in the Monte Carlo E0; the gate still reads its sign
+    path = make_config(tmp_path, **{
+        "problem.dim": 1, "problem.matrix": 1.0,
+        "problem.noise": {"kind": "gaussian", "cov": 1e308},
+        "sigmoid": {"family": "plakhov_almeida", "u_minus": -3.0,
+                    "u_plus": 1.0},
+        "experiment.e0_mc_samples": 2000})
+    assert cli_stderr("predict", "--config", path, "--out", tmp_path / "o") \
+        == (2, ["adaptix: error: estimated E0 = -0.994 +/- 0.045 is not "
+                "positive [assumption B4.2]"])
+
+
+# 3c overflows in the cubic's Jacobian, and inf * 0 at the root is NaN
+NAN_JACOBIAN = {"problem": {"kind": "cubic1d", "a": 1.7976931348623157e308,
+                            "c": 1e308},
+                "experiment": None}
+
+
+def test_a_nan_cubic_jacobian_exits_5_with_the_w_line_alone(tmp_path):
+    path = make_config(tmp_path, **NAN_JACOBIAN)
+    assert cli_stderr("predict", "--config", path, "--out", tmp_path / "o") \
+        == (5, ["adaptix: error: W = I/2 - J/E0 is not finite at E0 = 0.5"])
+
+
+def test_validate_records_a_nan_jacobian_as_a_failed_b34(tmp_path):
+    path = make_config(tmp_path, **NAN_JACOBIAN)
+    out = tmp_path / "out"
+    code, err = cli_stderr("validate", "--config", path, "--out", out)
+    assert (code, err) == (
+        3, ["adaptix: assumption check(s) failed: B3.1d, B3.3, B3.4"])
+    items = {item["check_id"]: item for item in json.loads(
+        (out / "validation.json").read_text())["items"]}
+    assert items["B3.4"] == {
+        "check_id": "B3.4", "verdict": "fail",
+        "detail": "the Jacobian at the root is not finite",
+        "witness": {"jacobian": [["nan"]]}}
+
+
+# the sum of u over 2000 pairs passes the largest float; u^2 does once
+# u_plus is past about 1.3e154
+@pytest.mark.parametrize(("u_minus", "u_plus", "reason"), [
+    (-1e300, 1.7976931348623157e308,
+     "Monte Carlo E0 = inf is not finite: a sum over 2000 noise pairs "
+     "overflows"),
+    (-1.0, 1e160,
+     "the stderr of Monte Carlo E0 = 5.015e+159 is not finite: a sum of "
+     "squares over 2000 noise pairs overflows"),
+], ids=["estimate", "stderr"])
+def test_a_non_finite_monte_carlo_e0_is_refused_where_it_is_decided(
+        tmp_path, u_minus, u_plus, reason):
+    path = make_config(tmp_path, **{
+        "problem.dim": 1, "problem.matrix": 1.0,
+        "sigmoid": {"family": "plakhov_almeida", "u_minus": u_minus,
+                    "u_plus": u_plus},
+        "experiment.e0_mc_samples": 2000, "experiment.horizon": 10,
+        "experiment.n_replicates": 4, "experiment.checkpoints": None})
+    for command in ("predict", "replicate"):
+        out = tmp_path / command
+        assert cli_stderr(command, "--config", path, "--out", out) == (
+            5, [f"adaptix: error: {reason}"])
+        assert sorted(os.listdir(out)) == ["config.json"]
+    out = tmp_path / "validate"
+    assert cli_stderr("validate", "--config", path, "--out", out) == (
+        3, ["adaptix: assumption check(s) failed: B4.2"])
+    items = {item["check_id"]: item for item in json.loads(
+        (out / "validation.json").read_text())["items"]}
+    assert items["B4.2"]["witness"] == reason
+    assert items["B3.3"]["verdict"] == "not_checked"
+
+
+@pytest.mark.parametrize(("doc", "code", "line"), [
+    # each worker's E0 Monte Carlo overflows xi_1 xi_2 as the parent's does
+    ({"problem": {"kind": "linear", "dim": 1, "matrix": 2.0,
+                  "noise": {"kind": "gaussian", "cov": 1e308}},
+      "sigmoid": {"family": "plakhov_almeida", "u_minus": -1.0,
+                  "u_plus": 3.0},
+      "schedule": {}, "experiment": {"horizon": 20, "n_replicates": 4,
+                                     "e0_mc_samples": 2000}},
+     4, "4 of 4 replicates diverged; too few survivors for statistics"),
+    # one of the generator's extreme documents that reach the pool
+    ({"problem": {"kind": "tanh", "dim": 1, "matrix": [[1e200]],
+                  "root": -5e-324,
+                  "noise": {"kind": "gaussian", "dim": 1, "cov": 1e-8}},
+      "sigmoid": {"family": "kesten", "u_plus": 0.001, "at_zero": "midpoint"},
+      "schedule": {"family": "power", "gamma0": 1.0, "p": 1e154},
+      "experiment": {"horizon": 142, "n_replicates": 9, "master_seed": 0,
+                     "couple_comparator": True,
+                     "comparator_noise": "independent",
+                     "e0_mc_samples": 2000}},
+     5, "error: non-finite value nan in artifact checkpoints.csv, column "
+        "cov_rel_err"),
+], ids=["e0-overflow", "tanh-nan"])
+def test_pool_workers_inherit_the_floating_point_policy(tmp_path, doc, code,
+                                                        line):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli_stderr("replicate", "--config", path, "--out", tmp_path / "o",
+                      "--workers", 2) == (code, [f"adaptix: {line}"])
+
+
 def test_a_non_finite_artifact_value_names_its_file_and_column(tmp_path):
     # a constant gate of 1e308 overflows the counter to inf at t = 3
     path = make_config(tmp_path, **{
