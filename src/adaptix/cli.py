@@ -30,9 +30,9 @@ from .config import RunConfig, canonical_config, load_config
 from .core import Trajectory, run_trajectory
 from .errors import (AdaptixError, ConfigError, DimensionMismatchError,
                      DivergedTrajectoryError, StabilityError)
-from .montecarlo import (allocate_records, convergence_summary, coupling_gap,
-                         normality_check, resolve_e0, run_replicates,
-                         solve_predicted_v, step_counter_drift)
+from .montecarlo import (convergence_summary, coupling_gap, normality_check,
+                         resolve_e0, run_replicates, solve_predicted_v,
+                         step_counter_drift)
 from .problems import validate_problem
 from .schedules import gamma_eval
 from .serialize import write_csv, write_json
@@ -80,51 +80,35 @@ def _load(args):
     return cfg, out_dir
 
 
-def _prediction_dict(prediction, oracle_diff: float | None) -> dict:
-    out = {
-        "e0": prediction.e0.value,
-        "e0_stderr": prediction.e0.stderr,
-        "W": prediction.w.tolist(),
-    }
-    if prediction.stable:
-        out["V"] = prediction.v.tolist()
-    out["stable"] = prediction.stable
-    out["eigen_real_parts"] = prediction.eigen_real_parts.tolist()
-    if prediction.stable:
-        out["oracle_max_abs_diff"] = oracle_diff
-    return out
-
-
-def _predict_or_refuse(cfg: RunConfig, out_dir: str):
-    """The prediction; an unstable W writes prediction.json without V and
-    raises. A stable W's prediction.json is left to ``_write_prediction``."""
+def _predict(cfg: RunConfig, out_dir: str):
+    """The prediction, written to prediction.json: a stable W's with V and
+    its gap to the integral oracle, an unstable W's without V, after which
+    it raises."""
     plan = cfg.plan
-    prediction = predict(plan.problem.jacobian_at_root,
-                         plan.problem.noise.cov, resolve_e0(plan))
-    if not prediction.stable:
-        if cfg.emit_prediction:
-            write_json(os.path.join(out_dir, "prediction.json"),
-                       _prediction_dict(prediction, None))
+    cov = plan.problem.noise.cov
+    prediction = predict(plan.problem.jacobian_at_root, cov, resolve_e0(plan))
+    stable = prediction.stable
+    doc = {"e0": prediction.e0.value, "e0_stderr": prediction.e0.stderr,
+           "W": prediction.w.tolist()}
+    if stable:
+        doc["V"] = prediction.v.tolist()
+    doc["stable"] = stable
+    doc["eigen_real_parts"] = prediction.eigen_real_parts.tolist()
+    if stable:
+        oracle = covariance_integral_oracle(prediction.w, cov,
+                                            prediction.e0.value)
+        gap = np.max(np.abs(prediction.v - oracle))
+        doc["oracle_max_abs_diff"] = float(gap)
+    if cfg.emit_prediction:
+        write_json(os.path.join(out_dir, "prediction.json"), doc)
+    if not stable:
         raise StabilityError("W = I/2 - J/E0 is not stable; "
                              "no limit covariance")
     return prediction
 
 
-def _write_prediction(cfg: RunConfig, out_dir: str, prediction) -> None:
-    """Cross-check a stable prediction's V against the integral oracle and
-    write prediction.json with the gap."""
-    oracle = covariance_integral_oracle(prediction.w,
-                                        cfg.plan.problem.noise.cov,
-                                        prediction.e0.value)
-    oracle_diff = float(np.max(np.abs(prediction.v - oracle)))
-    if cfg.emit_prediction:
-        write_json(os.path.join(out_dir, "prediction.json"),
-                   _prediction_dict(prediction, oracle_diff))
-
-
 def cmd_predict(args) -> int:
-    cfg, out_dir = _load(args)
-    _write_prediction(cfg, out_dir, _predict_or_refuse(cfg, out_dir))
+    _predict(*_load(args))
     return EXIT_OK
 
 
@@ -182,19 +166,20 @@ def cmd_run(args) -> int:
 def cmd_replicate(args) -> int:
     cfg, out_dir = _load(args)
     plan = cfg.plan
-    # refuse a replicate count that cannot be held before E0 and the oracle
-    records = allocate_records(plan)
-    prediction = _predict_or_refuse(cfg, out_dir)
+    prediction = None
 
-    def check_prediction():
-        _write_prediction(cfg, out_dir, prediction)
+    def predict_and_check():
+        nonlocal prediction
+        prediction = _predict(cfg, out_dir)
         # the normality test needs V invertible: decide that before
         # simulating
         solve_predicted_v(prediction.v, np.eye(plan.problem.dim))
 
-    # with a pool, the oracle runs here while a worker resolves E0 again
-    rset = run_replicates(plan, workers=args.workers, records=records,
-                          meanwhile=check_prediction)
+    # run_replicates allocates the records first, so a replicate count that
+    # cannot be held is refused before E0; with a pool, the prediction runs
+    # here while a worker resolves E0 again
+    rset = run_replicates(plan, workers=args.workers,
+                          meanwhile=predict_and_check)
     summary: dict = {
         "command": "replicate",
         "master_seed": plan.master_seed,

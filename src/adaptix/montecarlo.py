@@ -217,15 +217,14 @@ def allocate_records(plan: ExperimentPlan, n: int | None = None):
 
 
 def run_replicates(plan: ExperimentPlan, workers: int = 1,
-                   records=None, meanwhile=None) -> ReplicateSet:
+                   meanwhile=None) -> ReplicateSet:
     """Execute the plan; the result is bit-identical for any ``workers``.
 
-    The result fills ``records`` from :func:`allocate_records`. Without
-    them they are allocated first, before E0 is resolved or any stream is
-    made. At most one process per block, and no more blocks than
-    replicates or CPUs this process may run on: the pool forks all its
-    workers up front. The pool (and with it multiprocessing) is imported
-    only to fork one.
+    The records are allocated first, before ``meanwhile`` runs, E0 is
+    resolved or any stream is made. At most one process per block, and no
+    more blocks than replicates or CPUs this process may run on: the pool
+    forks all its workers up front. The pool (and with it multiprocessing)
+    is imported only to fork one.
 
     ``meanwhile``, a callable without arguments, runs in this process
     before any replicate is simulated; an exception it raises ends the run.
@@ -233,7 +232,7 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1,
     submitted once it returns; with one block it runs before E0.
     """
     n = plan.n_replicates
-    out = allocate_records(plan) if records is None else records
+    out = allocate_records(plan)
     n_blocks = max(1, min(int(workers), n, len(os.sched_getaffinity(0))))
     # ceil(n b / n_blocks): block sizes differ by at most one replicate
     edges = [-(-n * b // n_blocks) for b in range(n_blocks + 1)]
@@ -364,8 +363,11 @@ def normality_stats(rows: np.ndarray, predicted_v: np.ndarray):
     # solving first rejects a singular V before dividing by its norm
     solved = solve_predicted_v(v, rows.T)
     empirical = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
-    rel_err = float(np.linalg.norm(empirical - v, "fro")
-                    / np.linalg.norm(v, "fro"))
+    # the norms square V's entries; scaled by the power of two at its
+    # largest, exactly, a tiny or huge V neither underflows nor overflows
+    _, exponent = np.frexp(np.max(np.abs(v)))
+    rel_err = float(np.linalg.norm(np.ldexp(empirical - v, -exponent), "fro")
+                    / np.linalg.norm(np.ldexp(v, -exponent), "fro"))
     mahalanobis_sq = np.sum(rows.T * solved, axis=0)
     ks = _ks_distance(mahalanobis_sq, lambda q: chi2_cdf(q, dim))
     return empirical, rel_err, ks

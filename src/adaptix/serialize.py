@@ -4,9 +4,9 @@ Floats are rendered with repr-faithful 17 significant digits so that two
 runs producing the same numbers produce the same bytes; dict insertion
 order is preserved (never sorted) so artifact layout is part of the
 format. NaN and infinities are rejected rather than smuggled into JSON;
-the error names the artifact file and, in a CSV, the column. A file that
-cannot be opened or written raises ConfigError naming the artifact. Strings
-are escaped as JSON requires, with non-ASCII text written as is.
+the error names the artifact file and the JSON key or CSV column. A file
+that cannot be opened or written raises ConfigError naming the artifact.
+Strings are escaped as JSON requires, with non-ASCII text written as is.
 """
 
 from __future__ import annotations
@@ -92,11 +92,30 @@ def _write_lines(path, lines: list) -> None:
                           f"{exc.strerror or exc}") from None
 
 
+def _non_finite_key(obj, key: str = "") -> str | None:
+    """The key of the first NaN or infinity ``_render`` meets in ``obj``,
+    dotted with list indices (``rows[0].quantile_50``); None if none."""
+    if isinstance(obj, (float, np.floating)):
+        return None if math.isfinite(obj) else key
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        places = {f"{key}.{k}" if key else k: v for k, v in obj.items()}
+    elif isinstance(obj, (list, tuple)):
+        places = {f"{key}[{i}]": v for i, v in enumerate(obj)}
+    else:
+        return None
+    found = (_non_finite_key(item, place) for place, item in places.items())
+    return next((place for place in found if place), None)
+
+
 def write_json(path, obj) -> None:
     try:
         text = dumps_json(obj)
     except ValueError as exc:
-        raise ValueError(f"{exc} {os.path.basename(path)}") from None
+        key = _non_finite_key(obj)
+        where = f", key {key}" if key else ""
+        raise ValueError(f"{exc} {os.path.basename(path)}{where}") from None
     _write_lines(path, [text])
 
 

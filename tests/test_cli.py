@@ -579,6 +579,15 @@ REFUSED_PREDICTIONS = {
                     "experiment.horizon": 50, "experiment.n_replicates": 10,
                     "experiment.checkpoints": None}, None, 5),
     "unwritable-prediction": ({}, "prediction.json", 2),
+    # W = 1/2 - 0.01/E0 with E0 = 0.5: prediction.json without V
+    "unstable-w": ({"problem.dim": 1, "problem.matrix": 0.01,
+                    "experiment.horizon": 50,
+                    "experiment.checkpoints": None}, None, 3),
+    "b42-monte-carlo-e0": ({"sigmoid": {"family": "plakhov_almeida",
+                                        "u_minus": -5.0, "u_plus": 1.0},
+                            "experiment.e0_mc_samples": 2000,
+                            "experiment.horizon": 50,
+                            "experiment.checkpoints": None}, None, 2),
 }
 
 
@@ -1084,8 +1093,8 @@ def test_a_non_finite_monte_carlo_e0_is_refused_where_it_is_decided(
                      "couple_comparator": True,
                      "comparator_noise": "independent",
                      "e0_mc_samples": 2000}},
-     5, "error: non-finite value nan in artifact checkpoints.csv, column "
-        "cov_rel_err"),
+     5, "error: non-finite value nan in artifact summary.json, key "
+        "coupling.rows[0].quantile_50"),
 ], ids=["e0-overflow", "tanh-nan"])
 def test_pool_workers_inherit_the_floating_point_policy(tmp_path, doc, code,
                                                         line):

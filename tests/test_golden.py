@@ -62,6 +62,20 @@ def test_two_workers_record_what_one_records():
     assert pairs >= 5
 
 
+def test_replicate_writes_the_prediction_that_predict_writes():
+    pairs = 0
+    for entry in ENTRIES:
+        written = {(run["command"], run["workers"]):
+                   run["artifacts"]["prediction.json"]
+                   for run in entry["runs"]
+                   if "prediction.json" in run["artifacts"]}
+        for workers in (1, 2):
+            if ("predict", 1) in written and ("replicate", workers) in written:
+                pairs += 1
+                assert written["replicate", workers] == written["predict", 1]
+    assert pairs >= 40      # 47 in this corpus
+
+
 @pytest.mark.parametrize("index", range(len(ENTRIES)))
 def test_the_cli_replays_the_golden_corpus(index):
     entry = ENTRIES[index]

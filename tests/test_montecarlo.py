@@ -478,6 +478,19 @@ def test_normality_stats_calibrated_and_discriminating():
     assert ks > 1.63 / np.sqrt(4000)
 
 
+@pytest.mark.parametrize("power", [-340, 340])
+def test_normality_stats_do_not_depend_on_the_scale_of_v(power):
+    # V about 1e-205 (1e205) squares to 0 (inf) in a Frobenius norm taken
+    # as it stands
+    rng = np.random.default_rng(5)
+    v = np.array([[1.0, 0.4], [0.4, 2.0]])
+    rows = rng.multivariate_normal(np.zeros(2), v, size=500)
+    emp, rel_err, ks = normality_stats(rows, v)
+    scaled = normality_stats(rows * 2.0**power, v * 2.0**(2 * power))
+    assert np.array_equal(scaled[0], emp * 2.0**(2 * power))
+    assert scaled[1:] == (rel_err, ks)
+
+
 def test_normality_check_end_to_end():
     plan = scalar_plan(n_replicates=400, horizon=2000, checkpoints=(2000,))
     rset = run_replicates(plan)

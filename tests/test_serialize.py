@@ -93,8 +93,17 @@ def test_a_value_that_cannot_be_written_leaves_no_file(tmp_path):
 
 def test_a_non_finite_value_is_reported_with_its_place(tmp_path):
     with pytest.raises(ValueError, match=r"^non-finite value inf in "
-                       r"artifact a\.json$"):
+                       r"artifact a\.json, key bad$"):
         write_json(tmp_path / "a.json", {"ok": 1.0, "bad": float("inf")})
+    doc = {"coupling": {"rows": [{"t": 10, "quantile_50": float("nan")}],
+                        "V": np.array([[1.0, -np.inf]])}}
+    with pytest.raises(ValueError, match=r"^non-finite value nan in artifact "
+                       r"s\.json, key coupling\.rows\[0\]\.quantile_50$"):
+        write_json(tmp_path / "s.json", doc)
+    del doc["coupling"]["rows"]
+    with pytest.raises(ValueError, match=r"^non-finite value -inf in artifact "
+                       r"s\.json, key coupling\.V\[0\]\[1\]$"):
+        write_json(tmp_path / "s.json", doc)
     rows = [[1, 0.5, 2.0], [2, 0.25, float("-inf")], [3, float("nan"), 1.0]]
     with pytest.raises(ValueError, match=r"^non-finite value -inf in "
                        r"artifact b\.csv, column y$"):
