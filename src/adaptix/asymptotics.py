@@ -26,6 +26,7 @@ diagonal W, V_ij = C_ij / (-w_i - w_j) with C = S_xi / E0^2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,14 @@ ORACLE_MIN_NODES = 384
 ORACLE_MAX_NODES = 100_000
 
 
+@functools.cache
+def scipy_expm():
+    """scipy's matrix exponential, imported on the first call so that a
+    diagonal W loads no scipy.linalg."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm
+
+
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential.
 
@@ -63,8 +72,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     if (a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype == np.float64
             and np.count_nonzero(a) == np.count_nonzero(a.diagonal())):
         return np.diag(np.exp(np.diag(a)))
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
+    return scipy_expm()(a)
 
 
 def _as_e0_value(e0) -> float:

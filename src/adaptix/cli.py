@@ -25,16 +25,16 @@ import sys
 
 import numpy as np
 
-from .asymptotics import covariance_integral_oracle, predict
+from .asymptotics import covariance_integral_oracle, predict, scipy_expm
 from .config import RunConfig, canonical_config, load_config
 from .core import Trajectory, run_trajectory
 from .errors import (AdaptixError, ConfigError, DimensionMismatchError,
-                     DivergedTrajectoryError, StabilityError)
-from .montecarlo import (convergence_summary, coupling_gap, normality_check,
-                         resolve_e0, run_replicates, solve_predicted_v,
-                         step_counter_drift)
+                     DivergedTrajectoryError, NumericError, StabilityError)
+from .montecarlo import (block_count, convergence_summary, coupling_gap,
+                         normality_check, resolve_e0, run_replicates,
+                         scipy_chdtr, solve_predicted_v, step_counter_drift)
 from .problems import validate_problem
-from .schedules import gamma_eval
+from .schedules import e0_exact, gamma_eval
 from .serialize import write_csv, write_json
 
 EXIT_OK = 0
@@ -80,13 +80,13 @@ def _load(args):
     return cfg, out_dir
 
 
-def _predict(cfg: RunConfig, out_dir: str):
-    """The prediction, written to prediction.json: a stable W's with V and
-    its gap to the integral oracle, an unstable W's without V, after which
-    it raises."""
-    plan = cfg.plan
-    cov = plan.problem.noise.cov
-    prediction = predict(plan.problem.jacobian_at_root, cov, resolve_e0(plan))
+def _predict(cfg: RunConfig, out_dir: str, e0):
+    """The prediction from ``e0`` and the callable that writes it to
+    prediction.json, with a stable W's V and its gap to the integral
+    oracle. An unstable W's prediction.json, without V, is written here,
+    after which StabilityError is raised."""
+    cov = cfg.plan.problem.noise.cov
+    prediction = predict(cfg.plan.problem.jacobian_at_root, cov, e0)
     stable = prediction.stable
     doc = {"e0": prediction.e0.value, "e0_stderr": prediction.e0.stderr,
            "W": prediction.w.tolist()}
@@ -94,21 +94,27 @@ def _predict(cfg: RunConfig, out_dir: str):
         doc["V"] = prediction.v.tolist()
     doc["stable"] = stable
     doc["eigen_real_parts"] = prediction.eigen_real_parts.tolist()
-    if stable:
-        oracle = covariance_integral_oracle(prediction.w, cov,
-                                            prediction.e0.value)
-        gap = np.max(np.abs(prediction.v - oracle))
-        doc["oracle_max_abs_diff"] = float(gap)
-    if cfg.emit_prediction:
-        write_json(os.path.join(out_dir, "prediction.json"), doc)
+
+    def write():
+        if stable:
+            oracle = covariance_integral_oracle(prediction.w, cov,
+                                                prediction.e0.value)
+            gap = np.max(np.abs(prediction.v - oracle))
+            doc["oracle_max_abs_diff"] = float(gap)
+        if cfg.emit_prediction:
+            write_json(os.path.join(out_dir, "prediction.json"), doc)
+
     if not stable:
+        write()
         raise StabilityError("W = I/2 - J/E0 is not stable; "
                              "no limit covariance")
-    return prediction
+    return prediction, write
 
 
 def cmd_predict(args) -> int:
-    _predict(*_load(args))
+    cfg, out_dir = _load(args)
+    _, write = _predict(cfg, out_dir, resolve_e0(cfg.plan))
+    write()
     return EXIT_OK
 
 
@@ -167,17 +173,32 @@ def cmd_replicate(args) -> int:
     cfg, out_dir = _load(args)
     plan = cfg.plan
     prediction = None
+    load_while_waiting = (block_count(plan, args.workers) > 1
+                          and e0_exact(plan.sigmoid, plan.problem.noise)
+                          is None)
 
-    def predict_and_check():
+    def predict_and_check(get_e0):
         nonlocal prediction
-        prediction = _predict(cfg, out_dir)
+        if load_while_waiting:
+            # a worker runs the E0 Monte Carlo: meanwhile import the scipy
+            # of the normality test and of a non-diagonal W's oracle
+            scipy_chdtr()
+            j = np.atleast_2d(plan.problem.jacobian_at_root)
+            if np.count_nonzero(j) != np.count_nonzero(j.diagonal()):
+                scipy_expm()
+        prediction, write = _predict(cfg, out_dir, get_e0())
         # the normality test needs V invertible: decide that before
-        # simulating
-        solve_predicted_v(prediction.v, np.eye(plan.problem.dim))
+        # simulating, writing a singular V's prediction.json first
+        try:
+            solve_predicted_v(prediction.v, np.eye(plan.problem.dim))
+        except NumericError:
+            write()
+            raise
+        return write
 
     # run_replicates allocates the records first, so a replicate count that
-    # cannot be held is refused before E0; with a pool, the prediction runs
-    # here while a worker resolves E0 again
+    # cannot be held is refused before E0; with a pool, the oracle and
+    # prediction.json run here while the blocks simulate
     rset = run_replicates(plan, workers=args.workers,
                           meanwhile=predict_and_check)
     summary: dict = {

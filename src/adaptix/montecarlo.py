@@ -17,6 +17,7 @@ sup-distance, with the asymptotic 1% band 1.63/sqrt(n_replicates).
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -216,30 +217,47 @@ def allocate_records(plan: ExperimentPlan, n: int | None = None):
         ) from None
 
 
+def block_count(plan: ExperimentPlan, workers: int) -> int:
+    """The blocks :func:`run_replicates` splits ``plan`` into at
+    ``workers``: at most one per worker, replicate and CPU this process may
+    run on. More than one runs in a pool, one process per block."""
+    return max(1, min(int(workers), plan.n_replicates,
+                      len(os.sched_getaffinity(0))))
+
+
 def run_replicates(plan: ExperimentPlan, workers: int = 1,
                    meanwhile=None) -> ReplicateSet:
     """Execute the plan; the result is bit-identical for any ``workers``.
 
     The records are allocated first, before ``meanwhile`` runs, E0 is
-    resolved or any stream is made. At most one process per block, and no
-    more blocks than replicates or CPUs this process may run on: the pool
-    forks all its workers up front. The pool (and with it multiprocessing)
-    is imported only to fork one.
+    resolved or any stream is made. The blocks are those of
+    :func:`block_count`; the pool forks all its workers up front, and it
+    (and with it multiprocessing) is imported only to fork one.
 
-    ``meanwhile``, a callable without arguments, runs in this process
-    before any replicate is simulated; an exception it raises ends the run.
-    With a pool it runs while a worker resolves E0, and the blocks are
-    submitted once it returns; with one block it runs before E0.
+    ``meanwhile(get_e0)`` runs in this process before any replicate is
+    simulated; ``get_e0``, a callable without arguments, returns the E0
+    that the blocks simulate with. ``meanwhile`` returns None or the work
+    to run beside the blocks, a callable without arguments. An exception
+    from either ends the run; from the work beside the blocks, once the
+    running blocks have ended.
+
+    * One block: ``get_e0`` resolves E0 afresh; ``meanwhile`` and then its
+      work run first, after which E0 is resolved again for the block.
+    * A pool: its first task resolves the only E0, and ``get_e0`` waits
+      for it, so ``meanwhile`` runs beside that task. The blocks are
+      submitted as soon as ``meanwhile`` returns, and its work runs in this
+      process while they simulate.
     """
     n = plan.n_replicates
     out = allocate_records(plan)
-    n_blocks = max(1, min(int(workers), n, len(os.sched_getaffinity(0))))
+    n_blocks = block_count(plan, workers)
     # ceil(n b / n_blocks): block sizes differ by at most one replicate
     edges = [-(-n * b // n_blocks) for b in range(n_blocks + 1)]
     bounds = list(zip(edges, edges[1:]))
     if n_blocks == 1:
-        if meanwhile is not None:
-            meanwhile()
+        beside = meanwhile and meanwhile(lambda: resolve_e0(plan))
+        if beside is not None:
+            beside()
         e0 = resolve_e0(plan)
         _run_block(plan, e0.value, 0, n, out)
     else:
@@ -248,11 +266,12 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1,
             # the first submit forks every worker, before meanwhile can
             # import anything into this process
             e0_future = pool.submit(_resolve_e0, plan)
-            if meanwhile is not None:
-                meanwhile()
+            beside = meanwhile and meanwhile(e0_future.result)
             e0 = e0_future.result()
             futures = [pool.submit(_run_block, plan, e0.value, lo, hi)
                        for lo, hi in bounds]
+            if beside is not None:
+                beside()
             # drop each piece once it is copied
             for lo, hi in bounds:
                 _store(out, slice(lo, hi), futures.pop(0).result())
@@ -328,14 +347,21 @@ def _ks_distance(sample: np.ndarray, cdf) -> float:
     return float(max(np.max(upper - reference), np.max(reference - lower)))
 
 
+@functools.cache
+def scipy_chdtr():
+    """scipy's chi-square CDF ``chdtr``, imported on the first call so that
+    commands without a normality test load no scipy.special."""
+    from scipy.special import chdtr
+    return chdtr
+
+
 def chi2_cdf(q, dim: int) -> np.ndarray:
     """Chi-square CDF with ``dim`` degrees of freedom, 0 below the support.
 
     Bit for bit ``scipy.stats.chi2(dim).cdf``, whose body is ``chdtr``, but
     without importing scipy.stats; ``chdtr`` alone is nan below 0.
     """
-    from scipy.special import chdtr
-    return chdtr(dim, np.maximum(q, 0.0))
+    return scipy_chdtr()(dim, np.maximum(q, 0.0))
 
 
 def solve_predicted_v(predicted_v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -419,7 +445,8 @@ class CouplingSummary:
 
 
 def coupling_gap(rset: ReplicateSet) -> CouplingSummary:
-    """Quantiles of sqrt(t) ||x_t - z_t|| per checkpoint.
+    """Quantiles of sqrt(t) ||x_t - z_t|| per checkpoint; a comparator
+    iterate that is not finite in a surviving replicate raises NumericError.
 
     ``decreasing`` is True when the 90% quantile at the last checkpoint has
     dropped to at most ``COUPLING_DROP_FACTOR`` times its first-checkpoint
@@ -429,6 +456,14 @@ def coupling_gap(rset: ReplicateSet) -> CouplingSummary:
     if rset.z is None:
         raise ValueError("plan did not couple a comparator")
     ok = _alive_mask(rset)
+    # the comparator has no divergence bound: refuse a z that left the floats
+    finite = np.isfinite(rset.z[:, ok]).all(axis=2)
+    if not finite.all():
+        first = int(rset.ts[np.argmin(finite.all(axis=1))])
+        raise NumericError(
+            f"comparator iterate z is not finite in "
+            f"{int((~finite).any(axis=0).sum())} of {int(ok.sum())} "
+            f"surviving replicates, first at checkpoint t={first}")
     rows = []
     for i, t in enumerate(rset.ts):
         gap = np.sqrt(float(t)) * norm_rows(rset.x[i][ok] - rset.z[i][ok])

@@ -5,8 +5,10 @@
 The corpus is the first ``COUNT`` tame documents of ``SEED`` from
 tests/documents.py, every one kept whatever its outcome. Each document
 runs ``predict``, ``run``, ``replicate --workers 1`` and ``validate``
-in-process, and every ``WORKERS_2_EVERY``-th one ``replicate --workers 2``
-too. A run is recorded as its exit code, its first stderr line (null when
+in-process. ``replicate --workers 2`` runs too on every
+``WORKERS_2_EVERY``-th document and on every document whose gate and noise
+have no closed-form E0, where the pool's first task runs the E0 Monte
+Carlo. A run is recorded as its exit code, its first stderr line (null when
 there is none) and the SHA-256 of each artifact it wrote.
 
 A change that moves bits regenerates the file and names each changed entry
@@ -34,11 +36,20 @@ def record(doc: dict, command: str, workers: int) -> dict:
             "artifacts": result["artifacts"]}
 
 
+def monte_carlo_e0(doc: dict) -> bool:
+    """Whether the document's gate and noise have no closed-form E0: a
+    constant gate has one, and so has a kesten gate with continuous noise
+    (see ``adaptix.schedules.e0_exact``)."""
+    family = doc["sigmoid"]["family"]
+    continuous = doc["problem"]["noise"]["kind"] != "scaled_rademacher"
+    return not (family == "constant" or (family == "kesten" and continuous))
+
+
 def corpus() -> dict:
     entries = []
     for i, doc in enumerate(documents(SEED, COUNT, tame)):
         runs = [(command, 1) for command in COMMANDS]
-        if i % WORKERS_2_EVERY == 0:
+        if i % WORKERS_2_EVERY == 0 or monte_carlo_e0(doc):
             runs.append(("replicate", 2))
         entries.append({"config": doc,
                         "runs": [record(doc, *run) for run in runs]})

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_montecarlo import InlinePool
 
+from adaptix import cli, montecarlo
 from adaptix.asymptotics import MAX_DIM
 from adaptix.cli import main
 from adaptix.config import canonical_config, load_config, parse_config
@@ -568,41 +570,48 @@ def test_nearly_unstable_w_exits_5_before_the_oracle_allocates(tmp_path,
                    "-1.11022e-16"]
 
 
-# At two workers the oracle runs in this process while a worker resolves E0;
-# a refusal there must end the command as at one worker.
+# At two workers the oracle and the prediction.json write run in this process
+# while the blocks simulate; the other refusals come before any block. Each
+# must end the command as at one worker.
 REFUSED_PREDICTIONS = {
     "oracle-nodes": ({"problem.dim": 1, "problem.matrix": 0.25000000000000006,
                       "experiment.horizon": 50,
-                      "experiment.checkpoints": None}, None, 5),
+                      "experiment.checkpoints": None}, None, 5, True),
     "singular-v": ({"problem.noise": {"kind": "gaussian",
                                       "cov": [[1.0, 0.0], [0.0, 0.0]]},
                     "experiment.horizon": 50, "experiment.n_replicates": 10,
-                    "experiment.checkpoints": None}, None, 5),
-    "unwritable-prediction": ({}, "prediction.json", 2),
+                    "experiment.checkpoints": None}, None, 5, False),
+    "unwritable-prediction": ({}, "prediction.json", 2, True),
     # W = 1/2 - 0.01/E0 with E0 = 0.5: prediction.json without V
     "unstable-w": ({"problem.dim": 1, "problem.matrix": 0.01,
                     "experiment.horizon": 50,
-                    "experiment.checkpoints": None}, None, 3),
+                    "experiment.checkpoints": None}, None, 3, False),
     "b42-monte-carlo-e0": ({"sigmoid": {"family": "plakhov_almeida",
                                         "u_minus": -5.0, "u_plus": 1.0},
                             "experiment.e0_mc_samples": 2000,
                             "experiment.horizon": 50,
-                            "experiment.checkpoints": None}, None, 2),
+                            "experiment.checkpoints": None}, None, 2, False),
 }
 
 
-@pytest.mark.parametrize(("edits", "blocked", "code"),
+@pytest.mark.parametrize(("edits", "blocked", "code", "beside_blocks"),
                          REFUSED_PREDICTIONS.values(),
                          ids=REFUSED_PREDICTIONS.keys())
 def test_a_refused_prediction_ends_alike_at_two_workers(tmp_path, capsys,
                                                         monkeypatch, edits,
-                                                        blocked, code):
+                                                        blocked, code,
+                                                        beside_blocks):
     pools = []
+    submitted = []
 
     class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(self)
             super().__init__(*args, **kwargs)
+
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn.__name__)
+            return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         CountedPool)
@@ -624,7 +633,55 @@ def test_a_refused_prediction_ends_alike_at_two_workers(tmp_path, capsys,
     assert len(outcomes[0][0]) == 1
     assert outcomes[1] == outcomes[0]
     assert len(pools) == 1
+    assert submitted == ["_resolve_e0"] + ["_run_block"] * 2 * beside_blocks
     assert multiprocessing.active_children() == []
+
+
+MONTE_CARLO_E0 = {"sigmoid": {"family": "plakhov_almeida", "u_minus": -0.25,
+                              "u_plus": 1.0},
+                  "experiment.e0_mc_samples": 2000}
+
+
+def test_a_pool_resolves_the_only_e0(tmp_path, monkeypatch):
+    where = ["parent"]
+    calls = []
+    resolve_e0 = montecarlo.resolve_e0
+
+    def counted(plan):
+        calls.append(where[-1])
+        return resolve_e0(plan)
+
+    class TaskPool(InlinePool):
+        def submit(self, fn, *args):
+            where.append(f"task {fn.__name__}")
+            try:
+                return super().submit(fn, *args)
+            finally:
+                where.pop()
+
+    monkeypatch.setattr(montecarlo, "resolve_e0", counted)
+    monkeypatch.setattr(cli, "resolve_e0", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", TaskPool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    path = make_config(tmp_path, **MONTE_CARLO_E0)
+    artifacts = []
+    for workers, resolved in ((1, ["parent", "parent"]),
+                              (2, ["task _resolve_e0"])):
+        calls.clear()
+        out = tmp_path / f"w{workers}"
+        assert run_cli("replicate", "--config", path, "--out", out,
+                       "--workers", workers) == 0
+        assert calls == resolved
+        e0 = [(doc["e0"].hex(), doc["e0_stderr"].hex()) for doc in (
+            json.loads((out / name).read_text())
+            for name in ("prediction.json", "summary.json"))]
+        assert e0[0] == e0[1] and float.fromhex(e0[0][1]) > 0
+        artifacts.append({name: (out / name).read_bytes()
+                          for name in sorted(os.listdir(out))})
+    assert InlinePool.sizes == [2]
+    assert len(artifacts[0]) == 4 and artifacts[1] == artifacts[0]
 
 
 def test_replicate_coupling_summary(tmp_path):
@@ -1093,8 +1150,8 @@ def test_a_non_finite_monte_carlo_e0_is_refused_where_it_is_decided(
                      "couple_comparator": True,
                      "comparator_noise": "independent",
                      "e0_mc_samples": 2000}},
-     5, "error: non-finite value nan in artifact summary.json, key "
-        "coupling.rows[0].quantile_50"),
+     5, "error: comparator iterate z is not finite in 9 of 9 surviving "
+        "replicates, first at checkpoint t=10"),
 ], ids=["e0-overflow", "tanh-nan"])
 def test_pool_workers_inherit_the_floating_point_policy(tmp_path, doc, code,
                                                         line):
@@ -1131,11 +1188,10 @@ MODULES_PROBE = ("import json, sys\n"
                  "print(json.dumps([code, sorted(sys.modules)]))\n")
 
 
-def loaded_modules(tmp_path, command, path):
-    """Exit code and ``sys.modules`` of one command at ``--workers 1``."""
-    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
-    if command == "replicate":
-        argv += ["--workers", "1"]
+def loaded_modules(tmp_path, command, path, workers=1):
+    """Exit code and ``sys.modules`` of one command at ``--workers``."""
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"),
+            "--workers", str(workers)]
     proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -1145,33 +1201,44 @@ def loaded_modules(tmp_path, command, path):
 POOL = ("concurrent.futures.process", "multiprocessing")
 
 
-@pytest.mark.parametrize("command, codes, absent", [
-    ("run", {0}, "scipy"),
-    ("validate", {0, 3}, "scipy"),
-    ("predict", {0}, "scipy.stats"),
-    ("replicate", {0}, "scipy.stats"),
+@pytest.mark.parametrize("command, workers, edits, codes, absent", [
+    ("run", 1, {}, {0}, "scipy"),
+    ("validate", 1, {}, {0, 3}, "scipy"),
+    ("predict", 1, {}, {0}, "scipy.stats"),
+    ("replicate", 1, {}, {0}, "scipy.stats"),
     # W is diagonal, so the oracle exponentiates in numpy; one worker forks
     # no pool
-    ("predict", {0}, ("scipy",) + POOL),
-    ("replicate", {0}, ("scipy.linalg",) + POOL),
-    ("run", {0}, POOL),
+    ("predict", 1, {}, {0}, ("scipy",) + POOL),
+    ("replicate", 1, {}, {0}, ("scipy.linalg",) + POOL),
+    ("run", 1, {}, {0}, POOL),
+    # the parent imports scipy while a worker runs the E0 Monte Carlo, but
+    # only the scipy the command computes with
+    ("replicate", 2, {}, {0}, ("scipy.linalg", "scipy.stats")),
+    ("replicate", 2, MONTE_CARLO_E0, {0}, ("scipy.linalg", "scipy.stats")),
 ])
 def test_commands_import_only_the_scipy_they_compute_with(tmp_path, command,
+                                                          workers, edits,
                                                           codes, absent):
     # A fresh interpreter: this process has long since imported scipy.stats.
     if isinstance(absent, str):
         absent = (absent,)
-    code, modules = loaded_modules(tmp_path, command, make_config(tmp_path))
+    code, modules = loaded_modules(tmp_path, command,
+                                   make_config(tmp_path, **edits), workers)
     assert code in codes
     assert [m for m in modules
             if m in absent or m.startswith(tuple(a + "." for a in absent))
             ] == []
 
 
-def test_a_non_diagonal_w_loads_scipy_linalg(tmp_path):
+@pytest.mark.parametrize("command, workers, edits", [
+    ("predict", 1, {}),
+    ("replicate", 2, MONTE_CARLO_E0),
+])
+def test_a_non_diagonal_w_loads_scipy_linalg(tmp_path, command, workers,
+                                             edits):
     path = make_config(tmp_path, **{"problem.matrix": [[1.5, 0.2],
-                                                       [0.0, 3.0]]})
-    code, modules = loaded_modules(tmp_path, "predict", path)
+                                                       [0.0, 3.0]], **edits})
+    code, modules = loaded_modules(tmp_path, command, path, workers)
     assert code == 0
     assert "scipy.linalg" in modules
 

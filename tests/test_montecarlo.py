@@ -198,11 +198,33 @@ def test_blocks_cover_the_replicates_evenly(monkeypatch, n_rep, workers):
     assert len(sizes) == workers and max(sizes) - min(sizes) <= 1
 
 
+class OrderPool(InlinePool):
+    """An InlinePool that records in ``events`` each task it is given and
+    each result taken from it."""
+    events = []
+
+    def submit(self, fn, *args):
+        self.events.append(f"submit {fn.__name__}")
+        future = super().submit(fn, *args)
+        result = future.result
+
+        def collected(*args):
+            self.events.append(f"result {fn.__name__}")
+            return result(*args)
+
+        future.result = collected
+        return future
+
+
 @pytest.mark.parametrize("workers, order", [
-    (1, ["meanwhile", "e0", "kernel"]),
-    # InlinePool runs a task when it is submitted
-    (2, ["submit _resolve_e0", "e0", "meanwhile", "submit _run_block",
-         "kernel", "submit _run_block", "kernel"]),
+    (1, ["meanwhile", "e0", "beside", "e0", "kernel"]),
+    # InlinePool runs a task when it is submitted; the work beside the
+    # blocks comes after the last is submitted and before any result is
+    # taken
+    (2, ["submit _resolve_e0", "e0", "meanwhile", "result _resolve_e0",
+         "result _resolve_e0", "submit _run_block", "kernel",
+         "submit _run_block", "kernel", "beside", "result _run_block",
+         "result _run_block"]),
 ])
 def test_meanwhile_runs_beside_e0_and_before_the_blocks(monkeypatch, workers,
                                                         order):
@@ -212,11 +234,7 @@ def test_meanwhile_runs_beside_e0_and_before_the_blocks(monkeypatch, workers,
                        e0_mc_samples=100)
     baseline = run_replicates(plan)
     events = []
-
-    class OrderPool(InlinePool):
-        def submit(self, fn, *args):
-            events.append(f"submit {fn.__name__}")
-            return super().submit(fn, *args)
+    seen = []
 
     def recorded(name, fn):
         def call(*args, **kwargs):
@@ -224,17 +242,24 @@ def test_meanwhile_runs_beside_e0_and_before_the_blocks(monkeypatch, workers,
             return fn(*args, **kwargs)
         return call
 
+    def meanwhile(get_e0):
+        events.append("meanwhile")
+        seen.append(get_e0())
+        return lambda: events.append("beside")
+
     monkeypatch.setattr(montecarlo, "resolve_e0",
                         recorded("e0", montecarlo.resolve_e0))
     monkeypatch.setattr(montecarlo, "_simulate",
                         recorded("kernel", montecarlo._simulate))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OrderPool)
+    monkeypatch.setattr(OrderPool, "events", events)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
                         lambda pid: {0, 1})
-    rset = run_replicates(plan, workers=workers,
-                          meanwhile=lambda: events.append("meanwhile"))
+    rset = run_replicates(plan, workers=workers, meanwhile=meanwhile)
     assert events == order
-    assert rset.e0 == baseline.e0
+    assert seen == [baseline.e0] and rset.e0 == baseline.e0
+    if workers > 1:
+        assert seen[0] is rset.e0      # the pool's E0 is the only one
     assert record_bytes(rset) == record_bytes(baseline)
 
 
@@ -257,29 +282,59 @@ def test_a_worker_resolves_e0_even_under_a_wrapper(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("after_e0", [False, True])
 def test_an_error_in_meanwhile_ends_the_run_before_any_block(monkeypatch,
-                                                             workers):
+                                                             workers,
+                                                             after_e0):
     plan = scalar_plan(n_replicates=4)
-    submitted = []
-
-    class TaskPool(InlinePool):
-        def submit(self, fn, *args):
-            submitted.append(fn.__name__)
-            return super().submit(fn, *args)
+    events = []
 
     def kernel(*args, **kwargs):
         raise AssertionError("the batch kernel was entered")
 
-    def meanwhile():
+    def meanwhile(get_e0):
+        if after_e0:
+            get_e0()
         raise ConfigError("refused")
 
     monkeypatch.setattr(montecarlo, "_simulate", kernel)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", TaskPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OrderPool)
+    monkeypatch.setattr(OrderPool, "events", events)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
                         lambda pid: {0, 1})
     with pytest.raises(ConfigError, match="refused"):
         run_replicates(plan, workers=workers, meanwhile=meanwhile)
-    assert submitted == ([] if workers == 1 else ["_resolve_e0"])
+    taken = ["result _resolve_e0"] if after_e0 else []
+    assert events == ([] if workers == 1 else ["submit _resolve_e0"] + taken)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_error_beside_the_blocks_ends_the_run(monkeypatch, workers):
+    plan = scalar_plan(n_replicates=4)
+    events = []
+
+    simulate = montecarlo._simulate
+
+    def kernel(*args, **kwargs):
+        events.append("kernel")
+        return simulate(*args, **kwargs)
+
+    def beside():
+        events.append("beside")
+        raise ConfigError("refused")
+
+    monkeypatch.setattr(montecarlo, "_simulate", kernel)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OrderPool)
+    monkeypatch.setattr(OrderPool, "events", events)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    with pytest.raises(ConfigError, match="refused"):
+        run_replicates(plan, workers=workers, meanwhile=lambda get_e0: beside)
+    # one block: before it; a pool: once its blocks are submitted, and no
+    # result is taken from them
+    assert events == (["beside"] if workers == 1 else [
+        "submit _resolve_e0", "result _resolve_e0", "submit _run_block",
+        "kernel", "submit _run_block", "kernel", "beside"])
 
 
 def test_each_row_is_its_own_substream():
