@@ -46,6 +46,10 @@ on where an element falls in a vector loop, so it was never row-local.
 
 from __future__ import annotations
 
+import sys
+from functools import partial, reduce
+from operator import add, mul
+
 import numpy as np
 
 #: Rows per column from which the column-at-a-time sum pays off.
@@ -55,6 +59,11 @@ _PAIRWISE_COLUMNS = 8
 #: Rows per pass when a long row-local evaluation is split so that its rows
 #: and temporaries stay in a 2 MiB L2 cache; splitting changes no bit.
 _ROW_CHUNK = 8192
+
+#: ``_sum_left(terms, 0.0)`` adds floats left to right from the zero start,
+#: rounding once per term: ``sum`` before Python 3.12, from which on it
+#: compensates the round-off (Neumaier), which numpy's sums do not.
+_sum_left = sum if sys.version_info < (3, 12) else partial(reduce, add)
 
 
 def _column_sum(p: np.ndarray):
@@ -89,13 +98,7 @@ def apply_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     from a zero start, adding ``x[j] * m[i][j]`` for ascending ``j``.
     """
     if type(x) is tuple:
-        out = []
-        for row in m:
-            acc = 0.0
-            for xj, mij in zip(x, row):
-                acc += xj * mij
-            out.append(acc)
-        return tuple(out)
+        return tuple([_sum_left(map(mul, x, row), 0.0) for row in m])
     out = _column_matvec(m, x.reshape(-1, x.shape[-1]))
     return out.reshape(x.shape[:-1] + (m.shape[0],))
 
@@ -105,10 +108,7 @@ def dot_rows(a: np.ndarray, b: np.ndarray):
     a float, summed left to right from a zero start: ``np.add.reduce``'s
     order on a row of fewer than ``_PAIRWISE_COLUMNS``."""
     if type(a) is tuple:
-        acc = 0.0
-        for p, q in zip(a, b):
-            acc += p * q
-        return acc
+        return _sum_left(map(mul, a, b), 0.0)
     return _column_sum(a * b)
 
 

@@ -40,16 +40,26 @@ LYAPUNOV_RESIDUAL_RTOL = 1e-10
 #: The quadrature horizon must damp the propagator to this spectral norm.
 TAIL_NORM_BOUND = 1e-8
 
-#: Largest problem dimension. The Kronecker solve holds a dim^2 x dim^2
-#: system of floats: 128 MiB at 64, and 16 times that at twice the dim.
-MAX_DIM = 64
-
 #: Floor on the oracle's total Gauss-Legendre node count.
 ORACLE_MIN_NODES = 384
 
 #: Ceiling on that count. Each node costs a matrix exponential, so a W close
 #: enough to unstable to need more is refused before any node is allocated.
 ORACLE_MAX_NODES = 100_000
+
+#: The oracle's 12-point Gauss-Legendre rule on [-1, 1]: the bits of
+#: ``numpy.polynomial.legendre.leggauss(12)``, written out so that no
+#: command loads ``numpy.polynomial`` for them.
+GAUSS_LEGENDRE_NODES = (
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192)
+GAUSS_LEGENDRE_WEIGHTS = (
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+    0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141)
 
 
 @functools.cache
@@ -177,7 +187,7 @@ def covariance_integral_oracle(w: np.ndarray, noise_cov: np.ndarray, e0,
     c = _scaled_noise(noise_cov, e0)
     if t_max is None:
         t_max = float(np.log(1e12) / -real_parts[-1])
-    per_panel = 12
+    per_panel = len(GAUSS_LEGENDRE_NODES)
     spread = max(1.0, float(np.linalg.norm(w, 2)))
     # np.maximum, not max: a NaN t_max must not fall back to the floor
     panels = np.maximum(np.ceil(ORACLE_MIN_NODES / per_panel),
@@ -193,13 +203,12 @@ def covariance_integral_oracle(w: np.ndarray, noise_cov: np.ndarray, e0,
             f"||exp(W t_max)|| = {tail:.3e} > {TAIL_NORM_BOUND:.0e} at "
             f"t_max = {t_max:.6g}; increase t_max")
     n_panels = int(panels)
-    nodes, weights = np.polynomial.legendre.leggauss(per_panel)
     edges = np.linspace(0.0, t_max, n_panels + 1)
     acc = np.zeros_like(c)
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        for node, weight in zip(nodes, weights):
+        for node, weight in zip(GAUSS_LEGENDRE_NODES, GAUSS_LEGENDRE_WEIGHTS):
             propagator = expm(w * (mid + half * node))
             acc += (half * weight) * (propagator @ c @ propagator.T)
     return 0.5 * (acc + acc.T)

@@ -14,6 +14,10 @@ written; 3 assumption or stability failure; 4 statistical failure
 
 Every command echoes the fully resolved configuration to config.json in
 the output directory, so a run can be replayed from its artifacts.
+
+Each command imports the modules it computes with when it runs: ``run``
+loads no ``montecarlo``, ``asymptotics`` or ``report``, and ``predict``
+no ``core`` or ``montecarlo``.
 """
 
 from __future__ import annotations
@@ -25,16 +29,9 @@ import sys
 
 import numpy as np
 
-from .asymptotics import covariance_integral_oracle, predict, scipy_expm
 from .config import RunConfig, canonical_config, load_config
-from .core import Trajectory, run_trajectory
 from .errors import (AdaptixError, ConfigError, DimensionMismatchError,
                      DivergedTrajectoryError, NumericError, StabilityError)
-from .montecarlo import (block_count, convergence_summary, coupling_gap,
-                         normality_check, resolve_e0, run_replicates,
-                         scipy_chdtr, solve_predicted_v, step_counter_drift)
-from .problems import validate_problem
-from .schedules import e0_exact, gamma_eval
 from .serialize import write_csv, write_json
 
 EXIT_OK = 0
@@ -85,6 +82,7 @@ def _predict(cfg: RunConfig, out_dir: str, e0):
     prediction.json, with a stable W's V and its gap to the integral
     oracle. An unstable W's prediction.json, without V, is written here,
     after which StabilityError is raised."""
+    from .asymptotics import covariance_integral_oracle, predict
     cov = cfg.plan.problem.noise.cov
     prediction = predict(cfg.plan.problem.jacobian_at_root, cov, e0)
     stable = prediction.stable
@@ -112,19 +110,21 @@ def _predict(cfg: RunConfig, out_dir: str, e0):
 
 
 def cmd_predict(args) -> int:
+    from .config import resolve_e0
     cfg, out_dir = _load(args)
     _, write = _predict(cfg, out_dir, resolve_e0(cfg.plan))
     write()
     return EXIT_OK
 
 
-def _write_trajectory(path, trajectory: Trajectory, schedule) -> None:
-    header = ["t", "s", "gamma"] + [
-        f"x_{i}" for i in range(trajectory.x.shape[1])]
-    rows = [(t, s, gamma_eval(schedule, s), *x)
-            for t, s, x in zip(trajectory.t.tolist(), trajectory.s.tolist(),
-                               trajectory.x.tolist())]
-    write_csv(path, header, rows)
+def _write_trajectory(path, trajectory, schedule) -> None:
+    """trajectory.csv: the columns t, s, gamma(s) and x_0, x_1, ..."""
+    from .schedules import gamma_eval
+    x = trajectory.x
+    header = ["t", "s", "gamma"] + [f"x_{i}" for i in range(x.shape[1])]
+    gamma = [gamma_eval(schedule, s) for s in trajectory.s.tolist()]
+    write_csv(path, header, [trajectory.t, trajectory.s, np.array(gamma),
+                             *x.T])
 
 
 def _finish(cfg: RunConfig, out_dir: str, summary: dict, code: int,
@@ -139,6 +139,7 @@ def _finish(cfg: RunConfig, out_dir: str, summary: dict, code: int,
 
 
 def cmd_run(args) -> int:
+    from .core import run_trajectory
     cfg, out_dir = _load(args)
     plan = cfg.plan
     summary = {"command": "run", "seed": plan.master_seed,
@@ -170,6 +171,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_replicate(args) -> int:
+    from .asymptotics import scipy_expm
+    from .montecarlo import (block_count, convergence_summary, coupling_gap,
+                             normality_check, run_replicates, scipy_chdtr,
+                             solve_predicted_v, step_counter_drift)
+    from .schedules import e0_exact
     cfg, out_dir = _load(args)
     plan = cfg.plan
     prediction = None
@@ -227,7 +233,7 @@ def cmd_replicate(args) -> int:
                      check.cov_rel_err, check.mahalanobis_ks])
     if cfg.emit_summary:
         write_csv(os.path.join(out_dir, "checkpoints.csv"),
-                  CHECKPOINT_HEADER, rows)
+                  CHECKPOINT_HEADER, [np.array(c) for c in zip(*rows)])
 
     report = normality_check(rset, prediction, cov_tol=cfg.cov_tol,
                              ks_scale=cfg.ks_scale)
@@ -266,6 +272,7 @@ def cmd_replicate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .report import validate_problem
     cfg, out_dir = _load(args)
     plan = cfg.plan
     report = validate_problem(plan.problem, plan.schedule, plan.sigmoid,

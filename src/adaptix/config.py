@@ -14,6 +14,11 @@ and the spec classes make every value check. ``canonical_config`` renders
 the fully resolved configuration back to a plain dict (all defaults
 explicit) so the echoed config.json is a faithful, replayable record of the
 run.
+
+The types a config parses into live here too: ``ExperimentPlan``, its
+``InitialConditions`` and defaults, and ``resolve_e0``, the plan's E0. So a
+command loads the parser without the kernel (``core``) or the replicate
+harness (``montecarlo``), which import these from here.
 """
 
 from __future__ import annotations
@@ -24,15 +29,105 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import MAX_DIM
-from .core import InitialConditions
 from .errors import ConfigError
-from .montecarlo import DEFAULT_COV_TOL, DEFAULT_KS_SCALE, ExperimentPlan
 from .noise import KINDS as NOISE_KINDS
 from .noise import NoiseModel
-from .problems import PROBLEM_KINDS, ProblemSpec, build_problem, check_dim
-from .schedules import (SCHEDULE_FAMILIES, SIGMOID_FAMILIES, SigmoidSpec,
-                        StepSchedule)
+from .problems import (MAX_DIM, PROBLEM_KINDS, ProblemSpec, build_problem,
+                       check_dim)
+from .schedules import (DEFAULT_E0_MC_SAMPLES, SCHEDULE_FAMILIES,
+                        SIGMOID_FAMILIES, E0Estimate, SigmoidSpec,
+                        StepSchedule, e0_resolve)
+
+#: Default guard: a trajectory whose norm exceeds this is declared diverged.
+DEFAULT_DIVERGENCE_BOUND = 1e12
+
+#: Defaults of the normality gate's tolerances (``tolerances.cov_tol`` and
+#: ``tolerances.ks_scale``).
+DEFAULT_COV_TOL = 0.15
+DEFAULT_KS_SCALE = 1.63
+
+
+@dataclass(frozen=True)
+class InitialConditions:
+    """x0 plus the two seed counters: s0 prices the first step, s1 becomes
+    the counter value at t = 1."""
+    x0: np.ndarray
+    s0: float = 1.0
+    s1: float = 1.0
+
+    def __post_init__(self):
+        x0 = np.asarray(self.x0, dtype=np.float64).reshape(-1)
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("x0 must be finite")
+        object.__setattr__(self, "x0", x0)
+        for label, value in (("s0", self.s0), ("s1", self.s1)):
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{label} must be finite and >= 0, got {value}")
+
+
+def default_checkpoints(horizon: int) -> tuple:
+    """Powers of ten up to the horizon, plus the horizon itself."""
+    points = [10**k for k in range(1, 19) if 10**k <= horizon]
+    if not points or points[-1] != horizon:
+        points.append(horizon)
+    return tuple(points)
+
+
+@dataclass(frozen=True, eq=False)
+class ExperimentPlan:
+    problem: ProblemSpec
+    schedule: StepSchedule
+    sigmoid: SigmoidSpec
+    init: InitialConditions
+    horizon: int = 10_000
+    n_replicates: int = 100
+    master_seed: int = 0
+    checkpoints: tuple = ()
+    couple_comparator: bool = False
+    comparator_noise: str = "shared"  # or "independent" (negative control)
+    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND
+    e0_mc_samples: int = DEFAULT_E0_MC_SAMPLES
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if self.horizon >= 2**63:  # record times are int64
+            raise ConfigError(f"horizon must be < 2**63, got {self.horizon}")
+        if self.n_replicates < 2:
+            raise ConfigError(
+                f"n_replicates must be >= 2, got {self.n_replicates}")
+        if not 0 <= int(self.master_seed) < 2**64:
+            raise ConfigError(f"master_seed must be a u64, got {self.master_seed}")
+        checkpoints = tuple(int(t) for t in self.checkpoints)
+        if not checkpoints:
+            checkpoints = default_checkpoints(self.horizon)
+        if sorted(set(checkpoints)) != list(checkpoints):
+            raise ConfigError("checkpoints must be strictly increasing")
+        if checkpoints[0] < 1 or checkpoints[-1] > self.horizon:
+            raise ConfigError(
+                f"checkpoints must lie in [1, horizon={self.horizon}]")
+        object.__setattr__(self, "checkpoints", checkpoints)
+        if self.comparator_noise not in ("shared", "independent"):
+            raise ConfigError(
+                f"comparator_noise must be 'shared' or 'independent', "
+                f"got {self.comparator_noise!r}")
+        if not self.divergence_bound > 0:
+            raise ConfigError(
+                f"divergence_bound must be > 0, got {self.divergence_bound}")
+        if self.e0_mc_samples < 2:
+            raise ConfigError(
+                f"e0_mc_samples must be >= 2, got {self.e0_mc_samples}")
+        if self.init.x0.shape[0] != self.problem.dim:
+            raise ConfigError(
+                f"x0 dimension {self.init.x0.shape[0]} does not match problem "
+                f"dim {self.problem.dim}")
+
+
+def resolve_e0(plan: ExperimentPlan) -> E0Estimate:
+    """The plan's E0: closed form when available, otherwise seeded Monte
+    Carlo (see :func:`adaptix.schedules.e0_resolve`)."""
+    return e0_resolve(plan.sigmoid, plan.problem.noise, plan.e0_mc_samples,
+                      plan.master_seed)
 
 
 def _dotted(path: str, key: str) -> str:

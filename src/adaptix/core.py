@@ -47,11 +47,12 @@ other in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
 import numpy as np
 
 from ._rowops import _PAIRWISE_COLUMNS, apply_rows, dot_rows
+from .config import DEFAULT_DIVERGENCE_BOUND, InitialConditions
 from .errors import DivergedTrajectoryError
 from .problems import ProblemSpec, field_eval
 from .rng import as_generator
@@ -64,28 +65,7 @@ NOISE_CHUNK = 1024
 #: a chunk's noise: a few replicates, so the tile stays in cache.
 _NOISE_TILE_BYTES = 128 * 2**10
 
-#: Default guard: a trajectory whose norm exceeds this is declared diverged.
-DEFAULT_DIVERGENCE_BOUND = 1e12
-
 _FLOAT_MAX = float(np.finfo(np.float64).max)
-
-
-@dataclass(frozen=True)
-class InitialConditions:
-    """x0 plus the two seed counters: s0 prices the first step, s1 becomes
-    the counter value at t = 1."""
-    x0: np.ndarray
-    s0: float = 1.0
-    s1: float = 1.0
-
-    def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("x0 must be finite")
-        object.__setattr__(self, "x0", x0)
-        for label, value in (("s0", self.s0), ("s1", self.s1)):
-            if not (np.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{label} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -189,7 +169,7 @@ def _lane(problem: ProblemSpec, init: InitialConditions,
         for tk, xi_k in enumerate(xi, t):
             y = tuple(map(add, field_eval(problem, x), xi_k))
             gamma = gamma_eval(schedule, s)
-            x_new = tuple([a - gamma * b for a, b in zip(x, y)])
+            x_new = tuple(map(sub, x, map(gamma.__mul__, y)))
             ok = dot_rows(x_new, x_new) <= bound_sq
             if tk == 1:
                 s_new = s1

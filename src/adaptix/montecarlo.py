@@ -25,17 +25,12 @@ import numpy as np
 
 from ._rowops import norm_rows
 from .asymptotics import AsymptoticPrediction
-from .core import (DEFAULT_DIVERGENCE_BOUND, NOISE_CHUNK, ComparatorConfig,
-                   InitialConditions, _simulate)
+from .config import (DEFAULT_COV_TOL, DEFAULT_KS_SCALE, ExperimentPlan,
+                     resolve_e0)
+from .core import NOISE_CHUNK, ComparatorConfig, _simulate
 from .errors import ConfigError, NumericError
-from .noise import NoiseModel
-from .problems import ProblemSpec
 from .rng import COMPARATOR_LANE, TRAJECTORY_LANE, substream
-from .schedules import (DEFAULT_E0_MC_SAMPLES, E0Estimate, SigmoidSpec,
-                        StepSchedule, e0_resolve)
-
-DEFAULT_COV_TOL = 0.15
-DEFAULT_KS_SCALE = 1.63
+from .schedules import E0Estimate
 
 #: ``coupling_gap`` calls the gap decreasing once its 90% quantile has
 #: dropped to this fraction of its first-checkpoint value.
@@ -46,64 +41,6 @@ COUPLING_DROP_FACTOR = 0.5
 #: horizon) x dim doubles at most, streams being 2 with independent
 #: comparator noise and 1 otherwise. Tiling changes no bit.
 NOISE_TILE_BYTES = 64 * 2**20
-
-
-def default_checkpoints(horizon: int) -> tuple:
-    """Powers of ten up to the horizon, plus the horizon itself."""
-    points = [10**k for k in range(1, 19) if 10**k <= horizon]
-    if not points or points[-1] != horizon:
-        points.append(horizon)
-    return tuple(points)
-
-
-@dataclass(frozen=True, eq=False)
-class ExperimentPlan:
-    problem: ProblemSpec
-    schedule: StepSchedule
-    sigmoid: SigmoidSpec
-    init: InitialConditions
-    horizon: int = 10_000
-    n_replicates: int = 100
-    master_seed: int = 0
-    checkpoints: tuple = ()
-    couple_comparator: bool = False
-    comparator_noise: str = "shared"  # or "independent" (negative control)
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND
-    e0_mc_samples: int = DEFAULT_E0_MC_SAMPLES
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.horizon >= 2**63:  # record times are int64
-            raise ConfigError(f"horizon must be < 2**63, got {self.horizon}")
-        if self.n_replicates < 2:
-            raise ConfigError(
-                f"n_replicates must be >= 2, got {self.n_replicates}")
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ConfigError(f"master_seed must be a u64, got {self.master_seed}")
-        checkpoints = tuple(int(t) for t in self.checkpoints)
-        if not checkpoints:
-            checkpoints = default_checkpoints(self.horizon)
-        if sorted(set(checkpoints)) != list(checkpoints):
-            raise ConfigError("checkpoints must be strictly increasing")
-        if checkpoints[0] < 1 or checkpoints[-1] > self.horizon:
-            raise ConfigError(
-                f"checkpoints must lie in [1, horizon={self.horizon}]")
-        object.__setattr__(self, "checkpoints", checkpoints)
-        if self.comparator_noise not in ("shared", "independent"):
-            raise ConfigError(
-                f"comparator_noise must be 'shared' or 'independent', "
-                f"got {self.comparator_noise!r}")
-        if not self.divergence_bound > 0:
-            raise ConfigError(
-                f"divergence_bound must be > 0, got {self.divergence_bound}")
-        if self.e0_mc_samples < 2:
-            raise ConfigError(
-                f"e0_mc_samples must be >= 2, got {self.e0_mc_samples}")
-        if self.init.x0.shape[0] != self.problem.dim:
-            raise ConfigError(
-                f"x0 dimension {self.init.x0.shape[0]} does not match problem "
-                f"dim {self.problem.dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +74,6 @@ class ReplicateSet:
         if matches.size == 0:
             raise KeyError(f"t={t} is not a recorded checkpoint")
         return int(matches[0])
-
-
-def resolve_e0(plan: ExperimentPlan) -> E0Estimate:
-    """The plan's E0: closed form when available, otherwise seeded Monte
-    Carlo (see :func:`adaptix.schedules.e0_resolve`)."""
-    return e0_resolve(plan.sigmoid, plan.problem.noise, plan.e0_mc_samples,
-                      plan.master_seed)
 
 
 def _resolve_e0(plan: ExperimentPlan) -> E0Estimate:

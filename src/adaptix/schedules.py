@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .noise import NoiseModel
-from .report import FAIL, PASS, ValidationReport
 from ._rowops import _ROW_CHUNK, dot_rows
 from .rng import E0_LANE, as_generator, substream
 
@@ -116,54 +115,6 @@ def gamma_eval(schedule: StepSchedule, s):
     else:
         out = np.full_like(arr, schedule.gamma0)
     return float(out) if arr.ndim == 0 else out
-
-
-def validate_schedule(schedule: StepSchedule) -> ValidationReport:
-    """Check the step-size conditions B2.1-B2.3.
-
-    B2.1: gamma is non-increasing in s (also spot-checked on a grid).
-    B2.2: integral of gamma(s) ds diverges.
-    B2.3: integral of gamma(s)^2 ds converges.
-
-    Verdicts are analytic per family; the sampled grid for the
-    monotonicity spot check is recorded in the detail string.
-    """
-    report = ValidationReport()
-    grid = np.concatenate([[0.0], np.logspace(-3, 9, 49)])
-    vals = gamma_eval(schedule, grid)
-    monotone = bool(np.all(np.diff(vals) <= 1e-15))
-    report.add(
-        "B2.1",
-        PASS if monotone else FAIL,
-        f"family={schedule.family}; non-increasing on 50-point grid "
-        f"s in [0, 1e9]: {monotone}",
-    )
-    if schedule.family == "reciprocal":
-        report.add("B2.2", PASS, "integral of 1/max(s, s_floor) diverges (log tail)")
-        report.add("B2.3", PASS, "integral of 1/max(s, s_floor)^2 converges")
-    elif schedule.family == "power":
-        diverges = schedule.p <= 1.0
-        report.add(
-            "B2.2",
-            PASS if diverges else FAIL,
-            f"(1+s)^-p with p={schedule.p}: first integral "
-            f"{'diverges' if diverges else 'converges'} (needs p <= 1)",
-        )
-        square_ok = 2.0 * schedule.p > 1.0
-        report.add(
-            "B2.3",
-            PASS if square_ok else FAIL,
-            f"(1+s)^-2p with p={schedule.p}: second integral "
-            f"{'converges' if square_ok else 'diverges'} (needs p > 1/2)",
-        )
-    else:
-        report.add("B2.2", PASS, "constant step: first integral diverges")
-        report.add(
-            "B2.3", FAIL,
-            f"constant step gamma0={schedule.gamma0}: integral of gamma^2 "
-            "grows linearly",
-        )
-    return report
 
 
 @dataclass(frozen=True)

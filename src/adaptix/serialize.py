@@ -14,13 +14,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from operator import itemgetter, mod
+from operator import mod
 
 import numpy as np
 
 from .errors import ConfigError
-
-_INTEGERS = (int, np.integer)
 
 
 def format_float(value: float) -> str:
@@ -119,53 +117,56 @@ def write_json(path, obj) -> None:
     _write_lines(path, [text])
 
 
-def write_csv(path, header: list, rows) -> None:
-    """Rows of ints/floats, each as wide as the first; ints as written,
-    floats at 17 significant digits, LF endings.
+def write_csv(path, header: list, columns) -> None:
+    """One typed 1-D array per ``header`` name, all of one length, written
+    as rows with LF endings.
 
-    Each column is decided once, not each cell: a column of ints (Python
-    or numpy, bools included) renders as ``%d`` and any other as ``%.17g``,
-    which writes a float as ``format_float`` does. One numpy pass over a
-    float column's values finds its non-finite cells and its negative
-    zeros, which ``%.17g`` writes as ``-0``. A row holding a negative zero,
-    or an int in a float column, gets a format of its own, with ``%.1f``
-    or ``%d`` in that cell.
+    The dtype decides a column's format once: an integer or bool column
+    renders as ``%d`` and a float column as ``%.17g``, which writes a float
+    as ``format_float`` does but for a negative zero. ``%.17g`` writes that
+    as ``-0``, which reads back as the integer 0, so a row holding one gets
+    a format of its own, with ``%.1f`` in that cell. One numpy pass per
+    float column finds its negative zeros and its NaNs and infinities; the
+    first of those in row order, then column order, raises ValueError
+    naming the artifact file and the column.
     """
-    rows = list(rows)
-    width = len(rows[0]) if rows else 0
+    columns = [np.asarray(column) for column in columns]
+    if len(columns) != len(header) or any(
+            column.shape != columns[0].shape or column.ndim != 1
+            for column in columns):
+        raise ValueError("write_csv takes one 1-D column per header name, "
+                         "all of one length")
     specs = []
+    cells = []
     bad = []                # (row, column) of each column's first NaN or inf
-    exact = {}              # row -> {column: spec} where "%.17g" misrenders
-    for j in range(width):
-        column = list(map(itemgetter(j), rows))
-        is_int = [issubclass(kind, _INTEGERS)
-                  for kind in set(map(type, column))]
-        if all(is_int):
+    negative_zeros = {}     # row -> the columns where it holds a -0.0
+    for j, column in enumerate(columns):
+        kind = column.dtype.kind
+        if kind in "biu":
             specs.append("%d")
-            continue
-        specs.append("%.17g")
-        if any(is_int):
-            for i, value in enumerate(column):
-                if isinstance(value, _INTEGERS):
-                    exact.setdefault(i, {})[j] = "%d"
-                    column[i] = 0.0     # it may lie beyond the float range
-        values = np.fromiter(column, np.float64, len(column))
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad.append((int(np.argmin(finite)), j))
-        # "-0" would read back as the integer 0, losing the sign
-        for i in np.flatnonzero(np.signbit(values) & (values == 0.0)).tolist():
-            exact.setdefault(i, {})[j] = "%.1f"
+        elif kind == "f":
+            specs.append("%.17g")
+            finite = np.isfinite(column)
+            if not finite.all():
+                bad.append((int(np.argmin(finite)), j))
+            zeros = np.signbit(column) & (column == 0.0)
+            for i in np.flatnonzero(zeros).tolist():
+                negative_zeros.setdefault(i, []).append(j)
+        else:
+            raise TypeError(f"column {header[j]} of {os.path.basename(path)} "
+                            f"has dtype {column.dtype}, not int or float")
+        cells.append(column.tolist())
     if bad:
         i, j = min(bad)
-        raise ValueError(f"non-finite value {float(rows[i][j])!r} in artifact "
+        raise ValueError(f"non-finite value {cells[j][i]!r} in artifact "
                          f"{os.path.basename(path)}, column {header[j]}")
-    formats = [",".join(specs) + "\n"] * len(rows)
-    for i, cells in exact.items():
+    n_rows = len(columns[0]) if columns else 0
+    formats = [",".join(specs) + "\n"] * n_rows
+    for i, where in negative_zeros.items():
         row_specs = specs.copy()
-        for j, spec in cells.items():
-            row_specs[j] = spec
+        for j in where:
+            row_specs[j] = "%.1f"
         formats[i] = ",".join(row_specs) + "\n"
     lines = [",".join(header) + "\n"]
-    lines += map(mod, formats, map(tuple, rows))
+    lines += map(mod, formats, zip(*cells))
     _write_lines(path, lines)

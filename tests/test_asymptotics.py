@@ -187,6 +187,14 @@ def test_diagonal_expm_is_scipy_bit_for_bit():
     assert same_bits(expm(coupled), scipy.linalg.expm(coupled))
 
 
+def test_gauss_legendre_constants_are_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    for pinned, computed in ((asymptotics.GAUSS_LEGENDRE_NODES, nodes),
+                             (asymptotics.GAUSS_LEGENDRE_WEIGHTS, weights)):
+        assert (np.array(pinned).view(np.uint64).tolist()
+                == computed.view(np.uint64).tolist())
+
+
 def test_oracle_accepts_explicit_horizon():
     w = np.array([[-2.0]])
     cov = np.array([[1.0]])

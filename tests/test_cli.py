@@ -16,13 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_montecarlo import InlinePool
 
-from adaptix import cli, montecarlo
-from adaptix.asymptotics import MAX_DIM
+from adaptix import config, montecarlo
 from adaptix.cli import main
 from adaptix.config import canonical_config, load_config, parse_config
 from adaptix.core import run_trajectory
 from adaptix.errors import (ConfigError, DimensionMismatchError,
                             DivergedTrajectoryError)
+from adaptix.problems import MAX_DIM
 from adaptix.schedules import gamma_eval
 from adaptix.serialize import dumps_json, format_float
 
@@ -422,7 +422,7 @@ def test_trajectory_csv_matches_the_per_state_rendering(tmp_path, monkeypatch):
         runs.append(run_trajectory(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr("adaptix.cli.run_trajectory", recording_run_trajectory)
+    monkeypatch.setattr("adaptix.core.run_trajectory", recording_run_trajectory)
     path = make_config(tmp_path, **{
         "problem": {"kind": "cubic1d", "a": 1.0, "c": 0.5,
                     "noise": {"kind": "gaussian", "cov": 1.0}},
@@ -660,7 +660,7 @@ def test_a_pool_resolves_the_only_e0(tmp_path, monkeypatch):
                 where.pop()
 
     monkeypatch.setattr(montecarlo, "resolve_e0", counted)
-    monkeypatch.setattr(cli, "resolve_e0", counted)
+    monkeypatch.setattr(config, "resolve_e0", counted)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", TaskPool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
@@ -1215,6 +1215,13 @@ POOL = ("concurrent.futures.process", "multiprocessing")
     # only the scipy the command computes with
     ("replicate", 2, {}, {0}, ("scipy.linalg", "scipy.stats")),
     ("replicate", 2, MONTE_CARLO_E0, {0}, ("scipy.linalg", "scipy.stats")),
+    # adaptix's own modules too; a diagonal W's oracle needs no
+    # numpy.polynomial either
+    ("run", 1, {}, {0}, ("adaptix.montecarlo", "adaptix.asymptotics",
+                         "adaptix.report", "numpy.polynomial")),
+    ("predict", 1, {}, {0}, ("adaptix.core", "adaptix.montecarlo",
+                             "adaptix.report", "numpy.polynomial")),
+    ("validate", 1, {}, {0, 3}, "adaptix.montecarlo"),
 ])
 def test_commands_import_only_the_scipy_they_compute_with(tmp_path, command,
                                                           workers, edits,
@@ -1228,6 +1235,20 @@ def test_commands_import_only_the_scipy_they_compute_with(tmp_path, command,
     assert [m for m in modules
             if m in absent or m.startswith(tuple(a + "." for a in absent))
             ] == []
+
+
+def test_import_adaptix_loads_no_submodule_until_a_name_is_used():
+    probe = ("import json, sys\n"
+             "import adaptix\n"
+             "loaded = [m for m in sys.modules if m.startswith('adaptix.')]\n"
+             "names = {}\n"
+             "exec('from adaptix import *', names)\n"
+             "unbound = [n for n in adaptix.__all__ if n not in names]\n"
+             "print(json.dumps([loaded, unbound]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
 
 
 @pytest.mark.parametrize("command, workers, edits", [

@@ -15,9 +15,9 @@ from adaptix import (DimensionMismatchError,
                      reciprocal_schedule, run_trajectory,
                      scaled_rademacher_noise, smooth_gate, tanh_problem,
                      uniform_ball_noise)
-from adaptix.core import (DEFAULT_DIVERGENCE_BOUND, NOISE_CHUNK,
-                          ComparatorConfig, _lane_takes, _simulate,
-                          _stride_ts)
+from adaptix.config import DEFAULT_DIVERGENCE_BOUND
+from adaptix.core import (NOISE_CHUNK, ComparatorConfig, _lane_takes,
+                          _simulate, _stride_ts)
 from adaptix.rng import COMPARATOR_LANE, TRAJECTORY_LANE, substream
 
 RECIPROCAL = reciprocal_schedule()

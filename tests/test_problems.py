@@ -10,9 +10,8 @@ from adaptix import (ConfigError, DimensionMismatchError,
                      reciprocal_schedule, scaled_rademacher_noise,
                      tanh_problem, uniform_ball_noise, validate_problem)
 from adaptix._rowops import apply_rows
-from adaptix.asymptotics import MAX_DIM
 from adaptix.config import parse_config
-from adaptix.problems import ProblemSpec, jacobian_fd
+from adaptix.problems import MAX_DIM, ProblemSpec, jacobian_fd
 from adaptix.report import FAIL, FULL_CHECK_IDS, NOT_CHECKED, PASS
 from adaptix.rng import substream
 

@@ -69,10 +69,11 @@ def test_writers_are_byte_stable(tmp_path):
     write_json(p2, doc)
     assert p1.read_bytes() == p2.read_bytes()
 
-    rows = [[1, 0.5, 2.0 / 3.0], [2, 0.25, 1e-15]]
+    columns = [np.array([1, 2]), np.array([0.5, 0.25]),
+               np.array([2.0 / 3.0, 1e-15])]
     c1, c2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(c1, ["t", "a", "b"], rows)
-    write_csv(c2, ["t", "a", "b"], rows)
+    write_csv(c1, ["t", "a", "b"], columns)
+    write_csv(c2, ["t", "a", "b"], columns)
     assert c1.read_bytes() == c2.read_bytes()
     lines = c1.read_text().splitlines()
     assert lines[0] == "t,a,b"
@@ -85,9 +86,9 @@ def test_a_value_that_cannot_be_written_leaves_no_file(tmp_path):
     # artifact is left behind
     with pytest.raises(ValueError):
         write_json(tmp_path / "a.json", {"ok": 1.0, "bad": float("inf")})
-    rows = [[1, 0.5]] * 3 + [[4, float("nan")]]
+    columns = [np.array([1, 1, 1, 4]), np.array([0.5, 0.5, 0.5, np.nan])]
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "a.csv", ["t", "a"], rows)
+        write_csv(tmp_path / "a.csv", ["t", "a"], columns)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -104,22 +105,24 @@ def test_a_non_finite_value_is_reported_with_its_place(tmp_path):
     with pytest.raises(ValueError, match=r"^non-finite value -inf in artifact "
                        r"s\.json, key coupling\.V\[0\]\[1\]$"):
         write_json(tmp_path / "s.json", doc)
-    rows = [[1, 0.5, 2.0], [2, 0.25, float("-inf")], [3, float("nan"), 1.0]]
+    columns = [np.array([1, 2, 3]), np.array([0.5, 0.25, np.nan]),
+               np.array([2.0, -np.inf, 1.0])]
     with pytest.raises(ValueError, match=r"^non-finite value -inf in "
                        r"artifact b\.csv, column y$"):
-        write_csv(tmp_path / "b.csv", ["t", "x", "y"], rows)
+        write_csv(tmp_path / "b.csv", ["t", "x", "y"], columns)
 
 
-def cell_by_cell(name, header, rows):
-    """The CSV text of ``rows`` rendered one cell at a time: an int (not a
-    bool) as its digits, anything else through ``format_float``, with the
-    artifact's file and column appended to a non-finite value's error."""
+def cell_by_cell(name, header, columns):
+    """The CSV text of ``columns`` rendered one cell at a time, row after
+    row: an integer or bool column's values as their digits, a float
+    column's through ``format_float``, with the artifact's file and column
+    appended to a non-finite value's error."""
     lines = [",".join(header) + "\n"]
-    for row in rows:
+    for row in zip(*columns):
         cells = []
-        for column, value in zip(header, row):
-            if isinstance(value, (int, np.integer)) and not isinstance(
-                    value, (bool, np.bool_)):
+        for column, kind, value in zip(
+                header, [c.dtype.kind for c in columns], row):
+            if kind in "biu":
                 cells.append(str(int(value)))
                 continue
             try:
@@ -130,108 +133,126 @@ def cell_by_cell(name, header, rows):
     return "".join(lines)
 
 
-def assert_writes_cell_by_cell(path, header, rows):
+def assert_writes_cell_by_cell(path, header, columns):
     """``write_csv`` gives ``cell_by_cell``'s bytes, or its error and no
     file."""
     try:
-        expected = cell_by_cell(path.name, header, rows).encode()
+        expected = cell_by_cell(path.name, header, columns).encode()
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            write_csv(path, header, rows)
+            write_csv(path, header, columns)
         assert str(raised.value) == str(exc)
         assert not path.exists()
         return False
-    write_csv(path, header, rows)
+    write_csv(path, header, columns)
     assert path.read_bytes() == expected
     path.unlink()
     return True
 
 
-INT_CELLS = st.one_of(
-    st.integers(-2**63, 2**63 - 1),
-    st.sampled_from([0, 2**63 - 1, -2**63, 2**53 + 1, 10**17, 10**30]),
-    st.integers(-2**63, 2**63 - 1).map(np.int64),
-    st.sampled_from([np.int64(0), np.int64(2**63 - 1)]),
-    st.booleans(), st.booleans().map(np.bool_))
-FLOAT_CELLS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e17, 1.0 / 3.0,
-                     np.float64(-0.0), np.float64(0.1)]),
-    st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
-CELLS = {"int": INT_CELLS, "float": FLOAT_CELLS,
-         "mixed": st.one_of(INT_CELLS, FLOAT_CELLS)}
-NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf"),
-                              np.float64("nan"), np.float64("-inf")])
+#: Values and dtype of each column kind.
+CELLS = {
+    "int64": (st.one_of(
+        st.integers(-2**63, 2**63 - 1),
+        st.sampled_from([0, 2**63 - 1, -2**63, 2**53 + 1, 10**17])),
+        np.int64),
+    "uint64": (st.one_of(
+        st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1])),
+        np.uint64),
+    "bool": (st.booleans(), np.bool_),
+    "float64": (st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e17, 1.0 / 3.0,
+                         2.0**53 + 2.0])),
+        np.float64),
+}
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 
 @st.composite
 def tables(draw):
-    """A header and rows whose columns hold ints, floats or both, with
-    NaN or an infinity at a few random places in one table of three."""
+    """A header and typed columns of 0 to 8 rows, with NaN or an infinity
+    at a few random places of the float columns in one table of three."""
     kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1,
                           max_size=5))
     header = [f"c{j}" for j in range(len(kinds))]
-    rows = [[draw(CELLS[kind]) for kind in kinds]
-            for _ in range(draw(st.integers(0, 8)))]
-    if rows and draw(st.integers(0, 2)) == 0:
+    n_rows = draw(st.integers(0, 8))
+    values = [[draw(CELLS[kind][0]) for _ in range(n_rows)]
+              for kind in kinds]
+    floats = [j for j, kind in enumerate(kinds) if kind == "float64"]
+    if n_rows and floats and draw(st.integers(0, 2)) == 0:
         for _ in range(draw(st.integers(1, 3))):
-            i = draw(st.integers(0, len(rows) - 1))
-            j = draw(st.integers(0, len(kinds) - 1))
-            rows[i][j] = draw(NON_FINITE)
-    if draw(st.booleans()):
-        rows = [tuple(row) for row in rows]
-    return header, rows
+            j = draw(st.sampled_from(floats))
+            values[j][draw(st.integers(0, n_rows - 1))] = draw(NON_FINITE)
+    return header, [np.array(column, dtype=CELLS[kind][1])
+                    for column, kind in zip(values, kinds)]
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(table=tables())
 def test_write_csv_gives_the_cell_by_cell_bytes(tmp_path_factory, table):
-    header, rows = table
+    header, columns = table
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    assert_writes_cell_by_cell(path, header, rows)
+    assert_writes_cell_by_cell(path, header, columns)
 
 
 def test_write_csv_edge_cells_match_the_cell_by_cell_writer(tmp_path):
     # each column kind, with the values whose "%.17g" text is not their
-    # own: a negative zero, and ints of 2**53 and more beside floats
-    rows = [[0, -0.0, 2**63 - 1, True, np.int64(2**63 - 1)],
-            [np.int64(0), np.float64(-0.0), 0.5, 1.5, 2**53 + 1],
-            [2**63 - 1, 5e-324, -0.0, False, 1e17],
-            [True, 1e16, 10**17, np.float64(1.0 / 3.0), -0.0]]
-    assert assert_writes_cell_by_cell(tmp_path / "t.csv",
-                                      ["a", "b", "c", "d", "e"], rows)
-    write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e"], rows)
+    # own: a negative zero, and the extremes of the integer types
+    columns = [np.array([0, 0, 2**63 - 1, -2**63]),
+               np.array([-0.0, -0.0, 5e-324, 1e16]),
+               np.array([2**64 - 1, 0, 1, 2**53 + 1], dtype=np.uint64),
+               np.array([True, False, False, True]),
+               np.array([0.5, 1e17, -0.0, 1.0 / 3.0])]
+    header = ["a", "b", "c", "d", "e"]
+    assert assert_writes_cell_by_cell(tmp_path / "t.csv", header, columns)
+    write_csv(tmp_path / "t.csv", header, columns)
     assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
-        "0,-0.0,9223372036854775807,1,9223372036854775807",
-        "0,-0.0,0.5,1.5,9007199254740993",
-        "9223372036854775807,4.9406564584124654e-324,-0.0,0,1e+17",
-        "1,10000000000000000,100000000000000000,0.33333333333333331,-0.0"]
+        "0,-0.0,18446744073709551615,1,0.5",
+        "0,-0.0,0,0,1e+17",
+        "9223372036854775807,4.9406564584124654e-324,1,0,-0.0",
+        "-9223372036854775808,10000000000000000,9007199254740993,1,"
+        "0.33333333333333331"]
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_write_csv_names_the_first_non_finite_cell(tmp_path, count):
-    # NaN and the infinities in every column of an int, a float and a
-    # mixed column, alone and in pairs and triples: the error names the
-    # first bad row and, in it, the first bad column
-    base = [[1, 0.5, 2], [2, -0.0, 2.5], [3, 1.0 / 3.0, 4]]
+    # NaN and the infinities in every column of three, alone and in pairs
+    # and triples: the error names the first bad row and, in it, the first
+    # bad column. A NaN in the integer column t makes it a float column.
+    base = [[1, 2, 3], [0.5, -0.0, 1.0 / 3.0], [2.0, 2.5, 4.0]]
     header = ["t", "x", "m"]
     places = list(itertools.product(range(3), range(3)))
     bad = [float("nan"), float("inf"), float("-inf")]
     checked = 0
     for where in itertools.combinations(places, count):
         for values in itertools.product(bad, repeat=count):
-            rows = [list(row) for row in base]
+            columns = [list(column) for column in base]
             for (i, j), value in zip(where, values):
-                rows[i][j] = value
-            assert not assert_writes_cell_by_cell(tmp_path / "t.csv",
-                                                  header, rows)
+                columns[j][i] = value
+            assert not assert_writes_cell_by_cell(
+                tmp_path / "t.csv", header, list(map(np.array, columns)))
             checked += 1
     assert checked == len(list(itertools.combinations(places, count))) \
         * 3**count
+
+
+@pytest.mark.parametrize("columns, error", [
+    ([np.array([1, 2])], ValueError),                     # too few columns
+    ([np.array([1, 2]), np.array([0.5])], ValueError),    # unequal lengths
+    ([np.array([1, 2]), np.ones((2, 1))], ValueError),    # not 1-D
+    ([np.array([1, 2]), np.array(["a", "b"])], TypeError),
+    ([np.array([1, 2]), np.array([1j, 2j])], TypeError),
+])
+def test_write_csv_refuses_columns_it_cannot_write(tmp_path, columns,
+                                                   error):
+    with pytest.raises(error):
+        write_csv(tmp_path / "t.csv", ["t", "x"], columns)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_artifact_that_cannot_be_opened_raises_config_error(tmp_path):
     (tmp_path / "t.csv").mkdir()
     with pytest.raises(ConfigError, match=r"^cannot write artifact t\.csv: "
                        r"Is a directory$"):
-        write_csv(tmp_path / "t.csv", ["t"], [[1]])
+        write_csv(tmp_path / "t.csv", ["t"], [np.array([1])])

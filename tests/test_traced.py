@@ -52,6 +52,9 @@ def test_tracer_reports_every_layer(tmp_path, command):
     layers = json.loads(report.read_text())
     assert set(layers) == layer_names()
     assert layers["config.load_s"] > 0.0
+    # E0 is resolved where each command looks resolve_e0 up: config for
+    # predict, montecarlo for replicate; the tracer must wrap both
+    assert layers["schedules.e0_s"] > 0.0
     if command == "replicate":
         # both replicates advance every step, and the coupled comparator
         # applies its drift once per step
