@@ -46,9 +46,7 @@ on where an element falls in a vector loop, so it was never row-local.
 
 from __future__ import annotations
 
-import sys
-from functools import partial, reduce
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -60,10 +58,15 @@ _PAIRWISE_COLUMNS = 8
 #: and temporaries stay in a 2 MiB L2 cache; splitting changes no bit.
 _ROW_CHUNK = 8192
 
-#: ``_sum_left(terms, 0.0)`` adds floats left to right from the zero start,
-#: rounding once per term: ``sum`` before Python 3.12, from which on it
-#: compensates the round-off (Neumaier), which numpy's sums do not.
-_sum_left = sum if sys.version_info < (3, 12) else partial(reduce, add)
+
+def _dot_left(a, b):
+    """Inner product of two float tuples: ``a[j] * b[j]`` added left to
+    right from a zero start, rounding once per term (``sum`` compensates
+    the round-off from Python 3.12 on, which numpy's sums do not)."""
+    acc = 0.0
+    for t in map(mul, a, b):
+        acc += t
+    return acc
 
 
 def _column_sum(p: np.ndarray):
@@ -98,7 +101,7 @@ def apply_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     from a zero start, adding ``x[j] * m[i][j]`` for ascending ``j``.
     """
     if type(x) is tuple:
-        return tuple([_sum_left(map(mul, x, row), 0.0) for row in m])
+        return tuple([_dot_left(x, row) for row in m])
     out = _column_matvec(m, x.reshape(-1, x.shape[-1]))
     return out.reshape(x.shape[:-1] + (m.shape[0],))
 
@@ -108,7 +111,7 @@ def dot_rows(a: np.ndarray, b: np.ndarray):
     a float, summed left to right from a zero start: ``np.add.reduce``'s
     order on a row of fewer than ``_PAIRWISE_COLUMNS``."""
     if type(a) is tuple:
-        return _sum_left(map(mul, a, b), 0.0)
+        return _dot_left(a, b)
     return _column_sum(a * b)
 
 
