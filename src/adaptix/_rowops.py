@@ -19,12 +19,11 @@ order of the row-wise form:
   and sums, operands in the same order, as ``out += x[..., j, None] *
   m[:, j]``. It matches or beats the row-wise loop at every 2-D size, so
   every ``x`` takes it, reshaped to 2-D when it has another rank;
-* a row sum starts from ``p[:, 0] + 0.0`` and adds the columns in
-  ascending order, which is what ``np.add.reduce`` does on a row of fewer
-  than 8 elements (the ``+ 0.0`` is its zero start, which turns a -0.0
-  first term into +0.0). It beats ``np.add.reduce`` only from about
-  ``_MIN_ROWS_PER_COLUMN`` rows per column, and only below
-  ``_PAIRWISE_COLUMNS`` columns.
+* a row sum of a 2-D batch of fewer than ``_PAIRWISE_COLUMNS`` columns
+  starts from ``p[:, 0] + 0.0`` and adds the columns in ascending order,
+  at every row count. That is what ``np.add.reduce`` does on a row of
+  fewer than 8 elements (the ``+ 0.0`` is its zero start, which turns a
+  -0.0 first term into +0.0).
 
 Other sums keep the row-wise form. Below 8 columns ``np.add.reduce`` sums
 every row left to right, whatever the memory order. From 8 on it sums a
@@ -50,8 +49,6 @@ from operator import mul
 
 import numpy as np
 
-#: Rows per column from which the column-at-a-time sum pays off.
-_MIN_ROWS_PER_COLUMN = 32
 #: Row length from which ``np.add.reduce`` sums a contiguous row pairwise.
 _PAIRWISE_COLUMNS = 8
 #: Rows per pass when a long row-local evaluation is split so that its rows
@@ -74,7 +71,7 @@ def _column_sum(p: np.ndarray):
     shape = p.shape
     if not 0 < shape[-1] < _PAIRWISE_COLUMNS:
         return np.add.reduce(np.ascontiguousarray(p), axis=-1)
-    if len(shape) != 2 or shape[0] < _MIN_ROWS_PER_COLUMN * shape[1]:
+    if len(shape) != 2:
         return np.add.reduce(p, axis=-1)
     acc = p[:, 0] + 0.0
     for j in range(1, shape[1]):

@@ -26,7 +26,6 @@ diagonal W, V_ij = C_ij / (-w_i - w_j) with C = S_xi / E0^2.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,27 +61,21 @@ GAUSS_LEGENDRE_WEIGHTS = (
     0.16007832854334642, 0.10693932599531907, 0.04717533638651141)
 
 
-@functools.cache
-def scipy_expm():
-    """scipy's matrix exponential, imported on the first call so that a
-    diagonal W loads no scipy.linalg."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm
-
-
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential.
 
     A square float matrix whose off-diagonal entries are all zero is
     ``np.diag(np.exp(np.diag(a)))``, the expression ``scipy.linalg.expm``
     evaluates when its own bandwidth test finds one, so the bits are the
-    same; scipy.linalg is loaded on the first call with any other matrix.
+    same. Any other matrix goes to ``scipy.linalg.expm``, imported here,
+    so a diagonal W loads no scipy.linalg.
     """
     a = np.asarray(a)
     if (a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype == np.float64
             and np.count_nonzero(a) == np.count_nonzero(a.diagonal())):
         return np.diag(np.exp(np.diag(a)))
-    return scipy_expm()(a)
+    import scipy.linalg
+    return scipy.linalg.expm(a)
 
 
 def _as_e0_value(e0) -> float:

@@ -4,7 +4,8 @@ Subcommands:
 
 * ``predict``   -- asymptotic covariance prediction from the config alone.
 * ``run``       -- one trajectory, written step by step to trajectory.csv.
-* ``replicate`` -- a replicate ensemble with per-checkpoint statistics.
+* ``replicate`` -- a replicate ensemble with per-checkpoint statistics;
+  the only command with ``--workers``.
 * ``validate``  -- assumption checks for the configured problem/schedule/gate.
 
 Exit codes: 0 success; 2 bad configuration or an artifact that cannot be
@@ -58,9 +59,9 @@ def _load(args):
 
     ``--seed`` replaces the config seed before the echo, so config.json
     always describes the run that happened.  ``--out`` only redirects
-    where artifacts land; like ``--workers`` it is an execution detail
-    and is deliberately not echoed, keeping artifacts byte-identical no
-    matter where they are written.
+    where artifacts land; like ``replicate``'s ``--workers`` it is an
+    execution detail and is deliberately not echoed, keeping artifacts
+    byte-identical no matter where they are written.
     """
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -171,9 +172,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    from .asymptotics import scipy_expm
     from .montecarlo import (block_count, convergence_summary, coupling_gap,
-                             normality_check, run_replicates, scipy_chdtr,
+                             normality_check, run_replicates,
                              solve_predicted_v, step_counter_drift)
     from .schedules import e0_exact
     cfg, out_dir = _load(args)
@@ -188,10 +188,10 @@ def cmd_replicate(args) -> int:
         if load_while_waiting:
             # a worker runs the E0 Monte Carlo: meanwhile import the scipy
             # of the normality test and of a non-diagonal W's oracle
-            scipy_chdtr()
+            import scipy.special  # noqa: F401
             j = np.atleast_2d(plan.problem.jacobian_at_root)
             if np.count_nonzero(j) != np.count_nonzero(j.diagonal()):
-                scipy_expm()
+                import scipy.linalg  # noqa: F401
         prediction, write = _predict(cfg, out_dir, get_e0())
         # the normality test needs V invertible: decide that before
         # simulating, writing a singular V's prediction.json first
@@ -321,9 +321,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               "from the config, else .)")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override experiment.master_seed")
-        cmd.add_argument("--workers", type=int, default=1,
-                         help="worker processes (default: 1); results do "
-                              "not depend on this")
+        if name == "replicate":
+            cmd.add_argument("--workers", type=int, default=1,
+                             help="worker processes (default: 1); results "
+                                  "do not depend on this")
         cmd.set_defaults(func=func)
     return parser
 

@@ -17,7 +17,6 @@ sup-distance, with the asymptotic 1% band 1.63/sqrt(n_replicates).
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
@@ -277,21 +276,16 @@ def _ks_distance(sample: np.ndarray, cdf) -> float:
     return float(max(np.max(upper - reference), np.max(reference - lower)))
 
 
-@functools.cache
-def scipy_chdtr():
-    """scipy's chi-square CDF ``chdtr``, imported on the first call so that
-    commands without a normality test load no scipy.special."""
-    from scipy.special import chdtr
-    return chdtr
-
-
 def chi2_cdf(q, dim: int) -> np.ndarray:
     """Chi-square CDF with ``dim`` degrees of freedom, 0 below the support.
 
     Bit for bit ``scipy.stats.chi2(dim).cdf``, whose body is ``chdtr``, but
-    without importing scipy.stats; ``chdtr`` alone is nan below 0.
+    without importing scipy.stats; ``chdtr`` alone is nan below 0. It is
+    imported here, so commands without a normality test load no
+    scipy.special.
     """
-    return scipy_chdtr()(dim, np.maximum(q, 0.0))
+    from scipy.special import chdtr
+    return chdtr(dim, np.maximum(q, 0.0))
 
 
 def solve_predicted_v(predicted_v: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -95,10 +95,6 @@ class ValidationReport:
         """True when no item failed (not_checked items do not fail)."""
         return not self.failed_ids
 
-    def merge(self, other: "ValidationReport") -> "ValidationReport":
-        self.items.extend(other.items)
-        return self
-
 
 #: The validators' sampling grid: noise draws for B1.1, random directions
 #: on top of the axes, drift radii (B3.1c, B3.2, the B3.1d start),
@@ -250,7 +246,7 @@ def validate_problem(problem: ProblemSpec, schedule: StepSchedule,
            "(documented non-conforming, unit-test use only)"))
 
     # B2.1-B2.3 -- schedule conditions.
-    report.merge(validate_schedule(schedule))
+    report.items.extend(validate_schedule(schedule).items)
 
     # B3.1a -- structural: the certificate is a centered quadratic form
     # with P positive definite (verified at construction), so V(x*) = 0

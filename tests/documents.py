@@ -157,16 +157,19 @@ def documents(seed: int, count: int, draw) -> list:
 
 def outcome(doc: dict, command: str, workers: int = 1) -> dict:
     """One in-process run of ``command`` on ``doc``: the exit code, the
-    stderr lines and the SHA-256 of every artifact written."""
+    stderr lines and the SHA-256 of every artifact written. ``workers``
+    goes to ``replicate``, the one command that takes it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
         out = os.path.join(tmp, "out")
+        argv = [command, "--config", path, "--out", out]
+        if command == "replicate":
+            argv += ["--workers", str(workers)]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main([command, "--config", path, "--out", out,
-                         "--workers", str(workers)])
+            code = main(argv)
         artifacts = {}
         if os.path.isdir(out):
             for name in sorted(os.listdir(out)):

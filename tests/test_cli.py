@@ -473,6 +473,19 @@ def test_replicate_artifacts_and_worker_invariance(tmp_path):
     assert summary["exit_code"] == 0
 
 
+@pytest.mark.parametrize("command", ["predict", "run", "validate"])
+def test_only_replicate_takes_workers(tmp_path, capsys, command):
+    path = make_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--config", path, "--out", tmp_path / "o",
+                "--workers", "2")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert run_cli("replicate", "--config", path, "--out", tmp_path / "r",
+                   "--workers", "2") == 0
+
+
 def replicate_outcome(tmp_path, **edits):
     """Exit code, stderr lines and summary.json of a 1-D replicate run."""
     path = make_config(tmp_path, **{
@@ -1189,9 +1202,11 @@ MODULES_PROBE = ("import json, sys\n"
 
 
 def loaded_modules(tmp_path, command, path, workers=1):
-    """Exit code and ``sys.modules`` of one command at ``--workers``."""
-    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"),
-            "--workers", str(workers)]
+    """Exit code and ``sys.modules`` of one command, ``replicate`` at
+    ``--workers``."""
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if command == "replicate":
+        argv += ["--workers", str(workers)]
     proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,6 @@
 """Row kernels and samplers against the row-wise formulas, bit for bit.
 
-``_rowops`` evaluates a large batch of few columns a column at a time. The
+``_rowops`` evaluates a 2-D batch of few columns a column at a time. The
 formulas below are the row-wise evaluation written out; every result must
 carry the same bits, signed zeros included. Only a NaN's payload (its sign
 bit) is not compared: numpy's own loops pass on the first or the second
@@ -26,8 +26,8 @@ from adaptix import (InitialConditions, e0_monte_carlo, gaussian_noise,
                      reciprocal_schedule, run_trajectory,
                      scaled_rademacher_noise, smooth_gate, tanh_problem,
                      uniform_ball_noise)
-from adaptix._rowops import (_MIN_ROWS_PER_COLUMN, _ROW_CHUNK,
-                             _column_matvec, apply_rows, dot_rows, norm_rows)
+from adaptix._rowops import (_ROW_CHUNK, _column_matvec, apply_rows,
+                             dot_rows, norm_rows)
 from adaptix.core import NOISE_CHUNK, ComparatorConfig, _lane_takes, _simulate
 from adaptix.noise import NoiseModel
 from adaptix.rng import COMPARATOR_LANE, TRAJECTORY_LANE, substream
@@ -37,9 +37,9 @@ SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
 
 
 def row_counts(dim):
-    """Every count from 1 to 64 rows, both sides of the column sum's
-    threshold, and a full noise block."""
-    edge = _MIN_ROWS_PER_COLUMN * dim
+    """Every count from 1 to 64 rows, 32 rows per column and one row either
+    side of it, and a full noise block."""
+    edge = 32 * dim
     return sorted(set(range(1, 65)) | {edge - 1, edge, edge + 1, 1024})
 
 
@@ -228,12 +228,11 @@ def coupled_problem(dim):
 
 @pytest.mark.parametrize("dim", [2, 4, 9, 12])
 def test_batch_rows_match_single_runs_and_any_split(dim):
-    # enough replicates that the whole batch sums a column at a time while
-    # a split of 3 sums row-wise
+    # a batch of 32 rows per column and 5 more, whole and split after 3
     problem = coupled_problem(dim)
     init = InitialConditions(x0=np.full(dim, 0.5))
     schedule, gate = reciprocal_schedule(2.0), kesten_gate()
-    horizon, n_rep = 60, _MIN_ROWS_PER_COLUMN * dim + 5
+    horizon, n_rep = 60, 32 * dim + 5
     ts = range(horizon + 1)
     comparator = ComparatorConfig(alpha=problem.jacobian_at_root, e0=0.5)
 

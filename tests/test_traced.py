@@ -44,7 +44,7 @@ def test_tracer_reports_every_layer(tmp_path, command):
     report = tmp_path / "layers.json"
     argv = [sys.executable, str(ROOT / "bench" / "traced.py"),
             "--report", str(report), "--", command, "--config", str(config),
-            "--out", str(tmp_path / "out"), "--workers", "1"]
+            "--out", str(tmp_path / "out")]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True,
                           text=True, timeout=120)
