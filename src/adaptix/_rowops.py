@@ -19,18 +19,16 @@ order of the row-wise form:
   and sums, operands in the same order, as ``out += x[..., j, None] *
   m[:, j]``. It matches or beats the row-wise loop at every 2-D size, so
   every ``x`` takes it, reshaped to 2-D when it has another rank;
-* a row sum of a 2-D batch of fewer than ``_PAIRWISE_COLUMNS`` columns
-  starts from ``p[:, 0] + 0.0`` and adds the columns in ascending order,
-  at every row count. That is what ``np.add.reduce`` does on a row of
-  fewer than 8 elements (the ``+ 0.0`` is its zero start, which turns a
-  -0.0 first term into +0.0).
+* a row sum of fewer than ``_PAIRWISE_COLUMNS`` columns, at any rank and
+  row count, starts from ``p[..., 0] + 0.0`` and adds the columns in
+  ascending order. That is what ``np.add.reduce`` does on a row of fewer
+  than 8 elements, whatever the memory order (the ``+ 0.0`` is its zero
+  start, which turns a -0.0 first term into +0.0).
 
-Other sums keep the row-wise form. Below 8 columns ``np.add.reduce`` sums
-every row left to right, whatever the memory order. From 8 on it sums a
-contiguous row pairwise, with eight partial sums, but the rows of an
-F-ordered array one column at a time; so there the row-wise sum reduces a
-C-contiguous copy, and a replicate's sum does not depend on the memory
-order of its batch.
+A sum of 8 or more columns keeps the row-wise form. There ``np.add.reduce``
+sums a contiguous row pairwise, with eight partial sums, but the rows of an
+F-ordered array one column at a time; so it reduces a C-contiguous copy,
+and a replicate's sum does not depend on the memory order of its batch.
 
 A single state held as a tuple of Python floats (the one-replicate lane of
 ``core._simulate``) takes the same operations on floats: ``apply_rows`` and
@@ -68,14 +66,12 @@ def _dot_left(a, b):
 
 def _column_sum(p: np.ndarray):
     """Sum over the last axis, in ``np.add.reduce``'s order on C rows."""
-    shape = p.shape
-    if not 0 < shape[-1] < _PAIRWISE_COLUMNS:
+    columns = p.shape[-1]
+    if not 0 < columns < _PAIRWISE_COLUMNS:
         return np.add.reduce(np.ascontiguousarray(p), axis=-1)
-    if len(shape) != 2:
-        return np.add.reduce(p, axis=-1)
-    acc = p[:, 0] + 0.0
-    for j in range(1, shape[1]):
-        acc += p[:, j]
+    acc = p[..., 0] + 0.0
+    for j in range(1, columns):
+        acc += p[..., j]
     return acc
 
 

@@ -162,27 +162,26 @@ def solve_lyapunov(w: np.ndarray, noise_cov: np.ndarray, e0) -> np.ndarray:
     return v
 
 
-def covariance_integral_oracle(w: np.ndarray, noise_cov: np.ndarray, e0,
-                               t_max: float | None = None) -> np.ndarray:
+def covariance_integral_oracle(w: np.ndarray, noise_cov: np.ndarray,
+                               e0) -> np.ndarray:
     """V via quadrature of the integral representation (independent route).
 
     Integrates e^{Wt} (S_xi/E0^2) e^{W^T t} over [0, t_max] with composite
-    Gauss-Legendre panels (12 nodes each). Panel width is capped at
-    2/||W||_2 so oscillatory modes (complex spectrum) are resolved, with
-    at least ``ORACLE_MIN_NODES`` nodes in total. ``t_max=None`` picks
-    log(1e12)/|max real eigenvalue|; a t_max that is not finite or needs
-    more than ``ORACLE_MAX_NODES`` nodes raises NumericError. Then the tail
-    requirement ||e^{W t_max}||_2 <= 1e-8 is verified either way; a
-    violation raises TailBoundError asking for a larger t_max.
+    Gauss-Legendre panels (12 nodes each). t_max = log(1e12)/|max real
+    eigenvalue| is where W's slowest mode has decayed by 1e-12. Panel width
+    is capped at 2/||W||_2 so oscillatory modes (complex spectrum) are
+    resolved, with at least ``ORACLE_MIN_NODES`` nodes in total; a horizon
+    needing more than ``ORACLE_MAX_NODES`` nodes raises NumericError. A W
+    so far from normal that ||e^{W t_max}||_2 > 1e-8 raises TailBoundError.
     """
     w = np.atleast_2d(np.asarray(w, dtype=np.float64))
     real_parts = _require_stable(w)
     c = _scaled_noise(noise_cov, e0)
-    if t_max is None:
-        t_max = float(np.log(1e12) / -real_parts[-1])
+    t_max = float(np.log(1e12) / -real_parts[-1])
     per_panel = len(GAUSS_LEGENDRE_NODES)
     spread = max(1.0, float(np.linalg.norm(w, 2)))
-    # np.maximum, not max: a NaN t_max must not fall back to the floor
+    # t_max is +inf when the division overflows: the count stays a float,
+    # so the guard refuses it before int() could meet it
     panels = np.maximum(np.ceil(ORACLE_MIN_NODES / per_panel),
                         np.ceil(t_max * spread / 2.0))
     if not panels * per_panel <= ORACLE_MAX_NODES:
@@ -194,7 +193,8 @@ def covariance_integral_oracle(w: np.ndarray, noise_cov: np.ndarray, e0,
     if not tail <= TAIL_NORM_BOUND:
         raise TailBoundError(
             f"||exp(W t_max)|| = {tail:.3e} > {TAIL_NORM_BOUND:.0e} at "
-            f"t_max = {t_max:.6g}; increase t_max")
+            f"t_max = {t_max:.6g}, where W's slowest mode has decayed by "
+            f"1e-12: W is too far from normal for the integral oracle")
     n_panels = int(panels)
     edges = np.linspace(0.0, t_max, n_panels + 1)
     acc = np.zeros_like(c)

@@ -45,8 +45,9 @@ class StabilityError(AdaptixError):
 
 
 class TailBoundError(AdaptixError):
-    """Quadrature horizon too short: the integrand tail has not decayed
-    below the documented threshold. Increase ``t_max``."""
+    """The integral oracle's propagator has not decayed below the
+    documented threshold by the horizon where W's slowest mode has: W is
+    too far from normal for the oracle."""
 
 
 class NumericError(AdaptixError):

@@ -176,7 +176,9 @@ def build_problem(kind: str, dim: int | None = None,
     """A ``kind`` problem from ``values``, keyed as ``PROBLEM_KINDS[kind]``.
 
     A number for ``matrix`` means that multiple of I, and one for ``root``
-    that value in every coordinate; a root of None is the origin. The
+    that value in every coordinate; a root of None is the origin. Without
+    ``dim`` or a matrix list, the dim is a root list's length, then the
+    noise model's dim, then 1, the order the config infers it in. The
     scalar cubic takes no Lyapunov matrix and carries V(x) = (x - x*)^2 / 2.
     """
     declared = PROBLEM_KINDS[kind]
@@ -189,13 +191,19 @@ def build_problem(kind: str, dim: int | None = None,
     declared_dim = fields.pop("dim")
     if dim is None:
         dim = declared_dim
+    root = np.asarray(0.0 if fields["root"] is None else fields["root"],
+                      dtype=np.float64)
+    if dim is None and np.ndim(fields["matrix"]) == 0:
+        # as config._infer_dim: a root list, then the noise model's dim
+        noise = fields["noise"]
+        dim = root.size if root.ndim else 1 if noise is None else noise.dim
     if dim is not None:
         check_dim(dim)
     if declared_dim not in (None, dim):
         raise ConfigError(f"{kind} is scalar only")
     if "matrix" in fields:
         m = np.asarray(fields["matrix"], dtype=np.float64)
-        m = float(m) * np.eye(dim or 1) if m.ndim == 0 else np.atleast_2d(m)
+        m = float(m) * np.eye(dim) if m.ndim == 0 else np.atleast_2d(m)
         if dim is None:
             check_dim(m.shape[0])
         elif dim != m.shape[0]:
@@ -203,8 +211,6 @@ def build_problem(kind: str, dim: int | None = None,
                 f"dim {dim} does not match the {m.shape[0]}-row matrix")
         fields["matrix"] = m
         dim = m.shape[0]
-    root = np.asarray(0.0 if fields["root"] is None else fields["root"],
-                      dtype=np.float64)
     if root.ndim == 0:
         fields["root"] = np.full(dim, root)
     if fields["noise"] is None:

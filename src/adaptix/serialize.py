@@ -52,7 +52,11 @@ def _render(obj, pieces: list, indent: int, pad: str):
         pieces.append("[\n")
         for i, item in enumerate(obj):
             pieces.append(inner)
-            _render(item, pieces, indent + 1, pad)
+            try:
+                _render(item, pieces, indent + 1, pad)
+            except ValueError as exc:
+                exc.places = [i, *getattr(exc, "places", ())]
+                raise
             pieces.append(",\n" if i + 1 < len(obj) else "\n")
         pieces.append(here + "]")
     elif isinstance(obj, dict):
@@ -65,7 +69,11 @@ def _render(obj, pieces: list, indent: int, pad: str):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
             pieces.append(f'{inner}{json.dumps(key, ensure_ascii=False)}: ')
-            _render(item, pieces, indent + 1, pad)
+            try:
+                _render(item, pieces, indent + 1, pad)
+            except ValueError as exc:
+                exc.places = [key, *getattr(exc, "places", ())]
+                raise
             pieces.append(",\n" if i + 1 < len(items) else "\n")
         pieces.append(here + "}")
     else:
@@ -90,28 +98,15 @@ def _write_lines(path, lines: list) -> None:
                           f"{exc.strerror or exc}") from None
 
 
-def _non_finite_key(obj, key: str = "") -> str | None:
-    """The key of the first NaN or infinity ``_render`` meets in ``obj``,
-    dotted with list indices (``rows[0].quantile_50``); None if none."""
-    if isinstance(obj, (float, np.floating)):
-        return None if math.isfinite(obj) else key
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        places = {f"{key}.{k}" if key else k: v for k, v in obj.items()}
-    elif isinstance(obj, (list, tuple)):
-        places = {f"{key}[{i}]": v for i, v in enumerate(obj)}
-    else:
-        return None
-    found = (_non_finite_key(item, place) for place, item in places.items())
-    return next((place for place in found if place), None)
-
-
 def write_json(path, obj) -> None:
     try:
         text = dumps_json(obj)
     except ValueError as exc:
-        key = _non_finite_key(obj)
+        # ``_render`` lists the keys and indices down to the value
+        key = ""
+        for place in getattr(exc, "places", ()):
+            key = (f"{key}[{place}]" if isinstance(place, int)
+                   else f"{key}.{place}" if key else place)
         where = f", key {key}" if key else ""
         raise ValueError(f"{exc} {os.path.basename(path)}{where}") from None
     _write_lines(path, [text])

@@ -139,29 +139,31 @@ def test_unstable_system_refused():
 
 
 def test_oracle_tail_bound_guard():
-    w = np.array([[-1.0]])
-    with pytest.raises(TailBoundError):
-        covariance_integral_oracle(w, np.array([[1.0]]), 1.0, t_max=0.5)
+    # W's slowest mode decays by 1e-12 at t = 18.42, where the coupling
+    # still holds ||exp(W t)|| at 1.47e-8
+    w = np.array([[-1.5, -800.0], [0.0, -1.5]])
+    with pytest.raises(TailBoundError, match="too far from normal"):
+        covariance_integral_oracle(w, np.eye(2), 0.5)
 
 
-@pytest.mark.parametrize("t_max", [None, np.inf, np.nan])
-def test_oracle_refuses_a_horizon_beyond_its_node_limit(t_max):
-    # W = -1.1e-16 puts the default horizon at 2.5e17
+def test_oracle_refuses_a_horizon_beyond_its_node_limit():
+    # W = -1.1e-16 puts the horizon at 2.5e17
     w = np.array([[0.5 - 0.25000000000000006 / 0.5]])
     with pytest.raises(NumericError, match="max eigenvalue real part of W = "
                                            "-1.11022e-16"):
-        covariance_integral_oracle(w, np.array([[1.0]]), 0.5, t_max=t_max)
+        covariance_integral_oracle(w, np.array([[1.0]]), 0.5)
 
 
 def test_oracle_node_limit_is_inclusive(monkeypatch):
-    # 40 panels of 12 nodes reach t_max = 80 at ||W|| = 1
+    # the horizon log(1e12)/0.35 = 78.9 takes 40 panels of 12 nodes at
+    # ||W|| = 1; log(1e12)/0.34 = 81.3 takes 41
     monkeypatch.setattr(asymptotics, "ORACLE_MAX_NODES", 480)
-    w, cov = np.array([[-1.0]]), np.array([[1.0]])
-    out = covariance_integral_oracle(w, cov, 1.0, t_max=80.0)
-    assert out[0, 0] == pytest.approx(0.5, abs=1e-10)
+    cov = np.array([[1.0]])
+    out = covariance_integral_oracle(np.array([[-0.35]]), cov, 1.0)
+    assert out[0, 0] == pytest.approx(1.0 / 0.7, abs=1e-10)
     with pytest.raises(NumericError, match=r"needs 492 quadrature nodes "
                                            r"\(limit 480\)"):
-        covariance_integral_oracle(w, cov, 1.0, t_max=80.5)
+        covariance_integral_oracle(np.array([[-0.34]]), cov, 1.0)
 
 
 def same_bits(a, b):
@@ -193,13 +195,6 @@ def test_gauss_legendre_constants_are_leggauss_bit_for_bit():
                              (asymptotics.GAUSS_LEGENDRE_WEIGHTS, weights)):
         assert (np.array(pinned).view(np.uint64).tolist()
                 == computed.view(np.uint64).tolist())
-
-
-def test_oracle_accepts_explicit_horizon():
-    w = np.array([[-2.0]])
-    cov = np.array([[1.0]])
-    out = covariance_integral_oracle(w, cov, 1.0, t_max=30.0)
-    assert out[0, 0] == pytest.approx(0.25, abs=1e-10)
 
 
 def test_predict_accepts_estimate_and_rejects_bad_e0():

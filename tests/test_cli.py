@@ -583,6 +583,20 @@ def test_nearly_unstable_w_exits_5_before_the_oracle_allocates(tmp_path,
                    "-1.11022e-16"]
 
 
+def test_the_tail_bound_refusal_names_no_knob_the_user_lacks(tmp_path):
+    # W = [[-1.5, -800], [0, -1.5]]: the propagator has not decayed by the
+    # oracle's horizon, and no flag or config key could lengthen it
+    path = make_config(tmp_path, problem={
+        "kind": "linear", "matrix": [[1.0, 400.0], [0.0, 1.0]]})
+    code, err = cli_stderr("predict", "--config", path, "--out",
+                           tmp_path / "o")
+    assert code == 5
+    assert len(err) == 1
+    assert err[0].startswith("adaptix: error: ||exp(W t_max)|| = 1.474e-08 ")
+    assert "too far from normal" in err[0]
+    assert "increase t_max" not in err[0]
+
+
 # At two workers the oracle and the prediction.json write run in this process
 # while the blocks simulate; the other refusals come before any block. Each
 # must end the command as at one worker.

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptix import (DimensionMismatchError,
                      DivergedTrajectoryError, InitialConditions,
@@ -150,20 +152,14 @@ def test_record_stride_keeps_endpoints():
     assert traj.x.shape == traj.y.shape == (5, 1) and traj.s.shape == (5,)
 
 
-@pytest.mark.parametrize("n_rep", [1, 2])
-def test_record_times_out_of_order_or_repeated_are_recorded_once(n_rep):
-    problem = linear_problem(matrix=1.0, dim=1)
-    init = InitialConditions(x0=np.array([1.0]))
-
-    def run(record_ts):
-        rngs = [substream(3, TRAJECTORY_LANE, r) for r in range(n_rep)]
-        res = _simulate(problem, init, RECIPROCAL, KESTEN, 10, rngs,
-                        record_ts)
-        return [a.tobytes() for a in (res.ts, res.x, res.s, res.y)]
-
-    plain = run([0, 3, 10])
-    assert run((10, 3, 0)) == plain
-    assert run([3, 3, 10, 0, 10]) == plain
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(horizon=st.integers(0, 2**20), stride=st.integers(1, 2**21))
+def test_stride_times_meet_the_kernels_precondition(horizon, stride):
+    # _simulate does not sort or range-check its record times
+    ts = _stride_ts(horizon, stride)
+    assert ts.dtype == np.int64
+    assert ts[0] == 0 and ts[-1] == horizon
+    assert (ts[1:] > ts[:-1]).all()
 
 
 def test_negative_horizon_is_rejected_by_the_kernel():

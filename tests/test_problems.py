@@ -187,6 +187,12 @@ def spec_fields(problem) -> dict:
       "noise": {"kind": "scaled_rademacher", "scale": 0.5}},
      lambda: cubic_problem(dim=1, a=0.5, c=2.0, root=0.3,
                            noise=scaled_rademacher_noise(1, 0.5))),
+    # with no dim and no matrix list the dim comes from the root, then
+    # from the noise
+    ({"kind": "linear", "root": [1.0, 2.0]},
+     lambda: linear_problem(root=[1.0, 2.0])),
+    ({"kind": "tanh", "noise": {"kind": "uniform_ball", "dim": 3}},
+     lambda: tanh_problem(noise=uniform_ball_noise(3, 1.0))),
 ])
 def test_config_and_builder_give_the_same_problem(doc, build):
     cfg = parse_config({"problem": doc, "sigmoid": {"family": "kesten"},

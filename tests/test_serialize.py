@@ -112,6 +112,17 @@ def test_a_non_finite_value_is_reported_with_its_place(tmp_path):
         write_csv(tmp_path / "b.csv", ["t", "x", "y"], columns)
 
 
+@pytest.mark.parametrize("doc, key, value", [
+    ([[1.0, float("nan")], [np.inf]], r"\[0\]\[1\]", "nan"),
+    ([0.5, np.array([1.0, -0.0, np.inf])], r"\[1\]\[2\]", "inf"),
+], ids=["list_of_lists", "ndarray_in_list"])
+def test_a_non_finite_value_in_a_list_is_reported_with_its_index(
+        tmp_path, doc, key, value):
+    with pytest.raises(ValueError, match=rf"^non-finite value {value} in "
+                       rf"artifact l\.json, key {key}$"):
+        write_json(tmp_path / "l.json", doc)
+
+
 def cell_by_cell(name, header, columns):
     """The CSV text of ``columns`` rendered one cell at a time, row after
     row: an integer or bool column's values as their digits, a float
