@@ -158,12 +158,16 @@ class NoiseModel:
         if self.kind == "uniform_ball":
             rng.standard_normal(out=out)
             r = rng.random(count)
+            # (r**(1/n) * radius) / |g|, the bits of radius * r**(1/n) / |g|
+            r **= 1.0 / n
+            r *= self.radius
             for lo in range(0, count, _ROW_CHUNK):
                 g = out[lo:lo + _ROW_CHUNK]
                 nrm = norm_rows(g)
-                nrm = np.where(nrm == 0.0, 1.0, nrm)
-                g *= (self.radius * r[lo:lo + _ROW_CHUNK] ** (1.0 / n)
-                      / nrm)[:, None]
+                nrm[nrm == 0.0] = 1.0
+                part = r[lo:lo + _ROW_CHUNK]
+                part /= nrm
+                g *= part[:, None]
             return out
         np.multiply(2.0, rng.integers(0, 2, size=(count, n)), out=out)
         out -= 1.0

@@ -130,7 +130,7 @@ def field_eval(problem: ProblemSpec, x) -> np.ndarray:
     if problem.kind == "linear":
         return apply_rows(problem.matrix, centered)
     if problem.kind == "tanh":
-        return apply_rows(problem.matrix, np.tanh(centered))
+        return apply_rows(problem.matrix, np.tanh(centered, out=centered))
     return problem.a * centered + problem.c * centered**3
 
 

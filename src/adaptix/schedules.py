@@ -201,7 +201,8 @@ def sigmoid_eval(sigmoid: SigmoidSpec, v):
 
     A Python float under a constant or step gate is compared on floats
     (``<``, ``>``, then the ``at_zero`` value), as the array form compares
-    it; every level of a constant gate is c, so NaN gives c too. A smooth
+    it; every level of a constant gate is c, so NaN gives c too. Where
+    u(0) is the right limit the array form needs only ``< 0``. A smooth
     gate always goes through scipy's ``expit``.
     """
     if type(v) is float and sigmoid.family != "smooth":
@@ -216,6 +217,10 @@ def sigmoid_eval(sigmoid: SigmoidSpec, v):
             scaled = arr / sigmoid.beta
         out = sigmoid.u_minus + (sigmoid.u_plus - sigmoid.u_minus) * _expit()(
             scaled)
+    elif sigmoid.family == "constant" or sigmoid.at_zero == "right":
+        # u(0) is the right limit: one comparison, and NaN, which is not
+        # < 0, lands on u_plus as in the nested form
+        out = np.where(arr < 0.0, sigmoid.u_minus, sigmoid.u_plus)
     else:
         out = np.where(
             arr < 0.0, sigmoid.u_minus,

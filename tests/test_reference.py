@@ -4,7 +4,9 @@
 workload writes, per CLI seed. Replaying a few of those commands here makes
 a byte drift fail the test suite, not only the benchmark. ``run`` takes the
 one-replicate float lane, not the batch loop that ``replicate`` takes, so it
-is replayed on every recorded seed. The file is only read.
+is replayed on every recorded seed. So is ``predict`` on ``wide_coupled``:
+its Monte Carlo E0 runs the ball sampler and the plakhov_almeida gate on a
+fresh stream at each seed. The file is only read.
 """
 
 import hashlib
@@ -63,3 +65,11 @@ def test_artifacts_match_the_bench_reference(tmp_path, workload, label,
 def test_run_matches_the_bench_reference_on_every_seed(tmp_path, seed):
     # seed 3 is the run-single_long case above
     assert_matches_reference(tmp_path, "single_long", "main", "run", seed)
+
+
+@pytest.mark.parametrize("seed", [s for s in range(16) if s != SEED])
+def test_wide_coupled_predict_matches_the_bench_reference_on_every_seed(
+        tmp_path, seed):
+    # seed 3 is the predict-wide_coupled case above
+    assert_matches_reference(tmp_path, "wide_coupled", "predict", "predict",
+                             seed)

@@ -190,6 +190,43 @@ def test_ball_block_matches_the_row_wise_scaling(dim):
         assert_same_bits(block, want)
 
 
+class FixedDraws:
+    """A generator stand-in that hands out the given normals and uniforms,
+    so a test can place draws that real streams never produce."""
+
+    def __init__(self, normals, uniforms):
+        self.normals = normals
+        self.uniforms = uniforms
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            assert size == self.normals.shape
+            return self.normals.copy()
+        out[...] = self.normals
+        return out
+
+    def random(self, count):
+        assert count == self.uniforms.shape[0]
+        return self.uniforms.copy()
+
+
+@pytest.mark.parametrize("dim", [1, 4, 9])
+def test_a_zero_normal_row_stays_a_zero_ball_row(dim):
+    # a zero norm is replaced by 1.0 rather than divided by; the zero row
+    # sits in the second row chunk
+    count = _ROW_CHUNK + 5
+    zero = _ROW_CHUNK + 2
+    normals = np.random.default_rng(dim).standard_normal((count, dim))
+    normals[zero] = 0.0
+    uniforms = np.random.default_rng(50 + dim).random(count)
+    noise = uniform_ball_noise(dim, 1.5)
+    block = noise.sample_block(FixedDraws(normals, uniforms), count)
+    assert_same_bits(block, ball_rows(noise, FixedDraws(normals, uniforms),
+                                      count))
+    assert block[zero].tobytes() == np.zeros(dim).tobytes()
+    assert not np.isnan(block).any()
+
+
 @pytest.mark.parametrize("dim", range(1, 10))
 @pytest.mark.parametrize("kind", sorted(SAMPLERS))
 def test_block_drawn_into_out_matches_the_row_wise_formula(kind, dim):

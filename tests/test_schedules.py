@@ -167,6 +167,35 @@ def test_constant_gate_is_c_at_every_argument(c, at_zero):
         [c] * len(ARGUMENTS)
 
 
+def nested_step_gate(gate, v):
+    return np.where(v < 0, gate.u_minus,
+                    np.where(v > 0, gate.u_plus, gate.u_at_zero))
+
+
+@pytest.mark.parametrize("gate", [
+    constant_gate(0.7), kesten_gate(2.0),
+    SigmoidSpec(family="kesten", u_minus=-0.0, u_plus=2.0, at_zero="left"),
+    plakhov_almeida_gate(-0.5, 1.0, "left"),
+    plakhov_almeida_gate(-0.5, 1.0, "midpoint"),
+    plakhov_almeida_gate(-0.5, 1.0, "right")],
+    ids=["constant", "kesten", "kesten-minus-zero-left", "pa-left",
+         "pa-midpoint", "pa-right"])
+def test_step_gate_array_form_is_the_nested_comparison(gate):
+    # -0.0 as a kesten left level is u(0): its sign bit must come out too
+    v = np.array(ARGUMENTS)
+    got = sigmoid_eval(gate, v)
+    assert got.tobytes() == nested_step_gate(gate, v).tobytes()
+    for x in v:
+        got = sigmoid_eval(gate, np.array(x))
+        assert type(got) is float
+        assert float_bits(got) == nested_step_gate(gate, x).tobytes()
+    empty = np.array([])
+    got = sigmoid_eval(gate, empty)
+    want = nested_step_gate(gate, empty)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype) == \
+        ((0,), np.float64)
+
+
 def test_schedule_parameter_validation():
     with pytest.raises(ConfigError):
         reciprocal_schedule(s_floor=0.0)
