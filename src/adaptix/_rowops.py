@@ -18,7 +18,15 @@ order of the row-wise form:
   ``acc += x.T[j] * m[:, j, None]`` for ascending ``j``, the same products
   and sums, operands in the same order, as ``out += x[..., j, None] *
   m[:, j]``. It matches or beats the row-wise loop at every 2-D size, so
-  every ``x`` takes it, reshaped to 2-D when it has another rank;
+  every ``x`` takes it, reshaped to 2-D when it has another rank. A matrix
+  held as a ``ColumnSpans`` (the problem's A, the comparator's alpha, a
+  gaussian noise factor) adds each column only over its span, the rows
+  from its first to its last non-zero coefficient, and skips a column of
+  zeros. That needs a finite ``x``: each skipped product is then a signed
+  zero, and adding one to a sum that started from +0.0 changes no bit,
+  where an inf or NaN times 0.0 is a NaN the sum must take. So a batch
+  with an entry that is not finite, and a batch of too few rows to repay
+  the finiteness check, adds every full column;
 * a row sum of fewer than ``_PAIRWISE_COLUMNS`` columns, at any rank and
   row count, starts from ``p[..., 0] + 0.0`` and adds the columns in
   ascending order. That is what ``np.add.reduce`` does on a row of fewer
@@ -43,6 +51,7 @@ on where an element falls in a vector loop, so it was never row-local.
 
 from __future__ import annotations
 
+from math import inf
 from operator import mul
 
 import numpy as np
@@ -52,6 +61,12 @@ _PAIRWISE_COLUMNS = 8
 #: Rows per pass when a long row-local evaluation is split so that its rows
 #: and temporaries stay in a 2 MiB L2 cache; splitting changes no bit.
 _ROW_CHUNK = 8192
+#: Products a span mat-vec must skip beyond the entries its finiteness
+#: check reads before it beats a pass over every full column. Measured on
+#: a 2-core Xeon VM, the spans break even at about 150 rows of a
+#: bidiagonal 4x4 (5 products saved a row) and 400 rows of a triangular
+#: 4x4 (2 a row); this asks for two to three times that.
+_SPAN_MIN_SAVED = 2048
 
 
 def _dot_left(a, b):
@@ -75,28 +90,88 @@ def _column_sum(p: np.ndarray):
     return acc
 
 
-def _column_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+class ColumnSpans:
+    """A matrix held read-only with the rows each column's non-zero
+    coefficients span: from the first to the last non-zero, zeros between
+    them included, for ``_column_matvec``.
+
+    The matrix is a copy of the one given, so the pattern can never go
+    stale. A span mat-vec reads every entry of ``x`` once to check that it
+    is finite, and skips the products of the zeros outside the spans; it
+    runs only where the skipped products outnumber the entries read by
+    ``_SPAN_MIN_SAVED`` or more, that is from ``min_rows`` rows on.
+    """
+
+    __slots__ = ("matrix", "columns", "spans", "min_rows")
+
+    def __init__(self, m):
+        m = np.array(m, dtype=np.float64)
+        m.setflags(write=False)
+        out_dim, in_dim = m.shape
+        self.matrix = m
+        #: each column as an (out_dim, 1) view, in ascending order
+        self.columns = tuple(m[:, j, None] for j in range(in_dim))
+        spans = []
+        saved = out_dim * in_dim - in_dim
+        for j in range(in_dim):
+            rows = np.flatnonzero(m[:, j])
+            if rows.size:
+                lo, hi = int(rows[0]), int(rows[-1]) + 1
+                spans.append((j, slice(lo, hi), m[lo:hi, j, None]))
+                saved -= hi - lo
+        #: (column, row slice, coefficients) of each non-zero column
+        self.spans = tuple(spans)
+        self.min_rows = -(-_SPAN_MIN_SAVED // saved) if saved > 0 else inf
+
+    def __eq__(self, other):
+        """Held matrices are equal when their matrices are; the rest is
+        derived from the matrix."""
+        if type(other) is not ColumnSpans:
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
+    __hash__ = None
+
+
+def _column_matvec(m, x: np.ndarray) -> np.ndarray:
     """``out[r, i] = sum_j m[i, j] x[r, j]`` for a 2-D ``x``, a column of
     ``x`` at a time; ascending ``j`` from a zero start. The result is the
-    transpose of an ``(out_dim, rows)`` buffer."""
-    acc = np.zeros((m.shape[0], x.shape[0]))
+    transpose of an ``(out_dim, rows)`` buffer.
+
+    ``m`` is a ``ColumnSpans``, or an array that is held for this call. It
+    adds each column over its span only when ``x`` has ``min_rows`` rows
+    and is finite: there every skipped product ``x[r, j] * 0.0`` is a
+    signed zero, which leaves a sum that started from +0.0 as it was. An
+    inf or NaN times 0.0 is NaN, so any other ``x`` takes every full
+    column.
+    """
+    if type(m) is not ColumnSpans:
+        m = ColumnSpans(m)
     xt = x.T
-    for j in range(m.shape[1]):
-        acc += xt[j] * m[:, j, None]
+    acc = np.zeros((m.matrix.shape[0], x.shape[0]))
+    if x.shape[0] >= m.min_rows and np.isfinite(x).all():
+        for j, rows, coef in m.spans:
+            part = acc[rows]
+            part += xt[j] * coef
+    else:
+        for j, coef in enumerate(m.columns):
+            acc += xt[j] * coef
     return acc.T
 
 
-def apply_rows(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+def apply_rows(m, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product per row: ``out[..., i] = sum_j m[i, j] x[..., j]``.
 
-    Accumulates over columns in fixed ascending order. A tuple ``x`` of
-    floats, with ``m`` a tuple of row tuples, gives a tuple: each entry
-    from a zero start, adding ``x[j] * m[i][j]`` for ascending ``j``.
+    Accumulates over columns in fixed ascending order, skipping zeros
+    where that is exact; ``m`` is an array or, to work out its zeros once,
+    a ``ColumnSpans``. A tuple ``x`` of floats, with ``m`` a tuple of row
+    tuples, gives a tuple: each entry from a zero start, adding
+    ``x[j] * m[i][j]`` for ascending ``j``.
     """
     if type(x) is tuple:
         return tuple([_dot_left(x, row) for row in m])
     out = _column_matvec(m, x.reshape(-1, x.shape[-1]))
-    return out.reshape(x.shape[:-1] + (m.shape[0],))
+    return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 def dot_rows(a: np.ndarray, b: np.ndarray):

@@ -51,7 +51,7 @@ from operator import add, sub
 
 import numpy as np
 
-from ._rowops import _PAIRWISE_COLUMNS, apply_rows, dot_rows
+from ._rowops import _PAIRWISE_COLUMNS, ColumnSpans, apply_rows, dot_rows
 from .config import DEFAULT_DIVERGENCE_BOUND, InitialConditions
 from .errors import DivergedTrajectoryError
 from .problems import ProblemSpec, field_eval
@@ -257,6 +257,7 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
     y_rec = np.zeros((n_slots, n_rep, dim))
     z = z_rec = None
     if comparator is not None:
+        alpha = ColumnSpans(comparator.alpha)
         z = np.tile(init.x0, (n_rep, 1))
         z_rec = np.zeros((n_slots, n_rep, dim))
 
@@ -330,7 +331,7 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
                         n_alive -= died
                 if comparator is not None:
                     zxi = xi_k if xi_z is None else xi_z[k]
-                    dz = apply_rows(comparator.alpha, z)
+                    dz = apply_rows(alpha, z)
                     dz += zxi
                     dz *= 1.0 / (comparator.e0 * tk)
                     z = np.subtract(z, dz, out=dz)

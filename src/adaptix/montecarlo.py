@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from time import sleep
 
 import numpy as np
 
@@ -174,8 +175,11 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1,
       work run first, after which E0 is resolved again for the block.
     * A pool: its first task resolves the only E0, and ``get_e0`` waits
       for it, so ``meanwhile`` runs beside that task. The blocks are
-      submitted as soon as ``meanwhile`` returns, and its work runs in this
-      process while they simulate.
+      submitted as soon as ``meanwhile`` returns. Its work waits until
+      every block is running or done, polling every 0.5 ms: the pool's
+      helper threads hand a block to its worker only when they get the
+      GIL, which the work would hold. Then the work runs in this process
+      while the blocks simulate.
     """
     n = plan.n_replicates
     out = allocate_records(plan)
@@ -200,6 +204,9 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1,
             futures = [pool.submit(_run_block, plan, e0.value, lo, hi)
                        for lo, hi in bounds]
             if beside is not None:
+                # a short block may be done, and no longer running, already
+                while not all(f.running() or f.done() for f in futures):
+                    sleep(0.0005)
                 beside()
             # drop each piece once it is copied
             for lo, hi in bounds:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rowops import _ROW_CHUNK, _column_matvec, norm_rows
+from ._rowops import _ROW_CHUNK, ColumnSpans, _column_matvec, norm_rows
 from .errors import ConfigError, DimensionMismatchError
 
 #: Config keys of each noise kind besides ``kind`` and ``dim``, with defaults.
@@ -93,21 +93,27 @@ class NoiseModel:
             self._gaussian_factor  # PSD check at construction, not first draw
 
     @cached_property
-    def _gaussian_factor(self) -> np.ndarray:
-        """Lower-triangular-ish factor F with F F^T = cov.
+    def _factor_spans(self) -> ColumnSpans:
+        """Lower-triangular-ish factor F with F F^T = cov, held with its
+        column spans for ``sample_block``'s mat-vec.
 
         Cholesky when the covariance is positive definite; an eigh-based
         square root for merely PSD matrices (including the zero matrix).
         """
         if not self.cov.any():
-            return np.zeros_like(self.cov)
+            return ColumnSpans(np.zeros_like(self.cov))
         try:
-            return np.linalg.cholesky(self.cov)
+            return ColumnSpans(np.linalg.cholesky(self.cov))
         except np.linalg.LinAlgError:
             vals, vecs = np.linalg.eigh(self.cov)
             if vals.min() < -1e-10 * max(1.0, vals.max()):
                 raise ConfigError("gaussian covariance is not PSD") from None
-            return vecs * np.sqrt(np.clip(vals, 0.0, None))
+            return ColumnSpans(vecs * np.sqrt(np.clip(vals, 0.0, None)))
+
+    @property
+    def _gaussian_factor(self) -> np.ndarray:
+        """The factor F, read-only."""
+        return self._factor_spans.matrix
 
     @cached_property
     def _factor_is_identity(self) -> bool:
@@ -153,7 +159,7 @@ class NoiseModel:
                 return out
             # Row-local affine map; see _rowops for why not a matmul. The
             # map reads the normals into a buffer of its own.
-            out[...] = _column_matvec(self._gaussian_factor, out)
+            out[...] = _column_matvec(self._factor_spans, out)
             return out
         if self.kind == "uniform_ball":
             rng.standard_normal(out=out)

@@ -21,7 +21,7 @@ from operator import sub
 
 import numpy as np
 
-from ._rowops import apply_rows, norm_rows
+from ._rowops import ColumnSpans, apply_rows, norm_rows
 from .errors import ConfigError, DimensionMismatchError
 from .noise import NoiseModel, gaussian_noise
 
@@ -57,6 +57,9 @@ class ProblemSpec:
     # ``matrix`` and ``root`` as tuples of floats, for field_eval's float form
     matrix_rows: tuple | None = field(default=None, init=False, repr=False)
     root_floats: tuple = field(default=(), init=False, repr=False)
+    # ``matrix`` held with its column spans, for field_eval's batch form
+    matrix_spans: ColumnSpans | None = field(default=None, init=False,
+                                             repr=False)
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
@@ -84,7 +87,11 @@ class ProblemSpec:
             if m.shape != (self.dim, self.dim):
                 raise DimensionMismatchError(
                     f"matrix shape {m.shape} does not match dim {self.dim}")
-            object.__setattr__(self, "matrix", m)
+            # ``matrix`` is the held copy, read-only, so that no in-place
+            # write can leave its spans or rows behind
+            spans = ColumnSpans(m)
+            object.__setattr__(self, "matrix", spans.matrix)
+            object.__setattr__(self, "matrix_spans", spans)
             object.__setattr__(self, "matrix_rows",
                                tuple(map(tuple, m.tolist())))
         p = np.atleast_2d(np.asarray(
@@ -128,9 +135,10 @@ def field_eval(problem: ProblemSpec, x) -> np.ndarray:
             f"x has dimension {arr.shape[-1]}, problem has {problem.dim}")
     centered = arr - problem.root
     if problem.kind == "linear":
-        return apply_rows(problem.matrix, centered)
+        return apply_rows(problem.matrix_spans, centered)
     if problem.kind == "tanh":
-        return apply_rows(problem.matrix, np.tanh(centered, out=centered))
+        return apply_rows(problem.matrix_spans,
+                          np.tanh(centered, out=centered))
     return problem.a * centered + problem.c * centered**3
 
 

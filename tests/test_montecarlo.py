@@ -337,6 +337,80 @@ def test_an_error_beside_the_blocks_ends_the_run(monkeypatch, workers):
         "kernel", "submit _run_block", "kernel", "beside"])
 
 
+class LateFuture(Future):
+    """A block's future that holds its computed value: it stays pending
+    until its pool starts it, and its result is set when taken."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def result(self, timeout=None):
+        if not self.done():
+            self.set_result(self.value)
+        return super().result(timeout)
+
+
+class LatePool(InlinePool):
+    """An InlinePool whose block futures start pending: ``tick`` starts
+    the oldest pending one, as the pool's helper threads would once they
+    got the GIL. The first ``done_at_submit`` blocks are done when
+    submitted. ``last`` is the pool made last."""
+    events = []
+    done_at_submit = 0
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.blocks = []
+        self.pending = []
+        LatePool.last = self
+
+    def submit(self, fn, *args):
+        if fn.__name__ != "_run_block":
+            return super().submit(fn, *args)
+        self.events.append("submit _run_block")
+        future = LateFuture(fn(*args))
+        self.blocks.append(future)
+        if len(self.blocks) <= self.done_at_submit:
+            future.set_result(future.value)
+        else:
+            self.pending.append(future)
+        return future
+
+    def tick(self):
+        # a wait that polled on once every block had started would hang
+        assert self.pending, "the wait polled on after every block started"
+        self.events.append("tick")
+        self.pending.pop(0).set_running_or_notify_cancel()
+
+
+@pytest.mark.parametrize("done_at_submit, ticks", [(0, 2), (1, 1), (2, 0)])
+def test_the_work_beside_waits_until_every_block_started(monkeypatch,
+                                                         done_at_submit,
+                                                         ticks):
+    # a block that is already done has started too: a wait for running()
+    # alone would never end
+    plan = scalar_plan(n_replicates=4)
+    events = []
+    started = []
+
+    def beside():
+        events.append("beside")
+        started.extend(f.running() or f.done() for f in LatePool.last.blocks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LatePool)
+    monkeypatch.setattr(LatePool, "events", events)
+    monkeypatch.setattr(LatePool, "done_at_submit", done_at_submit)
+    monkeypatch.setattr(montecarlo, "sleep",
+                        lambda seconds: LatePool.last.tick())
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    rset = run_replicates(plan, workers=2, meanwhile=lambda get_e0: beside)
+    assert events == ["submit _run_block"] * 2 + ["tick"] * ticks + ["beside"]
+    assert started == [True, True]
+    assert record_bytes(rset) == record_bytes(run_replicates(plan))
+
+
 def test_each_row_is_its_own_substream():
     plan = scalar_plan(n_replicates=4, horizon=80, checkpoints=(80,))
     rset = run_replicates(plan)

@@ -26,10 +26,12 @@ from adaptix import (InitialConditions, e0_monte_carlo, gaussian_noise,
                      reciprocal_schedule, run_trajectory,
                      scaled_rademacher_noise, smooth_gate, tanh_problem,
                      uniform_ball_noise)
-from adaptix._rowops import (_ROW_CHUNK, _column_matvec, apply_rows,
-                             dot_rows, norm_rows)
+from adaptix import _rowops
+from adaptix._rowops import (_ROW_CHUNK, ColumnSpans, _column_matvec,
+                             apply_rows, dot_rows, norm_rows)
 from adaptix.core import NOISE_CHUNK, ComparatorConfig, _lane_takes, _simulate
 from adaptix.noise import NoiseModel
+from adaptix.problems import field_eval
 from adaptix.rng import COMPARATOR_LANE, TRAJECTORY_LANE, substream
 
 DIMS = range(1, 13)
@@ -412,3 +414,161 @@ def test_e0_monte_carlo_is_the_matvec_route_estimate(on_the_matvec, gate):
         return est.value, est.stderr
 
     assert run() == on_the_matvec(run)
+
+
+# ---------------------------------------------------------------------------
+# a held matrix: each column added over the rows its non-zeros span
+
+
+def structured(dim):
+    """Square matrices whose zeros have a structure, by name. The
+    non-zeros range over magnitudes and signs; the zeros of
+    ``signed-zeros`` are -0.0 and +0.0."""
+    rng = np.random.default_rng(200 + dim)
+    full = rng.standard_normal((dim, dim)) * rng.choice([1e-3, 1.0, 1e3],
+                                                        size=(dim, dim))
+    full[full == 0.0] = 1.0
+    mid = dim // 2
+    zero_column = full.copy()
+    zero_column[:, mid] = 0.0
+    zero_row = full.copy()
+    zero_row[0] = 0.0
+    signed = np.where(np.tri(dim, dtype=bool), full, -0.0)
+    signed[0, dim - 1:] = 0.0
+    single = np.zeros((dim, dim))
+    single[dim - 1, mid] = full[dim - 1, mid]
+    return {
+        "diagonal": np.diag(np.diag(full)),
+        "upper-bidiagonal": np.triu(np.tril(full, 1)),
+        "lower-bidiagonal": np.tril(np.triu(full, -1)),
+        "upper-triangular": np.triu(full),
+        "lower-triangular": np.tril(full),
+        "zero-column": zero_column,
+        "zero-row": zero_row,
+        "signed-zeros": signed,
+        "single": single,
+        "zero": np.zeros((dim, dim)),
+        "dense": full,
+    }
+
+
+def finite_batch(rng, shape, order):
+    """Mixed magnitudes with about a fifth of the entries +0.0 or -0.0."""
+    a = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e200], size=shape)
+    mask = rng.random(shape) < 0.2
+    a[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+    return np.asarray(a, order=order)
+
+
+SPAN_ROWS = sorted(set(range(1, 65)) | {1024, 2000})
+
+
+@pytest.fixture(params=["as-held", "always-spans"])
+def held(request, monkeypatch):
+    """Makes a ``ColumnSpans``: with its own row threshold, or with one
+    row for every matrix that has a zero to skip, so that every row count
+    takes the spans whenever the batch is finite."""
+    if request.param == "always-spans":
+        monkeypatch.setattr(_rowops, "_SPAN_MIN_SAVED", 1)
+    return ColumnSpans
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dim", [1, 2, 4, 9])
+def test_held_matvec_matches_the_row_wise_formula(held, dim, order):
+    rng = np.random.default_rng(300 + dim)
+    for name, m in structured(dim).items():
+        spans = held(m)
+        for rows in SPAN_ROWS:
+            for x in (finite_batch(rng, (rows, dim), order),
+                      batch(rng, (rows, dim), order)):
+                with np.errstate(all="ignore"):
+                    assert_same_bits(apply_rows(spans, x), row_matvec(m, x))
+        x = finite_batch(rng, (3, 5, dim), order)
+        assert_same_bits(apply_rows(spans, x), row_matvec(m, x))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 9])
+def test_one_special_entry_sends_the_batch_to_the_full_columns(held, dim):
+    # in a zero's column an inf or NaN gives a NaN product, which the full
+    # columns add and the spans would skip
+    rng = np.random.default_rng(400 + dim)
+    for m in structured(dim).values():
+        spans = held(m)
+        for special in (np.inf, -np.inf, np.nan):
+            for col in range(dim):
+                x = finite_batch(rng, (2000, dim), "F")
+                x[1234, col] = special
+                with np.errstate(all="ignore"):
+                    assert_same_bits(apply_rows(spans, x), row_matvec(m, x))
+
+
+def test_spans_run_from_the_first_to_the_last_non_zero():
+    m = np.array([[1.0, 0.2, 0.0, 0.0],
+                  [0.0, 1.5, 0.0, 0.0],
+                  [0.0, -0.0, 0.0, 0.2],
+                  [0.0, 3.0, 0.0, 2.5]])
+    spans = ColumnSpans(m)
+    assert [(j, rows.start, rows.stop) for j, rows, _ in spans.spans] == [
+        (0, 0, 1), (1, 0, 4), (3, 2, 4)]
+    for j, rows, coef in spans.spans:
+        assert_same_bits(coef[:, 0], m[rows, j])
+    # 16 entries less the 4 the finiteness check reads and the 7 visited
+    assert spans.min_rows == -(-_rowops._SPAN_MIN_SAVED // 5)
+    # nothing to skip beyond what the check reads: always the full columns
+    assert ColumnSpans(np.diag([1.5, 3.0])).min_rows == np.inf
+    assert ColumnSpans(np.ones((3, 3))).min_rows == np.inf
+
+
+def test_a_held_matrix_never_goes_stale():
+    # the held copy is the matrix the spans were taken from; a plain array
+    # is read afresh at every call
+    m = np.array([[1.0, 0.2, 0.0, 0.0],
+                  [0.0, 1.5, 0.2, 0.0],
+                  [0.0, 0.0, 2.0, 0.2],
+                  [0.0, 0.0, 0.0, 2.5]])
+    before = m.copy()
+    x = finite_batch(np.random.default_rng(5), (2000, 4), "F")
+    spans = ColumnSpans(m)
+    assert_same_bits(apply_rows(spans, x), row_matvec(before, x))
+    m[3, 0] = 0.5          # outside column 0's span
+    m[0, 3] = -0.25        # outside column 3's span
+    assert_same_bits(apply_rows(spans, x), row_matvec(before, x))
+    assert_same_bits(apply_rows(m, x), row_matvec(m, x))
+    assert_same_bits(apply_rows(ColumnSpans(m), x), row_matvec(m, x))
+    with pytest.raises(ValueError, match="read-only"):
+        spans.matrix[3, 0] = 0.5
+
+
+def test_held_owners_keep_their_matrix_from_in_place_writes():
+    m = np.array([[1.0, 0.2, 0.0], [0.0, 1.5, 0.2], [0.0, 0.0, 2.0]])
+    problem = tanh_problem(matrix=m, noise=uniform_ball_noise(3, 1.0))
+    x = finite_batch(np.random.default_rng(6), (2000, 3), "F")
+    want = row_matvec(m.copy(), np.tanh(x - problem.root))
+    m[2, 0] = 9.0
+    assert_same_bits(field_eval(problem, x), want)
+    assert problem.matrix[2, 0] == 0.0
+    noise = gaussian_noise(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    for held_matrix in (problem.matrix, noise._gaussian_factor):
+        with pytest.raises(ValueError, match="read-only"):
+            held_matrix[0, 0] = 1.0
+
+
+def test_the_comparator_takes_alpha_afresh_at_every_call():
+    problem = coupled_problem(4)
+    init = InitialConditions(x0=np.full(4, 0.5))
+    alpha = problem.jacobian_at_root
+    comparator = ComparatorConfig(alpha=alpha, e0=0.5)
+
+    def z(comparator):
+        rngs = [substream(8, TRAJECTORY_LANE, r) for r in range(600)]
+        res = _simulate(problem, init, reciprocal_schedule(2.0),
+                        kesten_gate(), 40, rngs, [40], comparator=comparator)
+        return res.z
+
+    first = z(comparator)
+    alpha[3, 0] = 0.7      # a zero of the bidiagonal alpha
+    second = z(comparator)
+    assert not np.array_equal(first, second)
+    assert_same_bits(second,
+                     z(ComparatorConfig(alpha=alpha.copy(), e0=0.5)))
