@@ -18,10 +18,13 @@ order of the row-wise form:
   ``acc += x.T[j] * m[:, j, None]`` for ascending ``j``, the same products
   and sums, operands in the same order, as ``out += x[..., j, None] *
   m[:, j]``. It matches or beats the row-wise loop at every 2-D size, so
-  every ``x`` takes it, reshaped to 2-D when it has another rank. A matrix
-  held as a ``ColumnSpans`` (the problem's A, the comparator's alpha, a
-  gaussian noise factor) adds each column only over its span, the rows
-  from its first to its last non-zero coefficient, and skips a column of
+  every ``x`` takes it, reshaped to 2-D when it has another rank. Every
+  matrix it multiplies by is a ``ColumnSpans``, its one holder: the
+  problem's A, the comparator's alpha and a gaussian noise factor are held
+  once, any other array for the one call. The holder keeps a read-only
+  copy with its rows as floats, its full columns and its spans: the rows
+  of each column from its first to its last non-zero coefficient. The
+  mat-vec adds each column only over its span, and skips a column of
   zeros. That needs a finite ``x``: each skipped product is then a signed
   zero, and adding one to a sum that started from +0.0 changes no bit,
   where an inf or NaN times 0.0 is a NaN the sum must take. So a batch
@@ -39,10 +42,10 @@ F-ordered array one column at a time; so it reduces a C-contiguous copy,
 and a replicate's sum does not depend on the memory order of its batch.
 
 A single state held as a tuple of Python floats (the one-replicate lane of
-``core._simulate``) takes the same operations on floats: ``apply_rows`` and
-``dot_rows`` accumulate from a zero start in the orders above. For a sum
-that is ``np.add.reduce``'s order only below ``_PAIRWISE_COLUMNS`` columns,
-so the lane runs only there.
+``core._simulate``) takes the same operations on floats: ``apply_rows``, on
+the holder's rows, and ``dot_rows`` accumulate from a zero start in the
+orders above. For a sum that is ``np.add.reduce``'s order only below
+``_PAIRWISE_COLUMNS`` columns, so the lane runs only there.
 
 Only the payload of a NaN (its sign bit) may differ between the two forms:
 numpy's own loops pass on the first or the second operand's NaN depending
@@ -91,26 +94,35 @@ def _column_sum(p: np.ndarray):
 
 
 class ColumnSpans:
-    """A matrix held read-only with the rows each column's non-zero
-    coefficients span: from the first to the last non-zero, zeros between
-    them included, for ``_column_matvec``.
+    """A matrix held read-only in the forms the row kernels multiply by.
 
-    The matrix is a copy of the one given, so the pattern can never go
-    stale. A span mat-vec reads every entry of ``x`` once to check that it
-    is finite, and skips the products of the zeros outside the spans; it
-    runs only where the skipped products outnumber the entries read by
+    The matrix is a copy of the one given, so no form can go stale:
+
+    * ``rows``, its rows as tuples of floats, for ``apply_rows``'s float
+      form;
+    * ``columns``, a ``(column, row slice, coefficients)`` term for every
+      column over all its rows, for ``_column_matvec``;
+    * ``spans``, the same terms for the non-zero columns only, each over
+      the rows from its first to its last non-zero coefficient, zeros
+      between them included.
+
+    A span mat-vec reads every entry of ``x`` once to check that it is
+    finite, and skips the products of the zeros outside the spans; it runs
+    only where the skipped products outnumber the entries read by
     ``_SPAN_MIN_SAVED`` or more, that is from ``min_rows`` rows on.
     """
 
-    __slots__ = ("matrix", "columns", "spans", "min_rows")
+    __slots__ = ("matrix", "rows", "columns", "spans", "min_rows")
 
     def __init__(self, m):
         m = np.array(m, dtype=np.float64)
         m.setflags(write=False)
         out_dim, in_dim = m.shape
         self.matrix = m
-        #: each column as an (out_dim, 1) view, in ascending order
-        self.columns = tuple(m[:, j, None] for j in range(in_dim))
+        self.rows = tuple(map(tuple, m.tolist()))
+        every_row = slice(0, out_dim)
+        self.columns = tuple((j, every_row, m[:, j, None])
+                             for j in range(in_dim))
         spans = []
         saved = out_dim * in_dim - in_dim
         for j in range(in_dim):
@@ -119,43 +131,30 @@ class ColumnSpans:
                 lo, hi = int(rows[0]), int(rows[-1]) + 1
                 spans.append((j, slice(lo, hi), m[lo:hi, j, None]))
                 saved -= hi - lo
-        #: (column, row slice, coefficients) of each non-zero column
         self.spans = tuple(spans)
         self.min_rows = -(-_SPAN_MIN_SAVED // saved) if saved > 0 else inf
 
-    def __eq__(self, other):
-        """Held matrices are equal when their matrices are; the rest is
-        derived from the matrix."""
-        if type(other) is not ColumnSpans:
-            return NotImplemented
-        return np.array_equal(self.matrix, other.matrix)
 
-    __hash__ = None
-
-
-def _column_matvec(m, x: np.ndarray) -> np.ndarray:
+def _column_matvec(m: ColumnSpans, x: np.ndarray) -> np.ndarray:
     """``out[r, i] = sum_j m[i, j] x[r, j]`` for a 2-D ``x``, a column of
     ``x`` at a time; ascending ``j`` from a zero start. The result is the
     transpose of an ``(out_dim, rows)`` buffer.
 
-    ``m`` is a ``ColumnSpans``, or an array that is held for this call. It
-    adds each column over its span only when ``x`` has ``min_rows`` rows
-    and is finite: there every skipped product ``x[r, j] * 0.0`` is a
+    Each column is added over its span only when ``x`` has ``min_rows``
+    rows and is finite: there every skipped product ``x[r, j] * 0.0`` is a
     signed zero, which leaves a sum that started from +0.0 as it was. An
     inf or NaN times 0.0 is NaN, so any other ``x`` takes every full
     column.
     """
-    if type(m) is not ColumnSpans:
-        m = ColumnSpans(m)
     xt = x.T
     acc = np.zeros((m.matrix.shape[0], x.shape[0]))
     if x.shape[0] >= m.min_rows and np.isfinite(x).all():
-        for j, rows, coef in m.spans:
-            part = acc[rows]
-            part += xt[j] * coef
+        terms = m.spans
     else:
-        for j, coef in enumerate(m.columns):
-            acc += xt[j] * coef
+        terms = m.columns
+    for j, rows, coef in terms:
+        part = acc[rows]
+        part += xt[j] * coef
     return acc.T
 
 
@@ -163,13 +162,14 @@ def apply_rows(m, x: np.ndarray) -> np.ndarray:
     """Matrix-vector product per row: ``out[..., i] = sum_j m[i, j] x[..., j]``.
 
     Accumulates over columns in fixed ascending order, skipping zeros
-    where that is exact; ``m`` is an array or, to work out its zeros once,
-    a ``ColumnSpans``. A tuple ``x`` of floats, with ``m`` a tuple of row
-    tuples, gives a tuple: each entry from a zero start, adding
-    ``x[j] * m[i][j]`` for ascending ``j``.
+    where that is exact; ``m`` is a ``ColumnSpans``, or an array that is
+    held for this call. A tuple ``x`` of floats gives a tuple: each entry
+    from a zero start, adding ``x[j] * m[i, j]`` for ascending ``j``.
     """
+    if type(m) is not ColumnSpans:
+        m = ColumnSpans(m)
     if type(x) is tuple:
-        return tuple([_dot_left(x, row) for row in m])
+        return tuple([_dot_left(x, row) for row in m.rows])
     out = _column_matvec(m, x.reshape(-1, x.shape[-1]))
     return out.reshape(x.shape[:-1] + out.shape[1:])
 

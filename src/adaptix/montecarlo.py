@@ -150,9 +150,13 @@ def allocate_records(plan: ExperimentPlan, n: int | None = None):
 def block_count(plan: ExperimentPlan, workers: int) -> int:
     """The blocks :func:`run_replicates` splits ``plan`` into at
     ``workers``: at most one per worker, replicate and CPU this process may
-    run on. More than one runs in a pool, one process per block."""
-    return max(1, min(int(workers), plan.n_replicates,
-                      len(os.sched_getaffinity(0))))
+    run on (every CPU of the machine where the OS cannot tell, as on macOS
+    and Windows). More than one runs in a pool, one process per block."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(int(workers), plan.n_replicates, cpus))
 
 
 def run_replicates(plan: ExperimentPlan, workers: int = 1,

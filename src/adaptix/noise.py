@@ -90,7 +90,7 @@ class NoiseModel:
             raise ConfigError("noise covariance must be symmetric")
         object.__setattr__(self, "cov", cov)
         if self.kind == "gaussian":
-            self._gaussian_factor  # PSD check at construction, not first draw
+            self._factor_spans  # PSD check at construction, not first draw
 
     @cached_property
     def _factor_spans(self) -> ColumnSpans:
@@ -110,16 +110,12 @@ class NoiseModel:
                 raise ConfigError("gaussian covariance is not PSD") from None
             return ColumnSpans(vecs * np.sqrt(np.clip(vals, 0.0, None)))
 
-    @property
-    def _gaussian_factor(self) -> np.ndarray:
-        """The factor F, read-only."""
-        return self._factor_spans.matrix
-
     @cached_property
     def _factor_is_identity(self) -> bool:
-        """Whether ``_gaussian_factor`` is the identity: ``cov`` 1.0 or I,
-        whose Cholesky factor is exactly I."""
-        return bool(np.array_equal(self._gaussian_factor, np.eye(self.dim)))
+        """Whether the factor F is the identity: ``cov`` 1.0 or I, whose
+        Cholesky factor is exactly I."""
+        return bool(np.array_equal(self._factor_spans.matrix,
+                                   np.eye(self.dim)))
 
     @property
     def is_continuous(self) -> bool:

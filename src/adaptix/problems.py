@@ -54,10 +54,9 @@ class ProblemSpec:
     lyap_matrix: np.ndarray | None = None  # P; None is the identity
     b32_radius: float | None = None
     b32_beta0: float | None = None
-    # ``matrix`` and ``root`` as tuples of floats, for field_eval's float form
-    matrix_rows: tuple | None = field(default=None, init=False, repr=False)
+    # ``root`` as a tuple of floats, for field_eval's float form
     root_floats: tuple = field(default=(), init=False, repr=False)
-    # ``matrix`` held with its column spans, for field_eval's batch form
+    # ``matrix`` held in the forms field_eval multiplies by
     matrix_spans: ColumnSpans | None = field(default=None, init=False,
                                              repr=False)
 
@@ -92,8 +91,6 @@ class ProblemSpec:
             spans = ColumnSpans(m)
             object.__setattr__(self, "matrix", spans.matrix)
             object.__setattr__(self, "matrix_spans", spans)
-            object.__setattr__(self, "matrix_rows",
-                               tuple(map(tuple, m.tolist())))
         p = np.atleast_2d(np.asarray(
             np.eye(self.dim) if self.lyap_matrix is None else self.lyap_matrix,
             dtype=np.float64))
@@ -127,7 +124,7 @@ def field_eval(problem: ProblemSpec, x) -> np.ndarray:
         if len(x) != problem.dim:
             raise DimensionMismatchError(
                 f"x has dimension {len(x)}, problem has {problem.dim}")
-        return apply_rows(problem.matrix_rows,
+        return apply_rows(problem.matrix_spans,
                           tuple(map(sub, x, problem.root_floats)))
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape[-1] != problem.dim:
@@ -152,21 +149,6 @@ def jacobian_eval(problem: ProblemSpec, x) -> np.ndarray:
         sech2 = 1.0 / np.cosh(centered) ** 2
         return problem.matrix * sech2[None, :]
     return np.array([[problem.a + 3.0 * problem.c * centered[0] ** 2]])
-
-
-def jacobian_fd(problem: ProblemSpec, x, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian, used to cross-check the analytic one."""
-    arr = np.asarray(x, dtype=np.float64).reshape(-1)
-    cols = []
-    for j in range(problem.dim):
-        h = step * max(1.0, abs(arr[j]))
-        forward = arr.copy()
-        forward[j] += h
-        backward = arr.copy()
-        backward[j] -= h
-        cols.append((field_eval(problem, forward) - field_eval(problem, backward))
-                    / (2.0 * h))
-    return np.stack(cols, axis=1)
 
 
 def check_dim(dim: int, name: str = "problem.dim") -> None:

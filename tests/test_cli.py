@@ -664,6 +664,34 @@ def test_a_refused_prediction_ends_alike_at_two_workers(tmp_path, capsys,
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize(("cpus", "pools"), [(2, 1), (None, 0)])
+def test_replicate_runs_where_the_os_gives_no_affinity(tmp_path, monkeypatch,
+                                                       cpus, pools):
+    # macOS and Windows have no os.sched_getaffinity: the blocks are capped
+    # by the machine's CPU count, or one block where that is unknown
+    made = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountedPool)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    path = make_config(tmp_path)
+    artifacts = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert run_cli("replicate", "--config", path, "--out", out,
+                       "--workers", workers) == 0
+        artifacts.append({name: (out / name).read_bytes()
+                          for name in sorted(os.listdir(out))})
+    assert len(made) == pools
+    assert len(artifacts[0]) == 4 and artifacts[1] == artifacts[0]
+
+
 MONTE_CARLO_E0 = {"sigmoid": {"family": "plakhov_almeida", "u_minus": -0.25,
                               "u_plus": 1.0},
                   "experiment.e0_mc_samples": 2000}

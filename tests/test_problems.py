@@ -9,9 +9,9 @@ from adaptix import (ConfigError, DimensionMismatchError,
                      linear_problem, plakhov_almeida_gate,
                      reciprocal_schedule, scaled_rademacher_noise,
                      tanh_problem, uniform_ball_noise, validate_problem)
-from adaptix._rowops import apply_rows
+from adaptix._rowops import ColumnSpans, apply_rows
 from adaptix.config import parse_config
-from adaptix.problems import MAX_DIM, ProblemSpec, jacobian_fd
+from adaptix.problems import MAX_DIM, ProblemSpec
 from adaptix.report import FAIL, FULL_CHECK_IDS, NOT_CHECKED, PASS
 from adaptix.rng import substream
 
@@ -97,6 +97,21 @@ def test_cubic_field_and_jacobian():
     assert problem.jacobian_at_root[0, 0] == 1.0
 
 
+def jacobian_fd(problem, x, step=1e-6):
+    """Central-difference Jacobian, to cross-check the analytic one."""
+    arr = np.asarray(x, dtype=np.float64).reshape(-1)
+    cols = []
+    for j in range(problem.dim):
+        h = step * max(1.0, abs(arr[j]))
+        forward = arr.copy()
+        forward[j] += h
+        backward = arr.copy()
+        backward[j] -= h
+        cols.append((field_eval(problem, forward) - field_eval(problem, backward))
+                    / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
 @pytest.mark.parametrize("problem", [
     linear_problem(matrix=np.array([[1.5, 0.4], [-0.2, 2.5]])),
     tanh_problem(matrix=np.array([[2.0, 0.3], [0.1, 1.0]]),
@@ -161,11 +176,14 @@ def test_builders_reject_an_unknown_keyword(builder):
 
 
 def spec_fields(problem) -> dict:
-    """Every field of a problem and of its noise, arrays as lists."""
+    """Every field of a problem and of its noise, arrays as lists and a
+    held matrix as its matrix."""
     fields = {**vars(problem), **{f"noise.{key}": value for key, value
                                    in vars(problem.noise).items()}}
     del fields["noise"]
-    return {key: np.asarray(value).tolist() for key, value in fields.items()}
+    return {key: np.asarray(value.matrix if type(value) is ColumnSpans
+                            else value).tolist()
+            for key, value in fields.items()}
 
 
 @pytest.mark.parametrize("doc, build", [

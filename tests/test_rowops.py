@@ -27,8 +27,8 @@ from adaptix import (InitialConditions, e0_monte_carlo, gaussian_noise,
                      scaled_rademacher_noise, smooth_gate, tanh_problem,
                      uniform_ball_noise)
 from adaptix import _rowops
-from adaptix._rowops import (_ROW_CHUNK, ColumnSpans, _column_matvec,
-                             apply_rows, dot_rows, norm_rows)
+from adaptix._rowops import (_ROW_CHUNK, ColumnSpans, apply_rows, dot_rows,
+                             norm_rows)
 from adaptix.core import NOISE_CHUNK, ComparatorConfig, _lane_takes, _simulate
 from adaptix.noise import NoiseModel
 from adaptix.problems import field_eval
@@ -106,7 +106,7 @@ def test_float_forms_match_the_one_row_kernels(dim):
     # one-row batch, signed zeros and specials included
     rng = np.random.default_rng(50 + dim)
     m = batch(rng, (dim, dim), "C")
-    rows = tuple(map(tuple, m.tolist()))
+    held = ColumnSpans(m)
     for _ in range(200):
         a, b = batch(rng, (1, dim), "C"), batch(rng, (1, dim), "C")
         if rng.random() < 0.2:
@@ -114,7 +114,7 @@ def test_float_forms_match_the_one_row_kernels(dim):
         ta, tb = tuple(a[0].tolist()), tuple(b[0].tolist())
         with np.errstate(all="ignore"):
             assert_same_bits(dot_rows(ta, tb), dot_rows(a, b)[0])
-            assert_same_bits(apply_rows(rows, ta), apply_rows(m, a)[0])
+            assert_same_bits(apply_rows(held, ta), apply_rows(m, a)[0])
 
 
 def test_signed_zero_rows_sum_to_plus_zero():
@@ -125,7 +125,7 @@ def test_signed_zero_rows_sum_to_plus_zero():
 
 def gaussian_rows(noise, rng, count):
     z = rng.standard_normal((count, noise.dim))
-    return row_matvec(noise._gaussian_factor, z)
+    return row_matvec(noise._factor_spans.matrix, z)
 
 
 def ball_rows(noise, rng, count):
@@ -327,7 +327,7 @@ CRAFTED = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308,
 def assert_identity_draw_is_the_matvec(z):
     dim = z.shape[1]
     got = gaussian_noise(np.eye(dim)).sample_block(FixedNormals(z), len(z))
-    assert_same_bits(got, _column_matvec(np.eye(dim), z))
+    assert_same_bits(got, apply_rows(np.eye(dim), z))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -549,9 +549,24 @@ def test_held_owners_keep_their_matrix_from_in_place_writes():
     assert_same_bits(field_eval(problem, x), want)
     assert problem.matrix[2, 0] == 0.0
     noise = gaussian_noise(np.array([[2.0, 0.5], [0.5, 1.0]]))
-    for held_matrix in (problem.matrix, noise._gaussian_factor):
+    for held_matrix in (problem.matrix, noise._factor_spans.matrix):
         with pytest.raises(ValueError, match="read-only"):
             held_matrix[0, 0] = 1.0
+    # the one-replicate lane multiplies by the held rows
+    m = np.array([[1.5, 0.2], [0.0, 3.0]])
+    linear = linear_problem(matrix=m)
+    init = InitialConditions(x0=np.array([1.0, -1.0]))
+    schedule, gate = reciprocal_schedule(2.0), kesten_gate()
+    assert _lane_takes(linear, schedule, gate, 1, None)
+
+    def run():
+        traj = run_trajectory(linear, init, schedule, gate, 50, 3)
+        return [a.tobytes() for a in (traj.x, traj.s, traj.y)]
+
+    want = run()
+    m[0, 1] = -4.0
+    m[1, 0] = 0.5
+    assert run() == want
 
 
 def test_the_comparator_takes_alpha_afresh_at_every_call():
