@@ -203,8 +203,8 @@ def cmd_replicate(args) -> int:
         return write
 
     # run_replicates allocates the records first, so a replicate count that
-    # cannot be held is refused before E0; with a pool, the oracle and
-    # prediction.json run here while the blocks simulate
+    # cannot be held is refused before E0; with forked workers, the oracle
+    # and prediction.json run here while the blocks simulate
     rset = run_replicates(plan, workers=args.workers,
                           meanwhile=predict_and_check)
     summary: dict = {

@@ -18,8 +18,11 @@ sup-distance, with the asymptotic 1% band 1.63/sqrt(n_replicates).
 from __future__ import annotations
 
 import os
+import pickle
+import struct
 from dataclasses import dataclass
-from time import sleep
+from math import prod
+from mmap import mmap
 
 import numpy as np
 
@@ -76,30 +79,65 @@ class ReplicateSet:
         return int(matches[0])
 
 
-def _resolve_e0(plan: ExperimentPlan) -> E0Estimate:
-    """:func:`resolve_e0` as a pool task: submitted by this name, the task
-    pickles even where ``resolve_e0`` has been rebound to a wrapper."""
-    return resolve_e0(plan)
+class _Worker:
+    """A forked child that runs ``work()`` and sends its outcome, pickled
+    as (True, result) or (False, exception), to this process through a
+    pipe. The child first closes the inherited file descriptors ``close``;
+    ``name`` names it in the error of a child that ends without a report.
+    """
 
+    def __init__(self, name: str, work, close=()):
+        self.name = name
+        self.outcome = None
+        pipe, report = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                for fd in (pipe, *close):
+                    os.close(fd)
+                try:
+                    outcome = (True, work())
+                except BaseException as exc:  # re-raised in the parent
+                    outcome = (False, exc)
+                with open(report, "wb") as out:
+                    out.write(pickle.dumps(outcome))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(report)
+        self.pipe = pipe
 
-def _store(out, rows: slice, piece) -> None:
-    """Copy the records ``piece`` into replicates ``rows`` of ``out``."""
-    x, s, z, diverged_at = out
-    x[:, rows] = piece[0]
-    s[:, rows] = piece[1]
-    if z is not None:
-        z[:, rows] = piece[2]
-    diverged_at[rows] = piece[3]
+    def join(self) -> None:
+        """Read the report to EOF and reap the child; once only."""
+        if self.outcome is not None:
+            return
+        with open(self.pipe, "rb") as pipe:
+            report = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if report:
+            self.outcome = pickle.loads(report)
+            return
+        how = (f"killed by signal {-status}" if status < 0
+               else f"exit status {status}")
+        self.outcome = (False, NumericError(
+            f"{self.name} ended without a report ({how})"))
+
+    def result(self):
+        """The child's result, or its exception raised here."""
+        self.join()
+        ok, value = self.outcome
+        if not ok:
+            raise value
+        return value
 
 
 def _run_block(plan: ExperimentPlan, e0_value: float, lo: int, hi: int,
-               out=None):
-    """Replicates ``lo`` to ``hi - 1``, simulated a tile at a time; fills
-    ``out`` (records of ``hi - lo`` replicates, made here if None) and
-    returns it. Substreams are made per tile, so neither the noise nor
-    the generators of a block grow with its size."""
-    if out is None:
-        out = allocate_records(plan, hi - lo)
+               out) -> None:
+    """Replicates ``lo`` to ``hi - 1``, simulated a tile at a time into the
+    same rows of the records ``out``. Substreams are made per tile, so
+    neither the noise nor the generators of a block grow with its size."""
+    x, s, z, diverged_at = out
     # as many replicates as keep one noise block per stream in the budget
     independent = plan.comparator_noise == "independent"
     streams = 2 if plan.couple_comparator and independent else 1
@@ -123,35 +161,55 @@ def _run_block(plan: ExperimentPlan, e0_value: float, lo: int, hi: int,
                         plan.horizon, rngs, plan.checkpoints,
                         comparator=comparator,
                         divergence_bound=plan.divergence_bound)
-        _store(out, slice(start - lo, stop - lo),
-               (res.x, res.s, res.z, res.diverged_at))
-    return out
+        rows = slice(start, stop)
+        x[:, rows] = res.x
+        s[:, rows] = res.s
+        if z is not None:
+            z[:, rows] = res.z
+        diverged_at[rows] = res.diverged_at
 
 
-def allocate_records(plan: ExperimentPlan, n: int | None = None):
-    """Empty (x, s, z, diverged_at) records of ``n`` replicates (default:
-    all of ``plan``'s) for :func:`run_replicates` to fill. Records numpy
-    cannot allocate raise ConfigError."""
-    n = plan.n_replicates if n is None else n
-    shape = (len(plan.checkpoints), n)
-    vectors = shape + (plan.problem.dim,)
+def _released_block(plan: ExperimentPlan, go: int, lo: int, hi: int, out):
+    """A block worker's work: wait for E0 on the pipe ``go``, then run the
+    block with it; at EOF, which is a refusal, simulate nothing."""
+    e0 = os.read(go, 8)
+    if e0:
+        _run_block(plan, struct.unpack("d", e0)[0], lo, hi, out)
+
+
+def allocate_records(plan: ExperimentPlan):
+    """Empty (x, s, z, diverged_at) records of every replicate of ``plan``
+    for :func:`run_replicates` to fill, in one anonymous shared mapping
+    that forked workers write into. Records that cannot be mapped raise
+    ConfigError."""
+    n, checkpoints = plan.n_replicates, len(plan.checkpoints)
+    vectors = (checkpoints, n, plan.problem.dim)
+    shapes = [vectors, (checkpoints, n),
+              vectors if plan.couple_comparator else None, (n,)]
+    sizes = [0 if shape is None else prod(shape) for shape in shapes]
     try:
-        z = np.empty(vectors) if plan.couple_comparator else None
-        return np.empty(vectors), np.empty(shape), z, np.empty(n, np.int64)
-    except (ValueError, MemoryError):
-        per_replicate = len(plan.checkpoints) * (
-            plan.problem.dim * (2 if plan.couple_comparator else 1) + 1) + 1
+        buffer = mmap(-1, 8 * sum(sizes))
+    except (OverflowError, OSError):
         raise ConfigError(
-            f"experiment.n_replicates = {n} needs {n * per_replicate * 8} "
+            f"experiment.n_replicates = {n} needs {8 * sum(sizes)} "
             "bytes of replicate records, more than can be allocated"
         ) from None
+    records, offset = [], 0
+    for shape, size, dtype in zip(shapes, sizes, ("f8", "f8", "f8", "i8")):
+        records.append(None if shape is None else np.ndarray(
+            shape, dtype, buffer=buffer, offset=offset))
+        offset += 8 * size
+    return tuple(records)
 
 
 def block_count(plan: ExperimentPlan, workers: int) -> int:
     """The blocks :func:`run_replicates` splits ``plan`` into at
     ``workers``: at most one per worker, replicate and CPU this process may
-    run on (every CPU of the machine where the OS cannot tell, as on macOS
-    and Windows). More than one runs in a pool, one process per block."""
+    run on (every CPU of the machine where the OS cannot tell, as on
+    macOS), and one where the OS cannot fork, as on Windows. More than one
+    run in forked workers, one process per block."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
@@ -165,32 +223,34 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1,
 
     The records are allocated first, before ``meanwhile`` runs, E0 is
     resolved or any stream is made. The blocks are those of
-    :func:`block_count`; the pool forks all its workers up front, and it
-    (and with it multiprocessing) is imported only to fork one.
+    :func:`block_count`.
 
     ``meanwhile(get_e0)`` runs in this process before any replicate is
     simulated; ``get_e0``, a callable without arguments, returns the E0
     that the blocks simulate with. ``meanwhile`` returns None or the work
     to run beside the blocks, a callable without arguments. An exception
     from either ends the run; from the work beside the blocks, once the
-    running blocks have ended.
+    blocks have ended.
 
     * One block: ``get_e0`` resolves E0 afresh; ``meanwhile`` and then its
       work run first, after which E0 is resolved again for the block.
-    * A pool: its first task resolves the only E0, and ``get_e0`` waits
-      for it, so ``meanwhile`` runs beside that task. The blocks are
-      submitted as soon as ``meanwhile`` returns. Its work waits until
-      every block is running or done, polling every 0.5 ms: the pool's
-      helper threads hand a block to its worker only when they get the
-      GIL, which the work would hold. Then the work runs in this process
-      while the blocks simulate.
+    * More: right after the allocation, before ``meanwhile`` can import
+      anything into this process, one worker is forked to resolve the only
+      E0 and one per block, each waiting on a shared "go" pipe. ``get_e0``
+      waits for the E0 worker, so ``meanwhile`` runs beside it. Once
+      ``meanwhile`` returns, E0 is written to the go pipe once per block,
+      which releases the blocks into their rows of the records, and the
+      work runs here while they simulate. A refusal closes the go pipe
+      unwritten, and the blocks end without simulating. Every worker is
+      reaped before the run returns or raises. A worker's exception is
+      raised here, and a worker that ends without a report, killed by a
+      signal, raises NumericError naming it.
     """
     n = plan.n_replicates
     out = allocate_records(plan)
     n_blocks = block_count(plan, workers)
     # ceil(n b / n_blocks): block sizes differ by at most one replicate
     edges = [-(-n * b // n_blocks) for b in range(n_blocks + 1)]
-    bounds = list(zip(edges, edges[1:]))
     if n_blocks == 1:
         beside = meanwhile and meanwhile(lambda: resolve_e0(plan))
         if beside is not None:
@@ -198,23 +258,34 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1,
         e0 = resolve_e0(plan)
         _run_block(plan, e0.value, 0, n, out)
     else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
-            # the first submit forks every worker, before meanwhile can
-            # import anything into this process
-            e0_future = pool.submit(_resolve_e0, plan)
-            beside = meanwhile and meanwhile(e0_future.result)
-            e0 = e0_future.result()
-            futures = [pool.submit(_run_block, plan, e0.value, lo, hi)
-                       for lo, hi in bounds]
+        go, release = os.pipe()
+        forked = []
+        try:
+            forked.append(_Worker("the E0 worker", lambda: resolve_e0(plan),
+                                  close=(go, release)))
+            for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
+                forked.append(_Worker(
+                    f"the worker of block {b + 1} of {n_blocks} (replicates "
+                    f"{lo} to {hi - 1})",
+                    lambda lo=lo, hi=hi: _released_block(plan, go, lo, hi,
+                                                         out),
+                    close=(release,)))
+            beside = meanwhile and meanwhile(forked[0].result)
+            e0 = forked[0].result()
+            for _ in range(n_blocks):
+                os.write(release, struct.pack("d", e0.value))
+            os.close(release)
+            release = None
             if beside is not None:
-                # a short block may be done, and no longer running, already
-                while not all(f.running() or f.done() for f in futures):
-                    sleep(0.0005)
                 beside()
-            # drop each piece once it is copied
-            for lo, hi in bounds:
-                _store(out, slice(lo, hi), futures.pop(0).result())
+        finally:
+            if release is not None:
+                os.close(release)
+            for worker in forked:
+                worker.join()
+            os.close(go)
+        for block in forked[1:]:
+            block.result()
     x, s, z, diverged_at = out
     return ReplicateSet(plan=plan, e0=e0,
                         ts=np.asarray(plan.checkpoints, dtype=np.int64),

@@ -1,11 +1,10 @@
 """Command-line harness: config parsing, artifacts, exit codes."""
 
-import concurrent.futures
 import contextlib
 import io
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -14,14 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_montecarlo import InlinePool
+from test_montecarlo import InlineWorker, inline_workers
 
 from adaptix import config, montecarlo
 from adaptix.cli import main
 from adaptix.config import canonical_config, load_config, parse_config
 from adaptix.core import run_trajectory
 from adaptix.errors import (ConfigError, DimensionMismatchError,
-                            DivergedTrajectoryError)
+                            DivergedTrajectoryError, NumericError)
 from adaptix.problems import MAX_DIM
 from adaptix.schedules import gamma_eval
 from adaptix.serialize import dumps_json, format_float
@@ -598,8 +597,8 @@ def test_the_tail_bound_refusal_names_no_knob_the_user_lacks(tmp_path):
 
 
 # At two workers the oracle and the prediction.json write run in this process
-# while the blocks simulate; the other refusals come before any block. Each
-# must end the command as at one worker.
+# while the blocks simulate; the other refusals come before any block
+# simulates. Each must end the command as at one worker.
 REFUSED_PREDICTIONS = {
     "oracle-nodes": ({"problem.dim": 1, "problem.matrix": 0.25000000000000006,
                       "experiment.horizon": 50,
@@ -621,31 +620,42 @@ REFUSED_PREDICTIONS = {
 }
 
 
-@pytest.mark.parametrize(("edits", "blocked", "code", "beside_blocks"),
-                         REFUSED_PREDICTIONS.values(),
-                         ids=REFUSED_PREDICTIONS.keys())
-def test_a_refused_prediction_ends_alike_at_two_workers(tmp_path, capsys,
-                                                        monkeypatch, edits,
-                                                        blocked, code,
-                                                        beside_blocks):
-    pools = []
-    submitted = []
+def counted_workers(monkeypatch, tmp_path):
+    """Fork real workers on a host of two CPUs. Returns the names of the
+    workers made and a callable that counts the batch kernel's calls in
+    every process, through a log file the forked workers inherit."""
+    made = []
+    log = tmp_path / "kernel.log"
+    log.write_text("")
+    simulate = montecarlo._simulate
 
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
+    class CountedWorker(montecarlo._Worker):
+        def __init__(self, name, *args, **kwargs):
+            made.append(name)
+            super().__init__(name, *args, **kwargs)
 
-        def submit(self, fn, *args, **kwargs):
-            submitted.append(fn.__name__)
-            return super().submit(fn, *args, **kwargs)
+    def kernel(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write("kernel\n")
+        return simulate(*args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        CountedPool)
-    # two blocks even on a one-core host
-    monkeypatch.setattr("adaptix.montecarlo.os.sched_getaffinity",
+    monkeypatch.setattr(montecarlo, "_Worker", CountedWorker)
+    monkeypatch.setattr(montecarlo, "_simulate", kernel)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
                         lambda pid: {0, 1})
-    path = make_config(tmp_path, **edits)
+    return made, lambda: len(log.read_text().splitlines())
+
+
+def assert_no_worker_left():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def replicate_both_ways(tmp_path, capsys, path, code, blocked=None):
+    """Stderr lines and artifacts of ``replicate`` at one and at two
+    workers, each of which must exit ``code``; ``blocked`` names an
+    artifact that a directory stands in the way of."""
     outcomes = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
@@ -657,27 +667,80 @@ def test_a_refused_prediction_ends_alike_at_two_workers(tmp_path, capsys,
                      if (out / name).is_file() else None
                      for name in sorted(os.listdir(out))}
         outcomes.append((capsys.readouterr().err.splitlines(), artifacts))
+    return outcomes
+
+
+@pytest.mark.parametrize(("edits", "blocked", "code", "beside_blocks"),
+                         REFUSED_PREDICTIONS.values(),
+                         ids=REFUSED_PREDICTIONS.keys())
+def test_a_refused_prediction_ends_alike_at_two_workers(tmp_path, capsys,
+                                                        monkeypatch, edits,
+                                                        blocked, code,
+                                                        beside_blocks):
+    made, kernels = counted_workers(monkeypatch, tmp_path)
+    path = make_config(tmp_path, **edits)
+    outcomes = replicate_both_ways(tmp_path, capsys, path, code, blocked)
     assert len(outcomes[0][0]) == 1
     assert outcomes[1] == outcomes[0]
-    assert len(pools) == 1
-    assert submitted == ["_resolve_e0"] + ["_run_block"] * 2 * beside_blocks
-    assert multiprocessing.active_children() == []
+    # both runs: no kernel call at one worker, one per block at two where
+    # the refusal comes beside the blocks
+    assert len(made) == 3 and kernels() == 2 * beside_blocks
+    assert_no_worker_left()
+
+
+def test_a_block_error_ends_alike_at_two_workers(tmp_path, capsys,
+                                                 monkeypatch):
+    made, _ = counted_workers(monkeypatch, tmp_path)
+
+    def refused(plan, e0_value, lo, hi, out):
+        raise NumericError(f"block from replicate {lo} refused")
+
+    monkeypatch.setattr(montecarlo, "_run_block", refused)
+    outcomes = replicate_both_ways(tmp_path, capsys, make_config(tmp_path), 5)
+    assert outcomes[0][0] == ["adaptix: error: block from replicate 0 refused"]
+    assert outcomes[1] == outcomes[0]
+    assert len(made) == 3
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("target, line", [
+    ("_run_block", "the worker of block 1 of 2 (replicates 0 to 14) ended "
+                   "without a report (killed by signal 9)"),
+    ("resolve_e0", "the E0 worker ended without a report (killed by "
+                   "signal 9)"),
+])
+def test_a_killed_worker_exits_5_naming_it(tmp_path, capsys, monkeypatch,
+                                           target, line):
+    made, kernels = counted_workers(monkeypatch, tmp_path)
+    parent = os.getpid()
+    original = getattr(montecarlo, target)
+
+    def killed(*args):
+        # only a forked worker's copy kills its process
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(*args)
+
+    monkeypatch.setattr(montecarlo, target, killed)
+    out = tmp_path / "out"
+    assert run_cli("replicate", "--config", make_config(tmp_path),
+                   "--out", out, "--workers", 2) == 5
+    assert capsys.readouterr().err.splitlines() == [f"adaptix: error: {line}"]
+    assert len(made) == 3
+    # a killed E0 worker releases no block; the prediction needs E0
+    assert kernels() == 0
+    assert sorted(os.listdir(out)) == (
+        ["config.json", "prediction.json"] if target == "_run_block"
+        else ["config.json"])
+    assert_no_worker_left()
 
 
 @pytest.mark.parametrize(("cpus", "pools"), [(2, 1), (None, 0)])
 def test_replicate_runs_where_the_os_gives_no_affinity(tmp_path, monkeypatch,
                                                        cpus, pools):
-    # macOS and Windows have no os.sched_getaffinity: the blocks are capped
-    # by the machine's CPU count, or one block where that is unknown
-    made = []
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        CountedPool)
+    # macOS has no os.sched_getaffinity: the blocks are capped by the
+    # machine's CPU count, or one block where that is unknown
+    made, _ = counted_workers(monkeypatch, tmp_path)
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     path = make_config(tmp_path)
@@ -688,7 +751,25 @@ def test_replicate_runs_where_the_os_gives_no_affinity(tmp_path, monkeypatch,
                        "--workers", workers) == 0
         artifacts.append({name: (out / name).read_bytes()
                           for name in sorted(os.listdir(out))})
-    assert len(made) == pools
+    # the E0 worker and two blocks
+    assert len(made) == 3 * pools
+    assert len(artifacts[0]) == 4 and artifacts[1] == artifacts[0]
+
+
+def test_replicate_runs_where_the_os_cannot_fork(tmp_path, monkeypatch):
+    # Windows has no os.fork: one block, the bytes of one worker
+    made, _ = counted_workers(monkeypatch, tmp_path)
+    monkeypatch.delattr(os, "fork")
+    path = make_config(tmp_path)
+    assert montecarlo.block_count(load_config(path).plan, 2) == 1
+    artifacts = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert run_cli("replicate", "--config", path, "--out", out,
+                       "--workers", workers) == 0
+        artifacts.append({name: (out / name).read_bytes()
+                          for name in sorted(os.listdir(out))})
+    assert made == []
     assert len(artifacts[0]) == 4 and artifacts[1] == artifacts[0]
 
 
@@ -698,32 +779,21 @@ MONTE_CARLO_E0 = {"sigmoid": {"family": "plakhov_almeida", "u_minus": -0.25,
 
 
 def test_a_pool_resolves_the_only_e0(tmp_path, monkeypatch):
-    where = ["parent"]
     calls = []
     resolve_e0 = montecarlo.resolve_e0
 
     def counted(plan):
-        calls.append(where[-1])
+        calls.append(InlineWorker.running[-1] if InlineWorker.running
+                     else "parent")
         return resolve_e0(plan)
-
-    class TaskPool(InlinePool):
-        def submit(self, fn, *args):
-            where.append(f"task {fn.__name__}")
-            try:
-                return super().submit(fn, *args)
-            finally:
-                where.pop()
 
     monkeypatch.setattr(montecarlo, "resolve_e0", counted)
     monkeypatch.setattr(config, "resolve_e0", counted)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", TaskPool)
-    monkeypatch.setattr(InlinePool, "sizes", [])
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
-                        lambda pid: {0, 1})
+    made = inline_workers(monkeypatch)
     path = make_config(tmp_path, **MONTE_CARLO_E0)
     artifacts = []
     for workers, resolved in ((1, ["parent", "parent"]),
-                              (2, ["task _resolve_e0"])):
+                              (2, ["the E0 worker"])):
         calls.clear()
         out = tmp_path / f"w{workers}"
         assert run_cli("replicate", "--config", path, "--out", out,
@@ -735,7 +805,7 @@ def test_a_pool_resolves_the_only_e0(tmp_path, monkeypatch):
         assert e0[0] == e0[1] and float.fromhex(e0[0][1]) > 0
         artifacts.append({name: (out / name).read_bytes()
                           for name in sorted(os.listdir(out))})
-    assert InlinePool.sizes == [2]
+    assert len(made) == 3
     assert len(artifacts[0]) == 4 and artifacts[1] == artifacts[0]
 
 
@@ -1292,6 +1362,34 @@ def test_commands_import_only_the_scipy_they_compute_with(tmp_path, command,
     assert [m for m in modules
             if m in absent or m.startswith(tuple(a + "." for a in absent))
             ] == []
+
+
+@pytest.mark.parametrize("edits", [{}, MONTE_CARLO_E0],
+                         ids=["exact-e0", "monte-carlo-e0"])
+def test_two_workers_fork_without_a_process_pool(tmp_path, edits):
+    # A fresh interpreter on a host of two CPUs, whatever this one has:
+    # replicate forks the E0 worker and both blocks itself, and loads
+    # neither the process pool nor multiprocessing.
+    probe = ("import json, os, sys\n"
+             "from adaptix.cli import main\n"
+             "forks = []\n"
+             "fork = os.fork\n"
+             "def counted():\n"
+             "    forks.append(os.getpid())\n"
+             "    return fork()\n"
+             "os.fork = counted\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "code = main(sys.argv[1:])\n"
+             "print(json.dumps([code, len(forks), sorted(sys.modules)]))\n")
+    argv = ["replicate", "--config", str(make_config(tmp_path, **edits)),
+            "--out", str(tmp_path / "out"), "--workers", "2"]
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, forks, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert (code, forks) == (0, 3)
+    assert [m for m in modules
+            if m in POOL or m.startswith(tuple(p + "." for p in POOL))] == []
 
 
 def test_import_adaptix_loads_no_submodule_until_a_name_is_used():

@@ -1,7 +1,6 @@
 """Replicate experiments: determinism, statistics, coupling."""
 
-import concurrent.futures
-from concurrent.futures import Future
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from adaptix import (ConfigError, ExperimentPlan, InitialConditions,
 from adaptix import montecarlo
 from adaptix._rowops import apply_rows
 from adaptix.core import NOISE_CHUNK, _simulate
+from adaptix.errors import NumericError
 from adaptix.montecarlo import _ks_distance, chi2_cdf
 from adaptix.rng import TRAJECTORY_LANE, substream
 
@@ -76,45 +76,63 @@ def test_worker_count_never_changes_bits():
         assert other.e0 == baseline.e0
 
 
-class InlinePool:
-    """Stands in for ProcessPoolExecutor: records the requested size and
-    runs each submitted block in this process."""
-    sizes = []
+class InlineWorker(montecarlo._Worker):
+    """Stands in for montecarlo._Worker: records in ``made`` the name of
+    each worker made, and runs its work in this process when the worker is
+    first joined, its name in ``running`` meanwhile."""
+    made = []
+    running = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __init__(self, name, work, close=()):
+        self.made.append(name)
+        self.name, self.work, self.outcome = name, work, None
 
-    def __enter__(self):
-        return self
+    def join(self):
+        if self.outcome is None:
+            self.running.append(self.name)
+            try:
+                self.outcome = (True, self.work())
+            except Exception as exc:
+                self.outcome = (False, exc)
+            finally:
+                self.running.pop()
 
-    def __exit__(self, *exc):
-        return False
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+def inline_workers(monkeypatch, cpus=2):
+    """Run forked workers inline on a host of ``cpus`` CPUs; returns the
+    list of the names of the workers made."""
+    monkeypatch.setattr(montecarlo, "_Worker", InlineWorker)
+    monkeypatch.setattr(InlineWorker, "made", [])
+    monkeypatch.setattr(InlineWorker, "running", [])
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    return InlineWorker.made
 
 
-@pytest.mark.parametrize("workers, n_rep, cpus, pool_size", [
+def worker_names(*bounds):
+    """The names of the E0 worker and of the workers of blocks ``bounds``,
+    pairs of a first and a last replicate."""
+    return ["the E0 worker"] + [
+        f"the worker of block {b + 1} of {len(bounds)} (replicates {lo} to "
+        f"{last})" for b, (lo, last) in enumerate(bounds)]
+
+
+@pytest.mark.parametrize("workers, n_rep, cpus, blocks", [
     (100_000, 2, 8, 2),      # bounded by the replicates
     (100_000, 7, 3, 3),      # bounded by the CPUs this process may use
     (5, 7, 8, 5),
-    (5, 7, 1, None),         # one CPU: runs inline, no pool
+    (5, 7, 1, None),         # one CPU: runs inline, forks nothing
     (0, 7, 8, None),         # a count below one runs inline
     (-3, 7, 8, None),
 ])
 def test_pool_size_is_bounded_by_work_and_cpus(monkeypatch, workers, n_rep,
-                                               cpus, pool_size):
+                                               cpus, blocks):
     plan = scalar_plan(n_replicates=n_rep, horizon=60, checkpoints=(10, 60))
     baseline = run_replicates(plan, workers=1)
-    # run_replicates imports the pool only when it forks one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
-    monkeypatch.setattr(InlinePool, "sizes", [])
+    made = inline_workers(monkeypatch, cpus)
     other = run_replicates(plan, workers=workers)
-    assert InlinePool.sizes == ([] if pool_size is None else [pool_size])
+    # the E0 worker and one per block
+    assert len(made) == (0 if blocks is None else 1 + blocks)
     assert np.array_equal(baseline.x, other.x)
     assert np.array_equal(baseline.s, other.s)
 
@@ -161,14 +179,11 @@ def test_tiles_never_change_bits(monkeypatch, noise, comparator):
         assert tiles == sizes
     # two workers in tiles of at most 7: blocks of 5 and 4 replicates
     monkeypatch.setattr(montecarlo, "NOISE_TILE_BYTES", 7 * per_replicate)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
-                        lambda pid: {0, 1})
-    monkeypatch.setattr(InlinePool, "sizes", [])
+    made = inline_workers(monkeypatch)
     tiles.clear()
     assert record_bytes(run_replicates(plan, workers=2)) == \
         record_bytes(baseline)
-    assert InlinePool.sizes == [2]
+    assert made == worker_names((0, 4), (5, 8))
     assert tiles == [5, 4]
 
 
@@ -177,20 +192,17 @@ def test_blocks_cover_the_replicates_evenly(monkeypatch, n_rep, workers):
     plan = scalar_plan(n_replicates=n_rep, horizon=60, checkpoints=(10, 60))
     baseline = run_replicates(plan, workers=1)
     blocks = []
+    run_block = montecarlo._run_block
 
-    class BlockPool(InlinePool):
-        def submit(self, fn, *args):
-            if fn is montecarlo._run_block:
-                blocks.append(args[-2:])
-            return super().submit(fn, *args)
+    def block(plan, e0_value, lo, hi, out):
+        blocks.append((lo, hi))
+        return run_block(plan, e0_value, lo, hi, out)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BlockPool)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
-                        lambda pid: set(range(workers)))
-    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(montecarlo, "_run_block", block)
+    made = inline_workers(monkeypatch, workers)
     assert record_bytes(run_replicates(plan, workers=workers)) == \
         record_bytes(baseline)
-    assert InlinePool.sizes == [workers]
+    assert made == worker_names(*((lo, hi - 1) for lo, hi in blocks))
     # consecutive blocks from 0 to n_rep, one per worker, sizes within one
     assert blocks[0][0] == 0 and blocks[-1][1] == n_rep
     assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
@@ -198,47 +210,38 @@ def test_blocks_cover_the_replicates_evenly(monkeypatch, n_rep, workers):
     assert len(sizes) == workers and max(sizes) - min(sizes) <= 1
 
 
-class OrderPool(InlinePool):
-    """An InlinePool that records in ``events`` each task it is given and
-    each result taken from it."""
-    events = []
-
-    def submit(self, fn, *args):
-        self.events.append(f"submit {fn.__name__}")
-        future = super().submit(fn, *args)
-        result = future.result
-
-        def collected(*args):
-            self.events.append(f"result {fn.__name__}")
-            return result(*args)
-
-        future.result = collected
-        return future
+def recorded(events, name, fn):
+    """``fn``, appending ``name`` to ``events`` at each call."""
+    def call(*args, **kwargs):
+        events.append(name)
+        return fn(*args, **kwargs)
+    return call
 
 
 @pytest.mark.parametrize("workers, order", [
     (1, ["meanwhile", "e0", "beside", "e0", "kernel"]),
-    # InlinePool runs a task when it is submitted; the work beside the
-    # blocks comes after the last is submitted and before any result is
-    # taken
-    (2, ["submit _resolve_e0", "e0", "meanwhile", "result _resolve_e0",
-         "result _resolve_e0", "submit _run_block", "kernel",
-         "submit _run_block", "kernel", "beside", "result _run_block",
-         "result _run_block"]),
+    # every worker is forked before meanwhile runs; InlineWorker runs a
+    # block when it is joined, after the work beside the blocks
+    (2, worker_names((0, 1), (2, 3)) + [
+        "meanwhile", "e0 in the E0 worker", "beside",
+        "kernel in the worker of block 1 of 2 (replicates 0 to 1)",
+        "kernel in the worker of block 2 of 2 (replicates 2 to 3)"]),
 ])
 def test_meanwhile_runs_beside_e0_and_before_the_blocks(monkeypatch, workers,
                                                         order):
-    # Monte Carlo E0, so that the pool has work to do while meanwhile runs
+    # Monte Carlo E0, so that the E0 worker has work to do while meanwhile
+    # runs
     plan = scalar_plan(n_replicates=4, horizon=60, checkpoints=(10, 60),
                        sigmoid=plakhov_almeida_gate(-0.25, 1.0),
                        e0_mc_samples=100)
     baseline = run_replicates(plan)
-    events = []
+    # one list: the workers made, in order with the calls
+    events = inline_workers(monkeypatch)
     seen = []
 
-    def recorded(name, fn):
+    def where(name, fn):
         def call(*args, **kwargs):
-            events.append(name)
+            events.append(" in ".join([name] + InlineWorker.running))
             return fn(*args, **kwargs)
         return call
 
@@ -248,24 +251,75 @@ def test_meanwhile_runs_beside_e0_and_before_the_blocks(monkeypatch, workers,
         return lambda: events.append("beside")
 
     monkeypatch.setattr(montecarlo, "resolve_e0",
-                        recorded("e0", montecarlo.resolve_e0))
+                        where("e0", montecarlo.resolve_e0))
     monkeypatch.setattr(montecarlo, "_simulate",
-                        recorded("kernel", montecarlo._simulate))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OrderPool)
-    monkeypatch.setattr(OrderPool, "events", events)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
-                        lambda pid: {0, 1})
+                        where("kernel", montecarlo._simulate))
     rset = run_replicates(plan, workers=workers, meanwhile=meanwhile)
     assert events == order
     assert seen == [baseline.e0] and rset.e0 == baseline.e0
     if workers > 1:
-        assert seen[0] is rset.e0      # the pool's E0 is the only one
+        assert seen[0] is rset.e0      # the E0 worker's is the only one
     assert record_bytes(rset) == record_bytes(baseline)
 
 
+def wait_for(path, lines, seconds=30.0):
+    """Wait until the file ``path`` holds at least ``lines`` lines."""
+    deadline = time.monotonic() + seconds
+    while len(path.read_text().splitlines()) < lines:
+        assert time.monotonic() < deadline, path.read_text()
+        time.sleep(0.001)
+
+
+def test_the_work_beside_runs_once_every_block_is_released(tmp_path,
+                                                           monkeypatch):
+    # real workers, which write one line each to a shared log: E0 is
+    # resolved only once meanwhile runs, and the work beside the blocks
+    # runs only once both blocks simulate, so neither step can wait for
+    # the other
+    log = tmp_path / "log"
+    log.write_text("")
+    plan = scalar_plan(n_replicates=4)
+
+    def note(line):
+        with open(log, "a") as fh:
+            fh.write(line + "\n")
+
+    def e0_after_meanwhile(fn):
+        def call(plan):
+            wait_for(log, 1)
+            note("e0")
+            return fn(plan)
+        return call
+
+    def meanwhile(get_e0):
+        note("meanwhile")
+        get_e0()
+
+        def beside():
+            wait_for(log, 4)
+            note("beside")
+        return beside
+
+    monkeypatch.setattr(montecarlo, "resolve_e0",
+                        e0_after_meanwhile(montecarlo.resolve_e0))
+    simulate = montecarlo._simulate
+
+    def kernel(*args, **kwargs):
+        note("kernel")
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_simulate", kernel)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    rset = run_replicates(plan, workers=2, meanwhile=meanwhile)
+    assert log.read_text().splitlines() == [
+        "meanwhile", "e0", "kernel", "kernel", "beside"]
+    assert record_bytes(rset) == record_bytes(run_replicates(plan))
+
+
 def test_a_worker_resolves_e0_even_under_a_wrapper(monkeypatch):
-    # a tracer that rebinds resolve_e0 to a closure, which cannot be
-    # pickled, must still be able to run the pool
+    # a tracer that rebinds resolve_e0 to a closure; the E0 worker runs
+    # its inherited copy
     original = montecarlo.resolve_e0
     calls = []
 
@@ -287,128 +341,66 @@ def test_an_error_in_meanwhile_ends_the_run_before_any_block(monkeypatch,
                                                              workers,
                                                              after_e0):
     plan = scalar_plan(n_replicates=4)
+    made = inline_workers(monkeypatch)
     events = []
-
-    def kernel(*args, **kwargs):
-        raise AssertionError("the batch kernel was entered")
 
     def meanwhile(get_e0):
         if after_e0:
             get_e0()
         raise ConfigError("refused")
 
-    monkeypatch.setattr(montecarlo, "_simulate", kernel)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OrderPool)
-    monkeypatch.setattr(OrderPool, "events", events)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
-                        lambda pid: {0, 1})
+    monkeypatch.setattr(montecarlo, "resolve_e0", recorded(
+        events, "e0", montecarlo.resolve_e0))
+    monkeypatch.setattr(montecarlo, "_simulate", recorded(
+        events, "kernel", montecarlo._simulate))
     with pytest.raises(ConfigError, match="refused"):
         run_replicates(plan, workers=workers, meanwhile=meanwhile)
-    taken = ["result _resolve_e0"] if after_e0 else []
-    assert events == ([] if workers == 1 else ["submit _resolve_e0"] + taken)
+    # the blocks read the go pipe's EOF and simulate nothing; the E0 worker
+    # is joined, so it runs even where meanwhile never asked for E0
+    assert made == ([] if workers == 1 else worker_names((0, 1), (2, 3)))
+    assert events == (["e0"] if workers == 2 or after_e0 else [])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_error_beside_the_blocks_ends_the_run(monkeypatch, workers):
     plan = scalar_plan(n_replicates=4)
+    made = inline_workers(monkeypatch)
     events = []
-
-    simulate = montecarlo._simulate
-
-    def kernel(*args, **kwargs):
-        events.append("kernel")
-        return simulate(*args, **kwargs)
 
     def beside():
         events.append("beside")
         raise ConfigError("refused")
 
-    monkeypatch.setattr(montecarlo, "_simulate", kernel)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OrderPool)
-    monkeypatch.setattr(OrderPool, "events", events)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
-                        lambda pid: {0, 1})
+    monkeypatch.setattr(montecarlo, "_simulate", recorded(
+        events, "kernel", montecarlo._simulate))
     with pytest.raises(ConfigError, match="refused"):
         run_replicates(plan, workers=workers, meanwhile=lambda get_e0: beside)
-    # one block: before it; a pool: once its blocks are submitted, and no
-    # result is taken from them
-    assert events == (["beside"] if workers == 1 else [
-        "submit _resolve_e0", "result _resolve_e0", "submit _run_block",
-        "kernel", "submit _run_block", "kernel", "beside"])
+    # one block: before it; more: once the blocks are released, and the
+    # error is raised once they have ended
+    assert events == (["beside"] if workers == 1 else
+                      ["beside", "kernel", "kernel"])
+    assert made == ([] if workers == 1 else worker_names((0, 1), (2, 3)))
 
 
-class LateFuture(Future):
-    """A block's future that holds its computed value: it stays pending
-    until its pool starts it, and its result is set when taken."""
-
-    def __init__(self, value):
-        super().__init__()
-        self.value = value
-
-    def result(self, timeout=None):
-        if not self.done():
-            self.set_result(self.value)
-        return super().result(timeout)
-
-
-class LatePool(InlinePool):
-    """An InlinePool whose block futures start pending: ``tick`` starts
-    the oldest pending one, as the pool's helper threads would once they
-    got the GIL. The first ``done_at_submit`` blocks are done when
-    submitted. ``last`` is the pool made last."""
-    events = []
-    done_at_submit = 0
-
-    def __init__(self, max_workers):
-        super().__init__(max_workers)
-        self.blocks = []
-        self.pending = []
-        LatePool.last = self
-
-    def submit(self, fn, *args):
-        if fn.__name__ != "_run_block":
-            return super().submit(fn, *args)
-        self.events.append("submit _run_block")
-        future = LateFuture(fn(*args))
-        self.blocks.append(future)
-        if len(self.blocks) <= self.done_at_submit:
-            future.set_result(future.value)
-        else:
-            self.pending.append(future)
-        return future
-
-    def tick(self):
-        # a wait that polled on once every block had started would hang
-        assert self.pending, "the wait polled on after every block started"
-        self.events.append("tick")
-        self.pending.pop(0).set_running_or_notify_cancel()
-
-
-@pytest.mark.parametrize("done_at_submit, ticks", [(0, 2), (1, 1), (2, 0)])
-def test_the_work_beside_waits_until_every_block_started(monkeypatch,
-                                                         done_at_submit,
-                                                         ticks):
-    # a block that is already done has started too: a wait for running()
-    # alone would never end
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_block_error_is_raised_once_every_worker_ends(monkeypatch,
+                                                        failing):
     plan = scalar_plan(n_replicates=4)
+    made = inline_workers(monkeypatch)
     events = []
-    started = []
+    run_block = montecarlo._run_block
 
-    def beside():
-        events.append("beside")
-        started.extend(f.running() or f.done() for f in LatePool.last.blocks)
+    def block(plan, e0_value, lo, hi, out):
+        events.append(f"block {lo}")
+        if lo // 2 + 1 == failing:
+            raise NumericError(f"block {failing} refused")
+        return run_block(plan, e0_value, lo, hi, out)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LatePool)
-    monkeypatch.setattr(LatePool, "events", events)
-    monkeypatch.setattr(LatePool, "done_at_submit", done_at_submit)
-    monkeypatch.setattr(montecarlo, "sleep",
-                        lambda seconds: LatePool.last.tick())
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
-                        lambda pid: {0, 1})
-    rset = run_replicates(plan, workers=2, meanwhile=lambda get_e0: beside)
-    assert events == ["submit _run_block"] * 2 + ["tick"] * ticks + ["beside"]
-    assert started == [True, True]
-    assert record_bytes(rset) == record_bytes(run_replicates(plan))
+    monkeypatch.setattr(montecarlo, "_run_block", block)
+    with pytest.raises(NumericError, match=f"block {failing} refused"):
+        run_replicates(plan, workers=2)
+    assert events == ["block 0", "block 2"]
+    assert made == worker_names((0, 1), (2, 3))
 
 
 def test_each_row_is_its_own_substream():
