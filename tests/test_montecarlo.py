@@ -317,6 +317,47 @@ def test_the_work_beside_runs_once_every_block_is_released(tmp_path,
     assert record_bytes(rset) == record_bytes(run_replicates(plan))
 
 
+@pytest.mark.parametrize("ended, simulating", [(0, 2), (1, 1), (2, 0)])
+def test_the_work_beside_waits_until_every_block_started(tmp_path,
+                                                         monkeypatch, ended,
+                                                         simulating):
+    # real workers: the first ``ended`` blocks end before the work beside
+    # runs, and the others simulate only once it has run. A block that has
+    # already ended has started too, and the work beside waits for no
+    # block to end, so neither case can hang
+    log = tmp_path / "log"
+    log.write_text("")
+    plan = scalar_plan(n_replicates=4)
+    run_block = montecarlo._run_block
+
+    def note(line):
+        with open(log, "a") as fh:
+            fh.write(line + "\n")
+
+    def block(plan, e0_value, lo, hi, out):
+        if lo // 2 >= ended:
+            wait_for(log, ended + 1)
+        run_block(plan, e0_value, lo, hi, out)
+        note(f"block {lo // 2} ended")
+
+    def beside():
+        wait_for(log, ended)
+        note("beside")
+
+    monkeypatch.setattr(montecarlo, "_run_block", block)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    rset = run_replicates(plan, workers=2, meanwhile=lambda get_e0: beside)
+    lines = log.read_text().splitlines()
+    assert sorted(lines[:ended]) == [f"block {b} ended"
+                                     for b in range(ended)]
+    assert lines[ended] == "beside"
+    assert sorted(lines[ended + 1:]) == [
+        f"block {b} ended" for b in range(ended, ended + simulating)]
+    monkeypatch.setattr(montecarlo, "_run_block", run_block)
+    assert record_bytes(rset) == record_bytes(run_replicates(plan))
+
+
 def test_a_worker_resolves_e0_even_under_a_wrapper(monkeypatch):
     # a tracer that rebinds resolve_e0 to a closure; the E0 worker runs
     # its inherited copy
