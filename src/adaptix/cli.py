@@ -19,11 +19,16 @@ the output directory, so a run can be replayed from its artifacts.
 Each command imports the modules it computes with when it runs: ``run``
 loads no ``montecarlo``, ``asymptotics`` or ``report``, and ``predict``
 no ``core`` or ``montecarlo``.
+
+``python -m adaptix`` and the ``adaptix`` script enter through
+:func:`console`, which ends the process at its last flush; :func:`main`
+returns its code to in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -48,6 +53,16 @@ _EXIT_CODES = (
     (StabilityError, EXIT_ASSUMPTION),
     (DivergedTrajectoryError, EXIT_STATISTICAL),
 )
+
+#: A failed normality gate is reported as "still in the deterministic
+#: phase" when, at the final checkpoint, the median error exceeds
+#: DETERMINISTIC_RATIO times the predicted scale sqrt(tr V / t) and the
+#: error norm's relative spread (q90 - q50) / q50 is below
+#: DETERMINISTIC_SPREAD: the replicates agree with one another far from
+#: the limit law, in which the ratio is at most about 1 and the spread at
+#: least 0.116 (an isotropic V at the largest dim, 64).
+DETERMINISTIC_RATIO = 10.0
+DETERMINISTIC_SPREAD = 0.1
 
 CHECKPOINT_HEADER = ["t", "quantile_50", "quantile_90", "quantile_99",
                      "s_over_t_mean", "s_over_t_sd", "cov_rel_err",
@@ -128,6 +143,30 @@ def _write_trajectory(path, trajectory, schedule) -> None:
                              *x.T])
 
 
+def _phase(row: dict, v: np.ndarray) -> str:
+    """The median error of checkpoint ``row`` as a multiple of the
+    predicted scale sqrt(tr V / t) and the relative spread of its error
+    quantiles, with the verdict of the deterministic-phase rule."""
+    q50 = np.float64(row["quantile_50"])  # a zero median divides to inf/nan
+    ratio = q50 / np.sqrt(np.trace(v) / row["t"])
+    spread = (row["quantile_90"] - q50) / q50
+    text = (f"median error {ratio:.2f}x sqrt(tr V / t), "
+            f"(q90 - q50)/q50 = {spread:.3f}")
+    if ratio > DETERMINISTIC_RATIO and spread < DETERMINISTIC_SPREAD:
+        text += ": still in the deterministic phase"
+    return text
+
+
+def _say(reason: str) -> None:
+    """Print the reason line ``adaptix: <reason>`` to stderr. A stream that
+    cannot take it, full or closed, does not replace the exit code; without
+    one (None where the process started with fd 2 closed) the line goes
+    nowhere, not to stdout."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError, ValueError):
+            print(f"adaptix: {reason}", file=sys.stderr)
+
+
 def _finish(cfg: RunConfig, out_dir: str, summary: dict, code: int,
             reason: str | None) -> int:
     """Record ``code`` in summary.json if emitted; print the reason line."""
@@ -135,7 +174,7 @@ def _finish(cfg: RunConfig, out_dir: str, summary: dict, code: int,
     if cfg.emit_summary:
         write_json(os.path.join(out_dir, "summary.json"), summary)
     if reason is not None:
-        print(f"adaptix: {reason}", file=sys.stderr)
+        _say(reason)
     return code
 
 
@@ -266,7 +305,8 @@ def cmd_replicate(args) -> int:
         reason = ("normality gate failed at "
                   f"t={report.t}: cov_rel_err={report.cov_rel_err:.4f} "
                   f"(tol {report.cov_tol}), ks={report.mahalanobis_ks:.4f} "
-                  f"(band {report.ks_band:.4f})")
+                  f"(band {report.ks_band:.4f}); "
+                  + _phase(conv.rows[-1], prediction.v))
     return _finish(cfg, out_dir, summary,
                    EXIT_OK if reason is None else EXIT_STATISTICAL, reason)
 
@@ -292,8 +332,8 @@ def cmd_validate(args) -> int:
         "items": items,
     })
     if not report.all_pass:
-        print("adaptix: assumption check(s) failed: "
-              + ", ".join(sorted(report.failed_ids)), file=sys.stderr)
+        _say("assumption check(s) failed: "
+             + ", ".join(sorted(report.failed_ids)))
         return EXIT_ASSUMPTION
     return EXIT_OK
 
@@ -337,10 +377,30 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except (AdaptixError, ValueError) as exc:
-        print(f"adaptix: error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return next((code for types, code in _EXIT_CODES
                      if isinstance(exc, types)), EXIT_NUMERIC)
 
 
+def console() -> None:
+    """The process entry: run :func:`main`, flush stdout and stderr, and
+    end the process with ``os._exit`` and main's code.
+
+    This skips the interpreter's teardown (module clean-up and collection
+    passes over all that numpy and scipy loaded), which changes no output:
+    by then every artifact is a closed file and every forked worker is
+    reaped. No ``atexit`` handler runs; adaptix registers none. A stream
+    that cannot be flushed, full or closed, does not replace the code. An
+    exception that escapes ``main``, such as argparse's SystemExit or a
+    KeyboardInterrupt, ends the process as Python usually does.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            with contextlib.suppress(OSError, ValueError):
+                stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

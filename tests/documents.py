@@ -23,6 +23,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 
@@ -155,10 +156,13 @@ def documents(seed: int, count: int, draw) -> list:
     return [document(rng, draw) for _ in range(count)]
 
 
-def outcome(doc: dict, command: str, workers: int = 1) -> dict:
-    """One in-process run of ``command`` on ``doc``: the exit code, the
-    stderr lines and the SHA-256 of every artifact written. ``workers``
-    goes to ``replicate``, the one command that takes it."""
+def outcome(doc: dict, command: str, workers: int = 1,
+            entry: list | None = None) -> dict:
+    """One run of ``command`` on ``doc``: the exit code, the stderr lines
+    and the SHA-256 of every artifact written. ``workers`` goes to
+    ``replicate``, the one command that takes it. The run calls ``main``
+    in-process, or with ``entry``, an argv prefix such as
+    ``[sys.executable, "-m", "adaptix"]``, is a process of its own."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
@@ -167,13 +171,19 @@ def outcome(doc: dict, command: str, workers: int = 1) -> dict:
         argv = [command, "--config", path, "--out", out]
         if command == "replicate":
             argv += ["--workers", str(workers)]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(argv)
+        if entry is None:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            stderr = err.getvalue()
+        else:
+            proc = subprocess.run(entry + argv, capture_output=True,
+                                  text=True, timeout=120)
+            code, stderr = proc.returncode, proc.stderr
         artifacts = {}
         if os.path.isdir(out):
             for name in sorted(os.listdir(out)):
                 with open(os.path.join(out, name), "rb") as fh:
                     artifacts[name] = hashlib.sha256(fh.read()).hexdigest()
-    return {"exit": code, "stderr": err.getvalue().splitlines(),
+    return {"exit": code, "stderr": stderr.splitlines(),
             "artifacts": artifacts}

@@ -1,6 +1,8 @@
 """Command-line harness: config parsing, artifacts, exit codes."""
 
 import contextlib
+import functools
+import importlib
 import io
 import json
 import os
@@ -15,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_montecarlo import InlineWorker, inline_workers
 
+import adaptix.__main__
 from adaptix import config, montecarlo
 from adaptix.cli import main
 from adaptix.config import canonical_config, load_config, parse_config
@@ -506,6 +509,41 @@ def test_replicate_failed_normality_gate_exits_4(tmp_path):
     assert summary["normality_gate_applied"] is True
     assert summary["normality"]["passed"] is False
     assert summary["exit_code"] == 4
+
+
+@pytest.mark.parametrize("gate, edits, phase", [
+    # criterion 10's plan from x0 = 100: the constant gate's replicates
+    # agree with one another far above the predicted scale
+    ({"family": "constant", "c": 0.5}, {}, True),
+    # the kesten gate has left that phase; a tolerance that no run meets
+    # fails its gate all the same
+    ({"family": "kesten", "u_plus": 1.0}, {"tolerances.cov_tol": 1e-6},
+     False),
+])
+def test_a_failed_normality_gate_names_a_deterministic_phase(tmp_path, gate,
+                                                             edits, phase):
+    path = make_config(tmp_path, **{
+        "problem.matrix": [[0.3, 0.0], [0.0, 0.5]],
+        "problem.noise": {"kind": "gaussian", "cov": 0.01},
+        "sigmoid": gate, "init": {"x0": [100.0, 100.0]},
+        "experiment.horizon": 100, "experiment.n_replicates": 50,
+        "experiment.master_seed": 1, "experiment.checkpoints": [10, 100],
+        "tolerances.normality_min_replicates": 2, **edits})
+    out = tmp_path / "o"
+    code, err = cli_stderr("replicate", "--config", path, "--out", out)
+    # the two numbers from the last row of checkpoints.csv and V
+    last = (out / "checkpoints.csv").read_text().splitlines()[-1].split(",")
+    t, q50, q90 = int(last[0]), float(last[1]), float(last[2])
+    v = np.array(json.loads((out / "prediction.json").read_text())["V"])
+    ratio = q50 / float(np.sqrt(np.trace(v) / t))
+    spread = (q90 - q50) / q50
+    assert code == 4 and len(err) == 1
+    assert err[0].startswith("adaptix: normality gate failed at t=100: ")
+    assert err[0].endswith(
+        f"); median error {ratio:.2f}x sqrt(tr V / t), "
+        f"(q90 - q50)/q50 = {spread:.3f}"
+        + (": still in the deterministic phase" if phase else ""))
+    assert (ratio > 10 and spread < 0.1) is phase
 
 
 def test_replicate_diverged_fraction_above_the_bound_exits_4(tmp_path):
@@ -1298,13 +1336,81 @@ def test_a_non_finite_artifact_value_names_its_file_and_column(tmp_path):
     assert sorted(os.listdir(tmp_path / "o")) == ["config.json"]
 
 
+def artifact_bytes(out) -> dict:
+    return ({p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            if out.is_dir() else {})
+
+
 def test_console_script_entry_point(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"adaptix": "adaptix.cli:console"}
+    module, name = scripts["adaptix"].split(":")
+    # the script and python -m adaptix enter through the same function
+    assert getattr(importlib.import_module(module), name) \
+        is adaptix.__main__.console
     path = make_config(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "adaptix", "predict", "--config", str(path),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    written = []
+    # the second is what an installed console script runs
+    for i, entry in enumerate((
+            ["-m", "adaptix"],
+            ["-c", f"import sys; from {module} import {name}; "
+                   f"sys.exit({name}())"])):
+        out = tmp_path / f"out{i}"
+        proc = subprocess.run(
+            [sys.executable, *entry, "predict", "--config", str(path),
+             "--out", str(out)], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        written.append(artifact_bytes(out))
+    assert written[1] == written[0]
+    assert sorted(written[0]) == ["config.json", "prediction.json"]
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+# fd 2 closed before Python starts (sys.stderr is None) or after
+@pytest.mark.parametrize("stream", ["full", "closed", "closed_late"])
+@pytest.mark.parametrize("command, code, edits", [
+    # the reason line of main's handler
+    ("predict", 2, {"problem": None}),
+    # the reason line of _finish
+    ("replicate", 4, {"problem.dim": 1, "problem.matrix": [[1.0]],
+                      "experiment.n_replicates": 20,
+                      "tolerances.cov_tol": 1e-6,
+                      "tolerances.normality_min_replicates": 2}),
+])
+def test_a_reason_line_that_cannot_be_written_keeps_the_exit_code(
+        tmp_path, command, code, edits, stream, buffering):
+    if stream == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    path = make_config(tmp_path, **edits)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    args = [command, "--config", str(path), "--out"]
+    entry = [sys.executable, "-m", "adaptix"]
+    normal = subprocess.run(entry + args + [str(tmp_path / "normal")],
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert normal.returncode == code
+    assert len(normal.stderr.splitlines()) == 1
+    out = tmp_path / "o"
+    run = functools.partial(subprocess.run, args=entry + args + [str(out)],
+                            env=env, stdout=subprocess.PIPE, timeout=120)
+    if stream == "full":
+        with open("/dev/full", "w") as full:
+            proc = run(stderr=full)
+    elif stream == "closed":
+        proc = run(preexec_fn=lambda: os.close(2))
+    else:
+        proc = run(args=[sys.executable, "-c",
+                         "import os, runpy; os.close(2); runpy.run_module("
+                         "'adaptix', run_name='__main__', alter_sys=True)",
+                         *args, str(out)])
+    assert (proc.returncode, proc.stdout) == (code, b"")
+    assert artifact_bytes(out) == artifact_bytes(tmp_path / "normal")
 
 
 MODULES_PROBE = ("import json, sys\n"

@@ -8,6 +8,7 @@ regenerates the file and names each changed entry with its cause.
 
 import json
 import os
+import sys
 
 import pytest
 from documents import NOISE_SIZE_KEY, documents, outcome, tame
@@ -85,3 +86,33 @@ def test_the_cli_replays_the_golden_corpus(index):
                 "exit": result["exit"],
                 "stderr": (result["stderr"] or [None])[0],
                 "artifacts": result["artifacts"]} == run
+
+
+#: The two process entries: ``python -m adaptix`` and the function that
+#: pyproject.toml's ``adaptix`` script calls (checked in tests/test_cli.py).
+PROCESS_ENTRIES = {
+    "module": [sys.executable, "-m", "adaptix"],
+    "script": [sys.executable, "-c",
+               "from adaptix.cli import console; console()"],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PROCESS_ENTRIES))
+@pytest.mark.parametrize("code, index, command, workers", [
+    (0, 6, "replicate", 1),
+    (2, 7, "run", 1),
+    (3, 1, "predict", 1),
+    (4, 23, "replicate", 1),        # a failed normality gate
+    (5, 40, "replicate", 1),
+    (0, 19, "replicate", 2),
+])
+def test_each_process_entry_replays_the_corpus(entry, code, index, command,
+                                               workers):
+    run = next(run for run in ENTRIES[index]["runs"]
+               if (run["command"], run["workers"]) == (command, workers))
+    assert run["exit"] == code
+    result = outcome(ENTRIES[index]["config"], command, workers,
+                     PROCESS_ENTRIES[entry])
+    assert result == {"exit": code,
+                      "stderr": [run["stderr"]] if run["stderr"] else [],
+                      "artifacts": run["artifacts"]}
