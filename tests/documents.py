@@ -40,6 +40,15 @@ NOISE_SIZE_KEY = {"gaussian": "cov", "uniform_ball": "radius",
                   "scaled_rademacher": "scale"}
 
 
+#: The two process entries: ``python -m adaptix`` and the function that
+#: pyproject.toml's ``adaptix`` script calls (checked in tests/test_cli.py).
+PROCESS_ENTRIES = {
+    "module": [sys.executable, "-m", "adaptix"],
+    "script": [sys.executable, "-c",
+               "from adaptix.cli import console; console()"],
+}
+
+
 def extreme(rng: random.Random) -> float:
     return rng.choice(MAGNITUDES)
 

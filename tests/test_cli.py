@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from documents import PROCESS_ENTRIES, outcome
 from test_montecarlo import InlineWorker, inline_workers
 
 import adaptix.__main__
-from adaptix import config, montecarlo
+from adaptix import cli, config, montecarlo
 from adaptix.cli import main
 from adaptix.config import canonical_config, load_config, parse_config
 from adaptix.core import run_trajectory
@@ -543,7 +544,8 @@ def test_a_failed_normality_gate_names_a_deterministic_phase(tmp_path, gate,
         f"); median error {ratio:.2f}x sqrt(tr V / t), "
         f"(q90 - q50)/q50 = {spread:.3f}"
         + (": still in the deterministic phase" if phase else ""))
-    assert (ratio > 10 and spread < 0.1) is phase
+    assert (ratio > cli.DETERMINISTIC_RATIO
+            and spread < cli.DETERMINISTIC_SPREAD) is phase
 
 
 def test_replicate_diverged_fraction_above_the_bound_exits_4(tmp_path):
@@ -1341,7 +1343,18 @@ def artifact_bytes(out) -> dict:
             if out.is_dir() else {})
 
 
-def test_console_script_entry_point(tmp_path):
+def test_console_script_entry_point():
+    # the script and python -m adaptix enter through the same function
+    assert adaptix.__main__.console is cli.console
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    expected = outcome(doc, "predict")
+    assert expected["exit"] == 0
+    assert sorted(expected["artifacts"]) == ["config.json", "prediction.json"]
+    for entry in PROCESS_ENTRIES.values():
+        assert outcome(doc, "predict", entry=entry) == expected
+
+
+def test_the_console_script_names_the_entry():
     tomllib = pytest.importorskip("tomllib")
     pyproject = os.path.join(os.path.dirname(__file__), os.pardir,
                              "pyproject.toml")
@@ -1349,24 +1362,7 @@ def test_console_script_entry_point(tmp_path):
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts == {"adaptix": "adaptix.cli:console"}
     module, name = scripts["adaptix"].split(":")
-    # the script and python -m adaptix enter through the same function
-    assert getattr(importlib.import_module(module), name) \
-        is adaptix.__main__.console
-    path = make_config(tmp_path)
-    written = []
-    # the second is what an installed console script runs
-    for i, entry in enumerate((
-            ["-m", "adaptix"],
-            ["-c", f"import sys; from {module} import {name}; "
-                   f"sys.exit({name}())"])):
-        out = tmp_path / f"out{i}"
-        proc = subprocess.run(
-            [sys.executable, *entry, "predict", "--config", str(path),
-             "--out", str(out)], capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
-        written.append(artifact_bytes(out))
-    assert written[1] == written[0]
-    assert sorted(written[0]) == ["config.json", "prediction.json"]
+    assert getattr(importlib.import_module(module), name) is cli.console
 
 
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])

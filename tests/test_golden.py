@@ -8,10 +8,10 @@ regenerates the file and names each changed entry with its cause.
 
 import json
 import os
-import sys
 
 import pytest
-from documents import NOISE_SIZE_KEY, documents, outcome, tame
+from documents import (NOISE_SIZE_KEY, PROCESS_ENTRIES, documents, outcome,
+                       tame)
 
 with open(os.path.join(os.path.dirname(__file__), "golden.json")) as fh:
     GOLDEN = json.load(fh)
@@ -86,15 +86,6 @@ def test_the_cli_replays_the_golden_corpus(index):
                 "exit": result["exit"],
                 "stderr": (result["stderr"] or [None])[0],
                 "artifacts": result["artifacts"]} == run
-
-
-#: The two process entries: ``python -m adaptix`` and the function that
-#: pyproject.toml's ``adaptix`` script calls (checked in tests/test_cli.py).
-PROCESS_ENTRIES = {
-    "module": [sys.executable, "-m", "adaptix"],
-    "script": [sys.executable, "-c",
-               "from adaptix.cli import console; console()"],
-}
 
 
 @pytest.mark.parametrize("entry", sorted(PROCESS_ENTRIES))
