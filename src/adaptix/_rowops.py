@@ -27,9 +27,9 @@ order of the row-wise form:
   mat-vec adds each column only over its span, and skips a column of
   zeros. That needs a finite ``x``: each skipped product is then a signed
   zero, and adding one to a sum that started from +0.0 changes no bit,
-  where an inf or NaN times 0.0 is a NaN the sum must take. So a batch
-  with an entry that is not finite, and a batch of too few rows to repay
-  the finiteness check, adds every full column;
+  where an inf or NaN times 0.0 is a NaN the sum must take. So at every
+  row count a finite batch adds the spans of a matrix that has them, and
+  any other batch adds every full column;
 * a row sum of fewer than ``_PAIRWISE_COLUMNS`` columns, at any rank and
   row count, starts from ``p[..., 0] + 0.0`` and adds the columns in
   ascending order. That is what ``np.add.reduce`` does on a row of fewer
@@ -54,7 +54,6 @@ on where an element falls in a vector loop, so it was never row-local.
 
 from __future__ import annotations
 
-from math import inf
 from operator import mul
 
 import numpy as np
@@ -64,12 +63,6 @@ _PAIRWISE_COLUMNS = 8
 #: Rows per pass when a long row-local evaluation is split so that its rows
 #: and temporaries stay in a 2 MiB L2 cache; splitting changes no bit.
 _ROW_CHUNK = 8192
-#: Products a span mat-vec must skip beyond the entries its finiteness
-#: check reads before it beats a pass over every full column. Measured on
-#: a 2-core Xeon VM, the spans break even at about 150 rows of a
-#: bidiagonal 4x4 (5 products saved a row) and 400 rows of a triangular
-#: 4x4 (2 a row); this asks for two to three times that.
-_SPAN_MIN_SAVED = 2048
 
 
 def _dot_left(a, b):
@@ -107,12 +100,12 @@ class ColumnSpans:
       between them included.
 
     A span mat-vec reads every entry of ``x`` once to check that it is
-    finite, and skips the products of the zeros outside the spans; it runs
-    only where the skipped products outnumber the entries read by
-    ``_SPAN_MIN_SAVED`` or more, that is from ``min_rows`` rows on.
+    finite, and skips the products of the zeros outside the spans. So
+    ``spans`` is None where that skips no more products a row than the
+    check reads entries, as for a diagonal or a dense matrix.
     """
 
-    __slots__ = ("matrix", "rows", "columns", "spans", "min_rows")
+    __slots__ = ("matrix", "rows", "columns", "spans")
 
     def __init__(self, m):
         m = np.array(m, dtype=np.float64)
@@ -120,8 +113,7 @@ class ColumnSpans:
         out_dim, in_dim = m.shape
         self.matrix = m
         self.rows = tuple(map(tuple, m.tolist()))
-        every_row = slice(0, out_dim)
-        self.columns = tuple((j, every_row, m[:, j, None])
+        self.columns = tuple((j, slice(0, out_dim), m[:, j, None])
                              for j in range(in_dim))
         spans = []
         saved = out_dim * in_dim - in_dim
@@ -131,8 +123,7 @@ class ColumnSpans:
                 lo, hi = int(rows[0]), int(rows[-1]) + 1
                 spans.append((j, slice(lo, hi), m[lo:hi, j, None]))
                 saved -= hi - lo
-        self.spans = tuple(spans)
-        self.min_rows = -(-_SPAN_MIN_SAVED // saved) if saved > 0 else inf
+        self.spans = tuple(spans) if saved > 0 else None
 
 
 def _column_matvec(m: ColumnSpans, x: np.ndarray) -> np.ndarray:
@@ -140,19 +131,16 @@ def _column_matvec(m: ColumnSpans, x: np.ndarray) -> np.ndarray:
     ``x`` at a time; ascending ``j`` from a zero start. The result is the
     transpose of an ``(out_dim, rows)`` buffer.
 
-    Each column is added over its span only when ``x`` has ``min_rows``
-    rows and is finite: there every skipped product ``x[r, j] * 0.0`` is a
-    signed zero, which leaves a sum that started from +0.0 as it was. An
-    inf or NaN times 0.0 is NaN, so any other ``x`` takes every full
-    column.
+    Each column is added over its span, at any row count, when ``m`` has
+    spans and ``x`` is finite: there every skipped product ``x[r, j] *
+    0.0`` is a signed zero, which leaves a sum that started from +0.0 as
+    it was. An inf or NaN times 0.0 is NaN, so any other ``x`` takes
+    every full column.
     """
     xt = x.T
     acc = np.zeros((m.matrix.shape[0], x.shape[0]))
-    if x.shape[0] >= m.min_rows and np.isfinite(x).all():
-        terms = m.spans
-    else:
-        terms = m.columns
-    for j, rows, coef in terms:
+    use_spans = m.spans is not None and np.isfinite(x).all()
+    for j, rows, coef in (m.spans if use_spans else m.columns):
         part = acc[rows]
         part += xt[j] * coef
     return acc.T

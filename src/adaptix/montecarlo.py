@@ -83,14 +83,22 @@ class _Worker:
     """A forked child that runs ``work()`` and sends its outcome, pickled
     as (True, result) or (False, exception), to this process through a
     pipe. The child first closes the inherited file descriptors ``close``;
-    ``name`` names it in the error of a child that ends without a report.
+    ``name`` names it in the error of a child that cannot be started or
+    that ends without a report.
     """
 
     def __init__(self, name: str, work, close=()):
         self.name = name
         self.outcome = None
-        pipe, report = os.pipe()
-        self.pid = os.fork()
+        fds = ()
+        try:
+            pipe, report = fds = os.pipe()
+            self.pid = os.fork()
+        except OSError as exc:
+            for fd in fds:
+                os.close(fd)
+            raise NumericError(f"{name} could not be started "
+                               f"({exc.strerror})") from None
         if self.pid == 0:
             code = 1
             try:
@@ -243,8 +251,8 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1,
       work runs here while they simulate. A refusal closes the go pipe
       unwritten, and the blocks end without simulating. Every worker is
       reaped before the run returns or raises. A worker's exception is
-      raised here, and a worker that ends without a report, killed by a
-      signal, raises NumericError naming it.
+      raised here; a go pipe or a worker the OS refuses, and a worker
+      that ends without a report, killed by a signal, raise NumericError.
     """
     n = plan.n_replicates
     out = allocate_records(plan)
@@ -258,7 +266,11 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1,
         e0 = resolve_e0(plan)
         _run_block(plan, e0.value, 0, n, out)
     else:
-        go, release = os.pipe()
+        try:
+            go, release = os.pipe()
+        except OSError as exc:
+            raise NumericError("the go pipe of the blocks could not be "
+                               f"opened ({exc.strerror})") from None
         forked = []
         try:
             forked.append(_Worker("the E0 worker", lambda: resolve_e0(plan),
@@ -274,13 +286,10 @@ def run_replicates(plan: ExperimentPlan, workers: int = 1,
             e0 = forked[0].result()
             for _ in range(n_blocks):
                 os.write(release, struct.pack("d", e0.value))
-            os.close(release)
-            release = None
             if beside is not None:
                 beside()
         finally:
-            if release is not None:
-                os.close(release)
+            os.close(release)
             for worker in forked:
                 worker.join()
             os.close(go)

@@ -98,10 +98,9 @@ class NoiseModel:
         column spans for ``sample_block``'s mat-vec.
 
         Cholesky when the covariance is positive definite; an eigh-based
-        square root for merely PSD matrices (including the zero matrix).
+        square root for merely PSD matrices: on the zero matrix a factor of
+        signed zeros, whose mat-vec rows are +0.0.
         """
-        if not self.cov.any():
-            return ColumnSpans(np.zeros_like(self.cov))
         try:
             return ColumnSpans(np.linalg.cholesky(self.cov))
         except np.linalg.LinAlgError:

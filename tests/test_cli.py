@@ -1,6 +1,7 @@
 """Command-line harness: config parsing, artifacts, exit codes."""
 
 import contextlib
+import errno
 import functools
 import importlib
 import io
@@ -773,6 +774,56 @@ def test_a_killed_worker_exits_5_naming_it(tmp_path, capsys, monkeypatch,
         ["config.json", "prediction.json"] if target == "_run_block"
         else ["config.json"])
     assert_no_worker_left()
+
+
+def open_fds():
+    """This process's open file descriptors, or None where the OS does not
+    list them in /proc/self/fd."""
+    if not os.path.isdir("/proc/self/fd"):
+        return None
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("call, nth, error, line", [
+    ("fork", 2, errno.EAGAIN, "the worker of block 1 of 2 (replicates 0 to "
+                              "14) could not be started (Resource "
+                              "temporarily unavailable)"),
+    ("fork", 3, errno.EAGAIN, "the worker of block 2 of 2 (replicates 15 to "
+                              "29) could not be started (Resource "
+                              "temporarily unavailable)"),
+    ("pipe", 1, errno.EMFILE, "the go pipe of the blocks could not be opened "
+                              "(Too many open files)"),
+    ("pipe", 2, errno.EMFILE, "the E0 worker could not be started (Too many "
+                              "open files)"),
+], ids=["second-fork", "third-fork", "go-pipe", "e0-worker-pipe"])
+def test_a_worker_that_cannot_be_started_exits_5_naming_it(
+        tmp_path, capsys, monkeypatch, call, nth, error, line):
+    made, kernels = counted_workers(monkeypatch, tmp_path)
+    path = make_config(tmp_path)
+    original = getattr(os, call)
+    calls = []
+
+    def refused():
+        # the OS refuses this process its nth pipe or fork
+        calls.append(call)
+        if len(calls) == nth:
+            raise OSError(error, os.strerror(error))
+        return original()
+
+    fds = open_fds()
+    monkeypatch.setattr(os, call, refused)
+    out = tmp_path / "out"
+    assert run_cli("replicate", "--config", path, "--out", out,
+                   "--workers", 2) == 5
+    monkeypatch.undo()
+    assert capsys.readouterr().err.splitlines() == [f"adaptix: error: {line}"]
+    # every worker tried, the refused one too (the go pipe is opened
+    # before any); those forked before the refusal simulate nothing
+    assert len(made) == (nth if call == "fork" else nth - 1)
+    assert kernels() == 0
+    assert sorted(os.listdir(out)) == ["config.json"]
+    assert_no_worker_left()
+    assert open_fds() == fds
 
 
 @pytest.mark.parametrize(("cpus", "pools"), [(2, 1), (None, 0)])

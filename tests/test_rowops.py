@@ -26,7 +26,6 @@ from adaptix import (InitialConditions, e0_monte_carlo, gaussian_noise,
                      reciprocal_schedule, run_trajectory,
                      scaled_rademacher_noise, smooth_gate, tanh_problem,
                      uniform_ball_noise)
-from adaptix import _rowops
 from adaptix._rowops import (_ROW_CHUNK, ColumnSpans, apply_rows, dot_rows,
                              norm_rows)
 from adaptix.core import NOISE_CHUNK, ComparatorConfig, _lane_takes, _simulate
@@ -463,22 +462,14 @@ def finite_batch(rng, shape, order):
 SPAN_ROWS = sorted(set(range(1, 65)) | {1024, 2000})
 
 
-@pytest.fixture(params=["as-held", "always-spans"])
-def held(request, monkeypatch):
-    """Makes a ``ColumnSpans``: with its own row threshold, or with one
-    row for every matrix that has a zero to skip, so that every row count
-    takes the spans whenever the batch is finite."""
-    if request.param == "always-spans":
-        monkeypatch.setattr(_rowops, "_SPAN_MIN_SAVED", 1)
-    return ColumnSpans
-
-
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("dim", [1, 2, 4, 9])
-def test_held_matvec_matches_the_row_wise_formula(held, dim, order):
+def test_held_matvec_matches_the_row_wise_formula(dim, order):
+    # every row count of a finite batch takes the spans of a matrix that
+    # has them
     rng = np.random.default_rng(300 + dim)
     for name, m in structured(dim).items():
-        spans = held(m)
+        spans = ColumnSpans(m)
         for rows in SPAN_ROWS:
             for x in (finite_batch(rng, (rows, dim), order),
                       batch(rng, (rows, dim), order)):
@@ -489,12 +480,12 @@ def test_held_matvec_matches_the_row_wise_formula(held, dim, order):
 
 
 @pytest.mark.parametrize("dim", [2, 4, 9])
-def test_one_special_entry_sends_the_batch_to_the_full_columns(held, dim):
+def test_one_special_entry_sends_the_batch_to_the_full_columns(dim):
     # in a zero's column an inf or NaN gives a NaN product, which the full
     # columns add and the spans would skip
     rng = np.random.default_rng(400 + dim)
     for m in structured(dim).values():
-        spans = held(m)
+        spans = ColumnSpans(m)
         for special in (np.inf, -np.inf, np.nan):
             for col in range(dim):
                 x = finite_batch(rng, (2000, dim), "F")
@@ -513,11 +504,12 @@ def test_spans_run_from_the_first_to_the_last_non_zero():
         (0, 0, 1), (1, 0, 4), (3, 2, 4)]
     for j, rows, coef in spans.spans:
         assert_same_bits(coef[:, 0], m[rows, j])
-    # 16 entries less the 4 the finiteness check reads and the 7 visited
-    assert spans.min_rows == -(-_rowops._SPAN_MIN_SAVED // 5)
+    # spans where they skip more products a row than the finiteness check
+    # reads entries: 9 products less the 5 visited against 3 read
+    assert ColumnSpans(np.triu(np.tril(np.ones((3, 3)), 1))).spans
     # nothing to skip beyond what the check reads: always the full columns
-    assert ColumnSpans(np.diag([1.5, 3.0])).min_rows == np.inf
-    assert ColumnSpans(np.ones((3, 3))).min_rows == np.inf
+    assert ColumnSpans(np.diag([1.5, 3.0])).spans is None
+    assert ColumnSpans(np.ones((3, 3))).spans is None
 
 
 def test_a_held_matrix_never_goes_stale():
