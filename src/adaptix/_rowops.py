@@ -102,7 +102,7 @@ class ColumnSpans:
     A span mat-vec reads every entry of ``x`` once to check that it is
     finite, and skips the products of the zeros outside the spans. So
     ``spans`` is None where that skips no more products a row than the
-    check reads entries, as for a diagonal or a dense matrix.
+    check reads entries, as for a dense matrix or a 2 x 2 diagonal.
     """
 
     __slots__ = ("matrix", "rows", "columns", "spans")

@@ -791,11 +791,20 @@ def open_fds():
     ("fork", 3, errno.EAGAIN, "the worker of block 2 of 2 (replicates 15 to "
                               "29) could not be started (Resource "
                               "temporarily unavailable)"),
+    ("fork", 1, errno.EAGAIN, "the E0 worker could not be started (Resource "
+                              "temporarily unavailable)"),
     ("pipe", 1, errno.EMFILE, "the go pipe of the blocks could not be opened "
                               "(Too many open files)"),
     ("pipe", 2, errno.EMFILE, "the E0 worker could not be started (Too many "
                               "open files)"),
-], ids=["second-fork", "third-fork", "go-pipe", "e0-worker-pipe"])
+    ("pipe", 3, errno.EMFILE, "the worker of block 1 of 2 (replicates 0 to "
+                              "14) could not be started (Too many open "
+                              "files)"),
+    ("pipe", 4, errno.EMFILE, "the worker of block 2 of 2 (replicates 15 to "
+                              "29) could not be started (Too many open "
+                              "files)"),
+], ids=["second-fork", "third-fork", "first-fork", "go-pipe",
+        "e0-worker-pipe", "first-block-pipe", "second-block-pipe"])
 def test_a_worker_that_cannot_be_started_exits_5_naming_it(
         tmp_path, capsys, monkeypatch, call, nth, error, line):
     made, kernels = counted_workers(monkeypatch, tmp_path)

@@ -494,6 +494,45 @@ def test_one_special_entry_sends_the_batch_to_the_full_columns(dim):
                     assert_same_bits(apply_rows(spans, x), row_matvec(m, x))
 
 
+class Read(tuple):
+    """A held form's terms that log ``name`` each time a mat-vec reads
+    them."""
+
+    def __new__(cls, terms, name, log):
+        self = super().__new__(cls, terms)
+        self.name, self.log = name, log
+        return self
+
+    def __iter__(self):
+        self.log.append(self.name)
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("rows", [1, 16, 64, 150, 409, 1000])
+def test_a_finite_batch_takes_the_spans_at_every_row_count(rows):
+    # no row threshold: a finite batch reads the spans wherever the matrix
+    # has them, and a batch with an inf reads the full columns
+    rng = np.random.default_rng(500 + rows)
+    with_spans = set()
+    for name, m in structured(4).items():
+        held = ColumnSpans(m)
+        log = []
+        if held.spans is not None:
+            with_spans.add(name)
+            held.spans = Read(held.spans, "spans", log)
+        held.columns = Read(held.columns, "columns", log)
+        x = finite_batch(rng, (rows, 4), "F")
+        assert_same_bits(apply_rows(held, x), row_matvec(m, x))
+        x[rows // 2, 1] = np.inf
+        with np.errstate(all="ignore"):
+            assert_same_bits(apply_rows(held, x), row_matvec(m, x))
+        first = "spans" if name in with_spans else "columns"
+        assert log == [first, "columns"]
+    assert {"upper-bidiagonal", "lower-bidiagonal", "upper-triangular",
+            "lower-triangular"} <= with_spans
+    assert "dense" not in with_spans
+
+
 def test_spans_run_from_the_first_to_the_last_non_zero():
     m = np.array([[1.0, 0.2, 0.0, 0.0],
                   [0.0, 1.5, 0.0, 0.0],
