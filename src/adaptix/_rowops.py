@@ -65,16 +65,6 @@ _PAIRWISE_COLUMNS = 8
 _ROW_CHUNK = 8192
 
 
-def _dot_left(a, b):
-    """Inner product of two float tuples: ``a[j] * b[j]`` added left to
-    right from a zero start, rounding once per term (``sum`` compensates
-    the round-off from Python 3.12 on, which numpy's sums do not)."""
-    acc = 0.0
-    for t in map(mul, a, b):
-        acc += t
-    return acc
-
-
 def _column_sum(p: np.ndarray):
     """Sum over the last axis, in ``np.add.reduce``'s order on C rows."""
     columns = p.shape[-1]
@@ -157,7 +147,13 @@ def apply_rows(m, x: np.ndarray) -> np.ndarray:
     if type(m) is not ColumnSpans:
         m = ColumnSpans(m)
     if type(x) is tuple:
-        return tuple([_dot_left(x, row) for row in m.rows])
+        out = []
+        for row in m.rows:
+            acc = 0.0
+            for t in map(mul, x, row):
+                acc += t
+            out.append(acc)
+        return tuple(out)
     out = _column_matvec(m, x.reshape(-1, x.shape[-1]))
     return out.reshape(x.shape[:-1] + out.shape[1:])
 
@@ -165,9 +161,14 @@ def apply_rows(m, x: np.ndarray) -> np.ndarray:
 def dot_rows(a: np.ndarray, b: np.ndarray):
     """Per-row inner product over the last axis. Two tuples of floats give
     a float, summed left to right from a zero start: ``np.add.reduce``'s
-    order on a row of fewer than ``_PAIRWISE_COLUMNS``."""
+    order on a row of fewer than ``_PAIRWISE_COLUMNS``, rounding once per
+    term (``sum`` compensates the round-off from Python 3.12 on, which
+    numpy's sums do not)."""
     if type(a) is tuple:
-        return _dot_left(a, b)
+        acc = 0.0
+        for t in map(mul, a, b):
+            acc += t
+        return acc
     return _column_sum(a * b)
 
 

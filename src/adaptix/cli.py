@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success; 2 bad configuration or an artifact that cannot be
 written; 3 assumption or stability failure; 4 statistical failure
 (divergence or a failed normality gate); 5 numeric failure
-(ill-conditioned solve, tail bound, non-finite values).
+(ill-conditioned solve, tail bound, non-finite values, memory that runs
+out).
 
 Every command echoes the fully resolved configuration to config.json in
 the output directory, so a run can be replayed from its artifacts.
@@ -21,8 +22,8 @@ loads no ``montecarlo``, ``asymptotics`` or ``report``, and ``predict``
 no ``core`` or ``montecarlo``.
 
 ``python -m adaptix`` and the ``adaptix`` script enter through
-:func:`console`, which ends the process at its last flush; :func:`main`
-returns its code to in-process callers.
+``adaptix.__main__.console``, which ends the process at its last flush;
+:func:`main` returns its code to in-process callers.
 """
 
 from __future__ import annotations
@@ -380,27 +381,16 @@ def main(argv=None) -> int:
         _say(f"error: {exc}")
         return next((code for types, code in _EXIT_CODES
                      if isinstance(exc, types)), EXIT_NUMERIC)
-
-
-def console() -> None:
-    """The process entry: run :func:`main`, flush stdout and stderr, and
-    end the process with ``os._exit`` and main's code.
-
-    This skips the interpreter's teardown (module clean-up and collection
-    passes over all that numpy and scipy loaded), which changes no output:
-    by then every artifact is a closed file and every forked worker is
-    reaped. No ``atexit`` handler runs; adaptix registers none. A stream
-    that cannot be flushed, full or closed, does not replace the code. An
-    exception that escapes ``main``, such as argparse's SystemExit or a
-    KeyboardInterrupt, ends the process as Python usually does.
-    """
-    code = main()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            with contextlib.suppress(OSError, ValueError):
-                stream.flush()
-    os._exit(code)
+    except MemoryError as exc:
+        # numpy's names the size and shape it could not allocate, also when
+        # a forked worker sends it back; a bare MemoryError says nothing
+        _say(f"error: out of memory: {exc}" if str(exc)
+             else "error: out of memory")
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":
+    # python -m adaptix.cli: numpy has loaded BLAS by now, so only the two
+    # process entries default it to one thread
+    from .__main__ import console
     console()

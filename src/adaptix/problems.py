@@ -54,8 +54,10 @@ class ProblemSpec:
     lyap_matrix: np.ndarray | None = None  # P; None is the identity
     b32_radius: float | None = None
     b32_beta0: float | None = None
-    # ``root`` as a tuple of floats, for field_eval's float form
+    # ``root`` as a tuple of floats, for field_eval's float form, which
+    # need not subtract it where every entry is a zero of either sign
     root_floats: tuple = field(default=(), init=False, repr=False)
+    root_is_zero: bool = field(default=False, init=False, repr=False)
     # ``matrix`` held in the forms field_eval multiplies by
     matrix_spans: ColumnSpans | None = field(default=None, init=False,
                                              repr=False)
@@ -69,6 +71,7 @@ class ProblemSpec:
                 f"root shape {root.shape} does not match dim {self.dim}")
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "root_floats", tuple(root.tolist()))
+        object.__setattr__(self, "root_is_zero", not root.any())
         if self.noise.dim != self.dim:
             raise DimensionMismatchError(
                 f"noise dim {self.noise.dim} does not match problem dim {self.dim}")
@@ -117,15 +120,20 @@ def field_eval(problem: ProblemSpec, x) -> np.ndarray:
     """Mean field phi(x); vectorised over leading axes of ``x``.
 
     For a linear problem a tuple ``x`` of floats gives a tuple, through
-    ``apply_rows``'s float form. tanh and the cubic always go through
-    numpy, whose ``tanh`` and ``**3`` do not match Python's bit for bit.
+    ``apply_rows``'s float form. A root of zeros is not subtracted there:
+    ``x - (+-0.0)`` is ``x`` but for turning -0.0 into +0.0, and the
+    mat-vec's +0.0 start erases that (+0.0 plus a zero of either sign is
+    +0.0), so the bits are the array form's. tanh and the cubic always go
+    through numpy, whose ``tanh`` and ``**3`` do not match Python's bit
+    for bit.
     """
     if type(x) is tuple and problem.kind == "linear":
         if len(x) != problem.dim:
             raise DimensionMismatchError(
                 f"x has dimension {len(x)}, problem has {problem.dim}")
-        return apply_rows(problem.matrix_spans,
-                          tuple(map(sub, x, problem.root_floats)))
+        if not problem.root_is_zero:
+            x = tuple(map(sub, x, problem.root_floats))
+        return apply_rows(problem.matrix_spans, x)
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape[-1] != problem.dim:
         raise DimensionMismatchError(

@@ -69,12 +69,13 @@ class StepSchedule:
     def __post_init__(self):
         if self.family not in SCHEDULE_FAMILIES:
             raise ConfigError(f"unknown schedule family {self.family!r}")
-        if self.family == "reciprocal" and self.s_floor <= 0:
+        # ``not > 0`` refuses NaN too
+        if self.family == "reciprocal" and not self.s_floor > 0:
             raise ConfigError(
                 f"reciprocal schedule needs s_floor > 0, got {self.s_floor}")
-        if self.family in ("power", "constant") and self.gamma0 <= 0:
+        if self.family in ("power", "constant") and not self.gamma0 > 0:
             raise ConfigError(f"gamma0 must be > 0, got {self.gamma0}")
-        if self.family == "power" and self.p <= 0:
+        if self.family == "power" and not self.p > 0:
             raise ConfigError(f"power schedule needs p > 0, got {self.p}")
 
 
@@ -95,14 +96,17 @@ def gamma_eval(schedule: StepSchedule, s):
 
     A Python float under a reciprocal or constant schedule is evaluated on
     floats, ``1.0 / max(s, s_floor)`` or ``gamma0``: the bits the array
-    form gives. A power schedule always goes through ``np.power``, which
-    does not match ``float ** p`` bit for bit.
+    form gives, NaN for a NaN counter included. A power schedule always
+    goes through ``np.power``, which does not match ``float ** p`` bit for
+    bit.
     """
     if type(s) is float and schedule.family != "power":
         if s < 0:
             raise ValueError("counter values must be >= 0")
         if schedule.family == "reciprocal":
-            return 1.0 / max(s, schedule.s_floor)
+            # np.maximum(s, s_floor), NaN included: s_floor > NaN is False
+            s_floor = schedule.s_floor
+            return 1.0 / (s_floor if s_floor > s else s)
         return float(schedule.gamma0)
     arr = np.asarray(s, dtype=np.float64)
     if (arr < 0).any():
@@ -153,6 +157,9 @@ class SigmoidSpec:
                 raise ConfigError(
                     f"smooth gate needs beta > 0, got {self.beta}",
                     assumption="B4.1")
+        # held as floats, which sigmoid_eval's float form returns as they are
+        object.__setattr__(self, "u_minus", float(self.u_minus))
+        object.__setattr__(self, "u_plus", float(self.u_plus))
 
     @property
     def u_at_zero(self) -> float:
@@ -207,10 +214,10 @@ def sigmoid_eval(sigmoid: SigmoidSpec, v):
     """
     if type(v) is float and sigmoid.family != "smooth":
         if v < 0.0:
-            return float(sigmoid.u_minus)
+            return sigmoid.u_minus
         if v > 0.0:
-            return float(sigmoid.u_plus)
-        return float(sigmoid.u_at_zero)
+            return sigmoid.u_plus
+        return sigmoid.u_at_zero
     arr = np.asarray(v, dtype=np.float64)
     if sigmoid.family == "smooth":
         with np.errstate(over="ignore"):  # expit(+-inf) is exactly 1 or 0

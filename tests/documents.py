@@ -45,7 +45,7 @@ NOISE_SIZE_KEY = {"gaussian": "cov", "uniform_ball": "radius",
 PROCESS_ENTRIES = {
     "module": [sys.executable, "-m", "adaptix"],
     "script": [sys.executable, "-c",
-               "from adaptix.cli import console; console()"],
+               "from adaptix.__main__ import console; console()"],
 }
 
 

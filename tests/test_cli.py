@@ -20,7 +20,7 @@ from documents import PROCESS_ENTRIES, outcome
 from test_montecarlo import InlineWorker, inline_workers
 
 import adaptix.__main__
-from adaptix import cli, config, montecarlo
+from adaptix import cli, config, core, montecarlo
 from adaptix.cli import main
 from adaptix.config import canonical_config, load_config, parse_config
 from adaptix.core import run_trajectory
@@ -1405,7 +1405,6 @@ def artifact_bytes(out) -> dict:
 
 def test_console_script_entry_point():
     # the script and python -m adaptix enter through the same function
-    assert adaptix.__main__.console is cli.console
     doc = json.loads(json.dumps(BASE_CONFIG))
     expected = outcome(doc, "predict")
     assert expected["exit"] == 0
@@ -1420,9 +1419,124 @@ def test_the_console_script_names_the_entry():
                              "pyproject.toml")
     with open(pyproject, "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
-    assert scripts == {"adaptix": "adaptix.cli:console"}
+    assert scripts == {"adaptix": "adaptix.__main__:console"}
     module, name = scripts["adaptix"].split(":")
-    assert getattr(importlib.import_module(module), name) is cli.console
+    assert getattr(importlib.import_module(module), name) is \
+        adaptix.__main__.console
+
+
+#: Writes the three BLAS thread variables, as numpy is first imported, to
+#: stderr as a JSON list; loaded by a fresh interpreter as sitecustomize.
+BLAS_PROBE = """\
+import json, os, sys
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            sys.meta_path.remove(self)
+            sys.stderr.write(json.dumps([os.environ.get(v) for v in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS")]) + "\\n")
+        return None
+
+sys.meta_path.insert(0, Probe())
+"""
+
+
+def blas_threads_at_numpy_import(tmp_path, argv, **preset):
+    """The BLAS thread variables a fresh interpreter running ``argv`` has
+    when it first imports numpy, with the three removed from its
+    environment and then ``preset`` set."""
+    (tmp_path / "sitecustomize.py").write_text(BLAS_PROBE)
+    env = {k: v for k, v in os.environ.items()
+           if k not in adaptix.__main__.BLAS_THREAD_VARIABLES}
+    env.update(preset)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tmp_path), env.get("PYTHONPATH")]))
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[0])
+
+
+@pytest.mark.parametrize("entry", sorted(PROCESS_ENTRIES))
+@pytest.mark.parametrize("preset, seen", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+    ({"OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": ""}, ["1", "3", ""]),
+])
+def test_each_process_entry_defaults_blas_to_one_thread(tmp_path, entry,
+                                                        preset, seen):
+    # numpy is first imported by the entry itself, so --help sees it
+    argv = PROCESS_ENTRIES[entry] + ["--help"]
+    assert blas_threads_at_numpy_import(tmp_path, argv, **preset) == seen
+
+
+def test_importing_adaptix_sets_no_blas_variable(tmp_path):
+    argv = [sys.executable, "-c", "import adaptix, adaptix.__main__, "
+            "adaptix.cli"]
+    assert blas_threads_at_numpy_import(tmp_path, argv) == [None] * 3
+
+
+def array_memory_error():
+    """numpy's MemoryError for an array of 10**13 x 2 floats."""
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy < 2
+        from numpy.core._exceptions import _ArrayMemoryError
+    return _ArrayMemoryError((10**13, 2), np.dtype(np.float64))
+
+
+#: Its reason line: "... Unable to allocate 146. TiB for an array with
+#: shape (10000000000000, 2) and data type float64" in numpy 2.4.
+NUMPY_OOM_LINE = f"adaptix: error: out of memory: {array_memory_error()}"
+
+
+@pytest.mark.parametrize("error, line", [
+    (array_memory_error, NUMPY_OOM_LINE),
+    (MemoryError, "adaptix: error: out of memory"),
+], ids=["numpy", "bare"])
+def test_memory_that_runs_out_exits_5(tmp_path, capsys, monkeypatch, error,
+                                      line):
+    def noise_blocks(*args):
+        raise error()
+
+    monkeypatch.setattr(core, "_noise_blocks", noise_blocks)
+    out = tmp_path / "out"
+    assert run_cli("replicate", "--config", make_config(tmp_path), "--out",
+                   out, "--workers", 1) == 5
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert sorted(os.listdir(out)) == ["config.json", "prediction.json"]
+
+
+def test_memory_that_runs_out_in_a_block_worker_exits_5(tmp_path):
+    # a fresh interpreter on a host of two CPUs: only a forked block
+    # worker raises, so the error reaches main pickled
+    probe = ("import os, sys\n"
+             "from adaptix import core\n"
+             "from adaptix.cli import main\n"
+             "from test_cli import array_memory_error\n"
+             "parent = os.getpid()\n"
+             "noise_blocks = core._noise_blocks\n"
+             "def failing(*args):\n"
+             "    if os.getpid() != parent:\n"
+             "        raise array_memory_error()\n"
+             "    return noise_blocks(*args)\n"
+             "core._noise_blocks = failing\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    out = tmp_path / "out"
+    argv = ["replicate", "--config", str(make_config(tmp_path)), "--out",
+            str(out), "--workers", "2"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(__file__),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 5
+    assert proc.stderr.splitlines() == [NUMPY_OOM_LINE]
+    assert sorted(os.listdir(out)) == ["config.json", "prediction.json"]
 
 
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])

@@ -247,7 +247,19 @@ LANE_PLANS = list(itertools.product(NOISE_KINDS, LANE_GATES, LANE_SCHEDULES,
                                     AT_ZERO))
 
 
-def lane_plan(index, noise_kind, gate, schedule, at_zero):
+#: Roots that field_eval's float form does not subtract (every entry a
+#: zero of either sign) and one it must: the drawn root with every odd
+#: entry -0.0, which mixes zero and non-zero entries from dim 2 on.
+ZERO_ROOTS = {
+    "plus-zero": lambda root: np.zeros(root.size),
+    "minus-zero": lambda root: np.where(np.arange(root.size) % 2, 0.0, -0.0),
+    "mixed": lambda root: np.where(np.arange(root.size) % 2, -0.0, root),
+}
+
+
+def lane_plan(index, noise_kind, gate, schedule, at_zero, root_kind=None):
+    """Plan ``index`` of the sweep; ``root_kind``, a ``ZERO_ROOTS`` key,
+    replaces its drawn root (every later draw is the same)."""
     gen = np.random.default_rng(1000 + index)
     dim = 1 + index % 7
     if noise_kind == "gaussian":
@@ -268,6 +280,8 @@ def lane_plan(index, noise_kind, gate, schedule, at_zero):
               (gen.normal(size=(dim, dim)) + 1.5 * np.eye(dim))
               * (10.0 if far else 1.0))
     root = gen.normal(size=dim)
+    if root_kind is not None:
+        root = ZERO_ROOTS[root_kind](root)
     problem = linear_problem(matrix=matrix, root=root, noise=noise)
     x0 = root + gen.normal(size=dim) * (1e150 if far else 1.0)
     if index % 5 == 0 and not far:
@@ -307,6 +321,43 @@ def test_lane_matches_the_batch_row_bit_for_bit(index):
                                     stride=sweep_stride(index), bound=bound)
     if bound == TINY_BOUND:
         assert t_div == 1
+
+
+# Every fifth plan, which takes in every zero-covariance gaussian plan: there
+# a run started at a zero root measures signed zeros.
+ZERO_ROOT_PLANS = range(0, len(LANE_PLANS), 5)
+
+
+@pytest.mark.parametrize("root_kind", sorted(ZERO_ROOTS))
+@pytest.mark.parametrize("index", ZERO_ROOT_PLANS, ids=[
+    "-".join(LANE_PLANS[i]) for i in ZERO_ROOT_PLANS])
+def test_lane_at_a_zero_root_matches_the_batch_row(index, root_kind):
+    # the lane skips subtracting a root of zeros; the batch loop always
+    # subtracts it
+    problem, init, schedule, sigmoid, horizon, _ = lane_plan(
+        index, *LANE_PLANS[index], root_kind=root_kind)
+    assert problem.root_is_zero == (root_kind != "mixed")
+    assert _lane_takes(problem, schedule, sigmoid, 1, None)
+    assert_run_is_batch_row(problem, init, schedule, sigmoid, horizon,
+                            seed=index, stride=sweep_stride(index),
+                            bound=sweep_bound(index))
+
+
+@pytest.mark.parametrize("root_kind", sorted(ZERO_ROOTS))
+def test_field_on_a_float_tuple_is_the_array_form_at_signed_zeros(root_kind):
+    # every x of signed zeros, ones and a NaN, at a zero root as at one it
+    # subtracts; only a NaN's sign may differ between the forms
+    matrix = np.array([[1.5, -0.0, 2.0], [0.0, -3.0, 0.5], [-1.0, 0.0, 0.0]])
+    root = ZERO_ROOTS[root_kind](np.array([0.25, -2.0, 1.5]))
+    problem = linear_problem(matrix=matrix, root=root)
+    assert problem.root_is_zero == (root_kind != "mixed")
+    values = (-0.0, 0.0, 1.0, -1.0, np.nan)
+    for x in itertools.product(values, repeat=3):
+        got = np.array(field_eval(problem, x))
+        want = field_eval(problem, np.array([x]))[0]
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_the_sweep_records_past_step_1_and_the_first_block_at_stride_1():
@@ -426,6 +477,17 @@ def test_lane_keeps_a_negative_zero_counter_off_the_record():
     assert_run_is_batch_row(problem, init, schedule, gate, 5, seed=4)
     traj = run_trajectory(problem, init, schedule, gate, 5, seed=4)
     assert as_bytes(traj.s[1:]) == as_bytes([-0.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def test_a_gate_with_int_levels_runs_the_lane_and_the_batch_loop_alike():
+    # the levels are held as floats, so the batch loop's counter stays a
+    # float array to which the gate's values are added in place
+    problem = linear_problem(matrix=np.diag([1.5, 3.0]))
+    init = InitialConditions(x0=np.array([1.0, -1.0]))
+    gate = SigmoidSpec("plakhov_almeida", u_minus=-1, u_plus=2)
+    assert _lane_takes(problem, RECIPROCAL, gate, 1, None)
+    assert assert_run_is_batch_row(problem, init, RECIPROCAL, gate, 300,
+                                   seed=5) == -1
 
 
 INELIGIBLE = {

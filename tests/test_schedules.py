@@ -132,7 +132,8 @@ def float_bits(value):
                          ids=["reciprocal", "reciprocal-2.5", "constant",
                               "power"])
 def test_gamma_on_a_float_is_the_array_form(schedule):
-    # the one-replicate lane evaluates counters as Python floats
+    # the one-replicate lane evaluates counters as Python floats; COUNTERS
+    # hold NaN, +inf, each reciprocal floor (1.0 and 2.5) and counters below
     for s in COUNTERS:
         got = gamma_eval(schedule, s)
         assert type(got) is float
@@ -140,19 +141,24 @@ def test_gamma_on_a_float_is_the_array_form(schedule):
                                                         np.array([s]))[0])
 
 
-@pytest.mark.parametrize("gate", [constant_gate(0.7), kesten_gate(2.0),
-                                  plakhov_almeida_gate(-0.5, 1.0, "left"),
-                                  plakhov_almeida_gate(-0.5, 1.0, "midpoint"),
-                                  plakhov_almeida_gate(-0.5, 1.0, "right"),
-                                  smooth_gate(-0.5, 1.0, 2.0)],
-                         ids=["constant", "kesten", "pa-left", "pa-midpoint",
-                              "pa-right", "smooth"])
+@pytest.mark.parametrize("gate", [
+    constant_gate(0.7), kesten_gate(2.0),
+    plakhov_almeida_gate(-0.5, 1.0, "left"),
+    plakhov_almeida_gate(-0.5, 1.0, "midpoint"),
+    plakhov_almeida_gate(-0.5, 1.0, "right"), smooth_gate(-0.5, 1.0, 2.0),
+    # levels given as ints are held as floats
+    SigmoidSpec("plakhov_almeida", u_minus=-1, u_plus=2, at_zero="left"),
+    SigmoidSpec("plakhov_almeida", u_minus=-1, u_plus=2,
+                at_zero="midpoint")],
+    ids=["constant", "kesten", "pa-left", "pa-midpoint", "pa-right", "smooth",
+         "int-left", "int-midpoint"])
 def test_gate_on_a_float_is_the_array_form(gate):
     for v in ARGUMENTS:
         got = sigmoid_eval(gate, v)
         assert type(got) is float
-        assert float_bits(got) == float_bits(sigmoid_eval(gate,
-                                                          np.array([v]))[0])
+        want = sigmoid_eval(gate, np.array([v]))
+        assert want.dtype == np.float64
+        assert float_bits(got) == float_bits(want[0])
 
 
 @pytest.mark.parametrize("at_zero", ["left", "right", "midpoint"])
@@ -205,6 +211,12 @@ def test_schedule_parameter_validation():
         power_schedule(gamma0=1.0, p=0.0)
     with pytest.raises(ConfigError):
         constant_schedule(0.0)
+    # NaN too: a NaN floor would give the float form s where np.maximum
+    # gives NaN
+    for schedule in (reciprocal_schedule, constant_schedule,
+                     lambda p: power_schedule(1.0, p)):
+        with pytest.raises(ConfigError, match="got nan"):
+            schedule(np.nan)
 
 
 # ---------------------------------------------------------------------------
