@@ -41,11 +41,10 @@ sums a contiguous row pairwise, with eight partial sums, but the rows of an
 F-ordered array one column at a time; so it reduces a C-contiguous copy,
 and a replicate's sum does not depend on the memory order of its batch.
 
-A single state held as a tuple of Python floats (the one-replicate lane of
-``core._simulate``) takes the same operations on floats: ``apply_rows``, on
-the holder's rows, and ``dot_rows`` accumulate from a zero start in the
-orders above. For a sum that is ``np.add.reduce``'s order only below
-``_PAIRWISE_COLUMNS`` columns, so the lane runs only there.
+The one-replicate lane of ``core._simulate`` holds x and y as tuples of
+floats (y's are numpy's after a tanh or cubic field): ``apply_rows``, on
+the holder's rows, and ``dot_rows`` sum them from a zero start in the
+orders above, ``np.add.reduce``'s only below ``_PAIRWISE_COLUMNS``.
 
 Only the payload of a NaN (its sign bit) may differ between the two forms:
 numpy's own loops pass on the first or the second operand's NaN depending

@@ -12,7 +12,7 @@ Exit codes: 0 success; 2 bad configuration or an artifact that cannot be
 written; 3 assumption or stability failure; 4 statistical failure
 (divergence or a failed normality gate); 5 numeric failure
 (ill-conditioned solve, tail bound, non-finite values, memory that runs
-out).
+out, a module that cannot be imported).
 
 Every command echoes the fully resolved configuration to config.json in
 the output directory, so a run can be replayed from its artifacts.
@@ -386,6 +386,13 @@ def main(argv=None) -> int:
         # a forked worker sends it back; a bare MemoryError says nothing
         _say(f"error: out of memory: {exc}" if str(exc)
              else "error: out of memory")
+        return EXIT_NUMERIC
+    except ImportError as exc:
+        # a lazy scipy import that fails here or in a forked worker, which
+        # sends it back; a native library's reason can run over lines
+        reason = " ".join(str(exc).split())
+        _say(f"error: cannot import {exc.name}: {reason}" if exc.name
+             else f"error: {reason}")
         return EXIT_NUMERIC
 
 

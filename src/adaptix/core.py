@@ -36,12 +36,12 @@ independent comparator streams, plus one replicate tile of at most
 worker is the caller's job; ``montecarlo`` runs a large block of
 replicates in tiles.
 
-One replicate of a plan whose layers have an exact float form (see
-``_lane_takes``) runs on Python floats instead of one-row arrays, on which
-numpy dispatch costs several times the arithmetic. The lane calls the
-same layer functions, whose float forms repeat the batch operations in
-their order, so its bits are the batch row's; the two routes check each
-other in the test suite.
+One replicate below ``_PAIRWISE_COLUMNS`` dims without a comparator runs
+on a float lane, its state a tuple of floats where a one-row array costs
+several times the arithmetic in numpy dispatch. Its layer functions are
+the batch loop's, each in its float form, which repeats the batch
+operations in their order, or else its array form; so its bits are the
+batch row's. The two routes check each other in the test suite.
 """
 
 from __future__ import annotations
@@ -128,17 +128,12 @@ def _noise_blocks(noise, rngs: list, block: np.ndarray,
     return block.transpose(0, 2, 1)
 
 
-def _lane_takes(problem: ProblemSpec, schedule: StepSchedule,
-                sigmoid: SigmoidSpec, n_rep: int, comparator) -> bool:
+def _lane_takes(problem: ProblemSpec, n_rep: int, comparator) -> bool:
     """Whether ``_simulate`` runs this plan on the float lane: one
-    replicate, no comparator, and families whose float forms give the batch
-    path's bits. A sum over 8 or more columns is pairwise in numpy, and
-    numpy's tanh, cube, power and the smooth gate's expit keep the batch
-    loop too."""
-    return (n_rep == 1 and comparator is None and problem.kind == "linear"
-            and problem.dim < _PAIRWISE_COLUMNS
-            and schedule.family in ("reciprocal", "constant")
-            and sigmoid.family in ("constant", "kesten", "plakhov_almeida"))
+    replicate, no comparator, and a dim at which the float ``dot_rows``
+    sums in numpy's order. Each layer picks its own form on the lane."""
+    return (n_rep == 1 and comparator is None
+            and problem.dim < _PAIRWISE_COLUMNS)
 
 
 def _lane(problem: ProblemSpec, init: InitialConditions,
@@ -149,9 +144,10 @@ def _lane(problem: ProblemSpec, init: InitialConditions,
 
     x and y_prev are tuples and s a float; each layer is called through
     this module once per step, as the batch loop calls it, and takes its
-    float form. Records into slots ``slot`` on, once per noise chunk, so
-    at most a chunk of records is held as Python objects; freezes a
-    diverged state as the batch loop does and returns its step, or -1.
+    float form where it has one. Records into slots ``slot`` on, once per
+    noise chunk, so at most a chunk of records is held as Python objects;
+    freezes a diverged state as the batch loop does and returns its step,
+    or -1.
     """
     x = tuple(init.x0.tolist())
     s = float(init.s0)
@@ -271,27 +267,27 @@ def _simulate(problem: ProblemSpec, init: InitialConditions,
         if z is not None:
             z_rec[0] = z
         slot = 1
-    if _lane_takes(problem, schedule, sigmoid, n_rep, comparator):
-        diverged_at[0] = _lane(problem, init, schedule, sigmoid, horizon,
-                               rngs[0], ts, slot, bound_sq, x_rec, s_rec,
-                               y_rec)
-        return SimResult(ts=ts, x=x_rec, s=s_rec, y=y_rec, z=None,
-                         diverged_at=diverged_at)
-    mark = ts.item(slot) if slot < n_slots else -1
-    noise = problem.noise
-    # one noise buffer per stream, refilled in place for every chunk, so a
-    # batch holds one block of noise per stream and never two
-    chunk = min(NOISE_CHUNK, horizon)
-    buf = np.empty((chunk, dim, n_rep))
-    buf_z = None
-    if comparator is not None and comparator.rngs is not None:
-        buf_z = np.empty((chunk, dim, n_rep))
-    width = _NOISE_TILE_BYTES // (8 * dim * max(chunk, 1))
-    tile = np.empty((max(1, min(n_rep, width)), chunk, dim))
-    t = 1
     # the divergence guard catches every overflow and NaN, so numpy need
-    # not warn about them
+    # not warn about them, on the lane or in the batch loop
     with np.errstate(over="ignore", invalid="ignore"):
+        if _lane_takes(problem, n_rep, comparator):
+            diverged_at[0] = _lane(problem, init, schedule, sigmoid, horizon,
+                                   rngs[0], ts, slot, bound_sq, x_rec, s_rec,
+                                   y_rec)
+            return SimResult(ts=ts, x=x_rec, s=s_rec, y=y_rec, z=None,
+                             diverged_at=diverged_at)
+        mark = ts.item(slot) if slot < n_slots else -1
+        noise = problem.noise
+        # one noise buffer per stream, refilled in place for every chunk, so
+        # a batch holds one block of noise per stream and never two
+        chunk = min(NOISE_CHUNK, horizon)
+        buf = np.empty((chunk, dim, n_rep))
+        buf_z = None
+        if comparator is not None and comparator.rngs is not None:
+            buf_z = np.empty((chunk, dim, n_rep))
+        width = _NOISE_TILE_BYTES // (8 * dim * max(chunk, 1))
+        tile = np.empty((max(1, min(n_rep, width)), chunk, dim))
+        t = 1
         while t <= horizon and (n_alive or comparator is not None):
             span = min(NOISE_CHUNK, horizon - t + 1)
             xi = _noise_blocks(noise, rngs, buf[:span], tile)

@@ -134,13 +134,15 @@ class SigmoidSpec:
             raise ConfigError(f"unknown sigmoid family {self.family!r}")
         if self.at_zero not in AT_ZERO:
             raise ConfigError(f"at_zero must be one of {AT_ZERO}, got {self.at_zero!r}")
-        if self.u_plus <= 0:
+        # ``not > 0`` and ``not <=`` refuse NaN levels too
+        if not self.u_plus > 0:
             raise ConfigError(
                 f"u_plus must be > 0, got {self.u_plus}", assumption="B4.1")
-        if self.u_minus > self.u_plus:
+        if not self.u_minus <= self.u_plus:
             raise ConfigError(
-                f"u_minus={self.u_minus} exceeds u_plus={self.u_plus}; "
-                "the gate must be non-decreasing", assumption="B4.1")
+                f"u_minus={self.u_minus} must not exceed u_plus="
+                f"{self.u_plus}; the gate must be non-decreasing",
+                assumption="B4.1")
         if self.family == "constant" and self.u_minus != self.u_plus:
             raise ConfigError(
                 "constant gate needs u_minus == u_plus", assumption="B4.1")
@@ -153,7 +155,7 @@ class SigmoidSpec:
                 f"plakhov_almeida needs u_minus < 0, got {self.u_minus}",
                 assumption="B4.1")
         if self.family == "smooth":
-            if self.beta is None or self.beta <= 0:
+            if self.beta is None or not self.beta > 0:
                 raise ConfigError(
                     f"smooth gate needs beta > 0, got {self.beta}",
                     assumption="B4.1")

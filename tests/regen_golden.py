@@ -7,7 +7,7 @@ tests/documents.py, every one kept whatever its outcome. Each document
 runs ``predict``, ``run``, ``replicate --workers 1`` and ``validate``
 in-process. ``replicate --workers 2`` runs too on every
 ``WORKERS_2_EVERY``-th document and on every document whose gate and noise
-have no closed-form E0, where the pool's first task runs the E0 Monte
+have no closed-form E0, where the forked E0 worker runs the E0 Monte
 Carlo. A run is recorded as its exit code, its first stderr line (null when
 there is none) and the SHA-256 of each artifact it wrote.
 

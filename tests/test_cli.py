@@ -477,6 +477,41 @@ def test_replicate_artifacts_and_worker_invariance(tmp_path):
     assert summary["exit_code"] == 0
 
 
+def test_one_replicate_blocks_take_the_lane_with_the_bytes_of_one_block(
+        tmp_path, monkeypatch):
+    # two tanh replicates: at two workers each block holds one, which runs
+    # on the float lane, and at one worker both run in the batch loop. The
+    # lane's calls are logged to a file the forked workers inherit.
+    path = make_config(tmp_path, **{"problem.kind": "tanh",
+                                    "experiment.n_replicates": 2})
+    assert core._lane_takes(load_config(path).plan.problem, 1, None)
+    log = tmp_path / "lane.log"
+    log.write_text("")
+    lane = core._lane
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return lane(*args)
+
+    monkeypatch.setattr(core, "_lane", logged)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    outs, lanes = [], []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert run_cli("replicate", "--config", path, "--out", out,
+                       "--workers", workers) == 0
+        outs.append({name: (out / name).read_bytes()
+                     for name in sorted(os.listdir(out))})
+        lanes.append(len(set(log.read_text().split())))
+        log.write_text("")
+    assert lanes == [0, 2]
+    assert sorted(outs[0]) == ["checkpoints.csv", "config.json",
+                               "prediction.json", "summary.json"]
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("command", ["predict", "run", "validate"])
 def test_only_replicate_takes_workers(tmp_path, capsys, command):
     path = make_config(tmp_path)
@@ -1537,6 +1572,91 @@ def test_memory_that_runs_out_in_a_block_worker_exits_5(tmp_path):
     assert proc.returncode == 5
     assert proc.stderr.splitlines() == [NUMPY_OOM_LINE]
     assert sorted(os.listdir(out)) == ["config.json", "prediction.json"]
+
+
+def test_memory_that_runs_out_in_the_e0_worker_exits_5(tmp_path):
+    # a fresh interpreter on a host of two CPUs: only the forked E0 worker
+    # raises, in the Monte Carlo of a plakhov_almeida gate, so the error
+    # reaches main pickled before any prediction is written
+    probe = ("import os, sys\n"
+             "from adaptix import schedules\n"
+             "from adaptix.cli import main\n"
+             "from test_cli import array_memory_error\n"
+             "parent = os.getpid()\n"
+             "monte_carlo = schedules.e0_monte_carlo\n"
+             "def failing(*args):\n"
+             "    if os.getpid() != parent:\n"
+             "        raise array_memory_error()\n"
+             "    return monte_carlo(*args)\n"
+             "schedules.e0_monte_carlo = failing\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    path = make_config(tmp_path, **{
+        "sigmoid": {"family": "plakhov_almeida", "u_minus": -0.5,
+                    "u_plus": 1.0},
+        "experiment.e0_mc_samples": 2000})
+    out = tmp_path / "out"
+    argv = ["replicate", "--config", str(path), "--out", str(out),
+            "--workers", "2"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(__file__),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 5
+    assert proc.stderr.splitlines() == [NUMPY_OOM_LINE]
+    assert sorted(os.listdir(out)) == ["config.json"]
+
+
+#: A lazy scipy import per command: a non-diagonal W's oracle imports
+#: scipy.linalg, and replicate's normality test scipy.special.
+FAILED_IMPORTS = {
+    "predict": ("scipy.linalg",
+                {"problem.matrix": [[1.5, 0.5], [0.0, 3.0]]},
+                ["config.json"]),
+    "replicate": ("scipy.special", {}, ["config.json", "prediction.json"]),
+}
+
+
+def failed_import_line(module):
+    return (f"adaptix: error: cannot import {module}: import of {module} "
+            "halted; None in sys.modules")
+
+
+@pytest.mark.parametrize("command", sorted(FAILED_IMPORTS))
+def test_a_module_that_cannot_be_imported_exits_5(tmp_path, capsys,
+                                                  monkeypatch, command):
+    module, edits, artifacts = FAILED_IMPORTS[command]
+    monkeypatch.setitem(sys.modules, module, None)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", make_config(tmp_path, **edits),
+                   "--out", out) == 5
+    assert capsys.readouterr().err.splitlines() == [
+        failed_import_line(module)]
+    assert sorted(os.listdir(out)) == artifacts
+
+
+@pytest.mark.parametrize("command", sorted(FAILED_IMPORTS))
+def test_a_module_that_cannot_be_imported_exits_5_from_the_process_entry(
+        tmp_path, command):
+    # python -m adaptix, with the module blocked before adaptix starts
+    module, edits, artifacts = FAILED_IMPORTS[command]
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(
+        f"import sys\nsys.modules[{module!r}] = None\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(site), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        PROCESS_ENTRIES["module"] + [
+            command, "--config", str(make_config(tmp_path, **edits)),
+            "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 5
+    assert proc.stderr.splitlines() == [failed_import_line(module)]
+    assert sorted(os.listdir(out)) == artifacts
 
 
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])

@@ -225,7 +225,7 @@ def test_engine_matches_stepwise_composition(noise_builder, horizon):
                              noise=noise)
     init = InitialConditions(x0=np.array([1.0, -1.0]), s0=2.0, s1=3.0)
     gate = plakhov_almeida_gate(-0.2, 1.0)
-    assert _lane_takes(problem, RECIPROCAL, gate, 1, None)
+    assert _lane_takes(problem, 1, None)
     assert assert_run_is_batch_row(problem, init, RECIPROCAL, gate, horizon,
                                    17) == -1
 
@@ -247,6 +247,12 @@ LANE_PLANS = list(itertools.product(NOISE_KINDS, LANE_GATES, LANE_SCHEDULES,
                                     AT_ZERO))
 
 
+#: How far out a far plan starts, per problem kind: a steep linear field
+#: overflows the squared norm within a few steps, a bounded tanh field's
+#: start overflows it at step 1, and the cubic's cube overflows at step 2.
+FAR_SCALE = {"linear": 1e150, "tanh": 1e155, "cubic1d": 1e40}
+
+
 #: Roots that field_eval's float form does not subtract (every entry a
 #: zero of either sign) and one it must: the drawn root with every odd
 #: entry -0.0, which mixes zero and non-zero entries from dim 2 on.
@@ -257,11 +263,14 @@ ZERO_ROOTS = {
 }
 
 
-def lane_plan(index, noise_kind, gate, schedule, at_zero, root_kind=None):
+def lane_plan(index, noise_kind, gate, schedule, at_zero, root_kind=None,
+              kind="linear", far=None):
     """Plan ``index`` of the sweep; ``root_kind``, a ``ZERO_ROOTS`` key,
-    replaces its drawn root (every later draw is the same)."""
+    replaces its drawn root (every later draw is the same). ``kind`` is the
+    problem kind; ``far``, where given, says whether the run starts far out
+    (see ``FAR_SCALE``), which is drawn from the index otherwise."""
     gen = np.random.default_rng(1000 + index)
-    dim = 1 + index % 7
+    dim = 1 if kind == "cubic1d" else 1 + index % 7
     if noise_kind == "gaussian":
         # every fifth a zero covariance: noiseless, exact zero measurements
         # at the root
@@ -275,26 +284,39 @@ def lane_plan(index, noise_kind, gate, schedule, at_zero, root_kind=None):
     # argument exactly 0 at many steps
     zero_field = noise_kind == "scaled_rademacher" and dim % 2 == 0
     # a steep field far out overflows the squared norm within a few steps
-    far = index % 6 == 5 and not zero_field
-    matrix = (np.zeros((dim, dim)) if zero_field else
-              (gen.normal(size=(dim, dim)) + 1.5 * np.eye(dim))
-              * (10.0 if far else 1.0))
+    if far is None:
+        far = index % 6 == 5 and not zero_field
+    if kind == "cubic1d":
+        coefficients = {"a": gen.uniform(0.5, 2.0), "c": gen.uniform(0.1, 1.0)}
+    else:
+        matrix = (np.zeros((dim, dim)) if zero_field else
+                  (gen.normal(size=(dim, dim)) + 1.5 * np.eye(dim))
+                  * (10.0 if far else 1.0))
     root = gen.normal(size=dim)
     if root_kind is not None:
         root = ZERO_ROOTS[root_kind](root)
-    problem = linear_problem(matrix=matrix, root=root, noise=noise)
-    x0 = root + gen.normal(size=dim) * (1e150 if far else 1.0)
+    if kind == "cubic1d":
+        problem = cubic_problem(root=root, noise=noise, **coefficients)
+    else:
+        build = linear_problem if kind == "linear" else tanh_problem
+        problem = build(matrix=matrix, root=root, noise=noise)
+    x0 = root + gen.normal(size=dim) * (FAR_SCALE[kind] if far else 1.0)
     if index % 5 == 0 and not far:
         x0 = root
     init = InitialConditions(x0=x0, s0=0.0 if index % 2 else 1.5,
                              s1=gen.uniform(0.0, 3.0))
-    schedule = (StepSchedule(schedule, s_floor=gen.uniform(0.5, 3.0))
-                if schedule == "reciprocal" else
-                StepSchedule(schedule, gamma0=gen.uniform(0.05, 1.0)))
+    if schedule == "reciprocal":
+        schedule = StepSchedule(schedule, s_floor=gen.uniform(0.5, 3.0))
+    elif schedule == "power":
+        schedule = power_schedule(gen.uniform(0.05, 1.0),
+                                  gen.uniform(0.5, 1.0))
+    else:
+        schedule = StepSchedule(schedule, gamma0=gen.uniform(0.05, 1.0))
     u_plus = gen.uniform(0.5, 2.0)
-    u_minus = {"constant": u_plus, "kesten": 0.0,
-               "plakhov_almeida": -gen.uniform(0.1, 1.0)}[gate]
-    sigmoid = SigmoidSpec(gate, u_minus=u_minus, u_plus=u_plus,
+    u_low = -gen.uniform(0.1, 1.0)
+    u_minus = {"constant": u_plus, "kesten": 0.0}.get(gate, u_low)
+    beta = gen.uniform(0.05, 2.0) if gate == "smooth" else None
+    sigmoid = SigmoidSpec(gate, u_minus=u_minus, u_plus=u_plus, beta=beta,
                           at_zero=at_zero)
     # one plan in four crosses a noise block boundary
     horizon = NOISE_CHUNK + 7 if index % 4 == 0 else int(gen.integers(2, 300))
@@ -314,13 +336,87 @@ def sweep_stride(index):
 def test_lane_matches_the_batch_row_bit_for_bit(index):
     problem, init, schedule, sigmoid, horizon, _ = lane_plan(
         index, *LANE_PLANS[index])
-    assert _lane_takes(problem, schedule, sigmoid, 1, None)
+    assert _lane_takes(problem, 1, None)
     bound = sweep_bound(index)
     t_div = assert_run_is_batch_row(problem, init, schedule, sigmoid,
                                     horizon, seed=index,
                                     stride=sweep_stride(index), bound=bound)
     if bound == TINY_BOUND:
         assert t_div == 1
+
+
+# The plans that reach the lane through array forms: every combination of a
+# problem kind, schedule and gate family in which a tanh or cubic field, a
+# power schedule or a smooth gate takes part. Their noise kind and at_zero
+# convention turn with the plan's place in the list, and each of the four
+# families has one plan that starts far out and overflows.
+FAMILY_PLANS = [
+    plan for plan in itertools.product(
+        ("linear", "tanh", "cubic1d"), LANE_SCHEDULES + ("power",),
+        LANE_GATES + ("smooth",))
+    if plan[0] != "linear" or "power" in plan or "smooth" in plan]
+FAR_FAMILY_PLANS = {("tanh", "reciprocal", "kesten"),
+                    ("cubic1d", "constant", "plakhov_almeida"),
+                    ("linear", "power", "kesten"),
+                    ("linear", "reciprocal", "smooth")}
+
+
+def family_plan(i):
+    """Plan ``i`` of ``FAMILY_PLANS``, its sweep index (past the linear
+    plans', which sets its draws and seed), and its bound: 1e200 for a far
+    plan, whose square the guard replaces by the largest float."""
+    kind, schedule, gate = FAMILY_PLANS[i]
+    index = len(LANE_PLANS) + i
+    far = FAMILY_PLANS[i] in FAR_FAMILY_PLANS
+    plan = lane_plan(index, NOISE_KINDS[i % 3], gate, schedule,
+                     AT_ZERO[i // 3 % 3], kind=kind, far=far)
+    return plan, index, 1e200 if far else sweep_bound(index)
+
+
+@pytest.mark.parametrize("i", range(len(FAMILY_PLANS)),
+                         ids=["-".join(p) for p in FAMILY_PLANS])
+def test_the_lane_takes_the_array_forms_bit_for_bit(i):
+    (problem, init, schedule, sigmoid, horizon, far), index, bound = \
+        family_plan(i)
+    assert _lane_takes(problem, 1, None)
+    t_div = assert_run_is_batch_row(problem, init, schedule, sigmoid,
+                                    horizon, seed=index,
+                                    stride=sweep_stride(index), bound=bound)
+    if bound == TINY_BOUND:
+        assert t_div == 1
+    if far:
+        assert 1 <= t_div <= 5
+
+
+def test_the_family_sweep_meets_every_noise_and_convention():
+    # every noise kind meets each of the four families, every at_zero
+    # convention meets a step gate with each of the three others, and each
+    # family has a far plan
+    new = {"tanh", "cubic1d", "power", "smooth"}
+    met = set()
+    for i, plan in enumerate(FAMILY_PLANS):
+        (problem, _, _, sigmoid, _, far), _, _ = family_plan(i)
+        for family in new.intersection(plan):
+            met.add((family, problem.noise.kind))
+            if sigmoid.family in ("kesten", "plakhov_almeida"):
+                met.add((family, sigmoid.at_zero))
+            if far:
+                met.add((family, "far"))
+    noises = ("gaussian", "uniform_ball", "scaled_rademacher")
+    assert met == (set(itertools.product(new, noises + ("far",)))
+                   | set(itertools.product(new - {"smooth"}, AT_ZERO)))
+
+
+def test_a_cube_that_overflows_on_the_lane_warns_of_nothing():
+    # numpy's cube of 1e110 overflows at step 1; the suite makes every
+    # RuntimeWarning an error, and the lane runs under the batch loop's
+    # np.errstate, so the run just diverges
+    problem = cubic_problem()
+    assert _lane_takes(problem, 1, None)
+    init = InitialConditions(x0=np.array([1e110]))
+    with pytest.raises(DivergedTrajectoryError) as exc:
+        run_trajectory(problem, init, RECIPROCAL, KESTEN, 10, seed=0)
+    assert exc.value.t == 1
 
 
 # Every fifth plan, which takes in every zero-covariance gaussian plan: there
@@ -337,7 +433,7 @@ def test_lane_at_a_zero_root_matches_the_batch_row(index, root_kind):
     problem, init, schedule, sigmoid, horizon, _ = lane_plan(
         index, *LANE_PLANS[index], root_kind=root_kind)
     assert problem.root_is_zero == (root_kind != "mixed")
-    assert _lane_takes(problem, schedule, sigmoid, 1, None)
+    assert _lane_takes(problem, 1, None)
     assert_run_is_batch_row(problem, init, schedule, sigmoid, horizon,
                             seed=index, stride=sweep_stride(index),
                             bound=sweep_bound(index))
@@ -485,18 +581,14 @@ def test_a_gate_with_int_levels_runs_the_lane_and_the_batch_loop_alike():
     problem = linear_problem(matrix=np.diag([1.5, 3.0]))
     init = InitialConditions(x0=np.array([1.0, -1.0]))
     gate = SigmoidSpec("plakhov_almeida", u_minus=-1, u_plus=2)
-    assert _lane_takes(problem, RECIPROCAL, gate, 1, None)
+    assert _lane_takes(problem, 1, None)
     assert assert_run_is_batch_row(problem, init, RECIPROCAL, gate, 300,
                                    seed=5) == -1
 
 
+#: From 8 columns ``np.add.reduce`` sums a row pairwise, which the lane's
+#: left-to-right sums do not repeat.
 INELIGIBLE = {
-    "tanh": (tanh_problem(matrix=np.diag([1.0, 2.0])), RECIPROCAL, KESTEN),
-    "cubic1d": (cubic_problem(), RECIPROCAL, KESTEN),
-    "power": (linear_problem(matrix=1.0, dim=2), power_schedule(1.0, 0.7),
-              KESTEN),
-    "smooth": (linear_problem(matrix=1.0, dim=2), RECIPROCAL,
-               smooth_gate(-0.5, 1.0, beta=2.0)),
     "dim8": (linear_problem(matrix=1.0, dim=8), RECIPROCAL, KESTEN),
 }
 
@@ -504,7 +596,7 @@ INELIGIBLE = {
 @pytest.mark.parametrize("name", sorted(INELIGIBLE))
 def test_plans_the_lane_leaves_run_the_batch_loop(name):
     problem, schedule, sigmoid = INELIGIBLE[name]
-    assert not _lane_takes(problem, schedule, sigmoid, 1, None)
+    assert not _lane_takes(problem, 1, None)
     init = InitialConditions(x0=problem.root + 1.0)
     assert_run_is_batch_row(problem, init, schedule, sigmoid, 300, seed=2)
 
@@ -512,8 +604,8 @@ def test_plans_the_lane_leaves_run_the_batch_loop(name):
 def test_a_comparator_runs_the_batch_loop():
     problem = linear_problem(matrix=np.diag([1.0, 2.0]))
     comparator = ComparatorConfig(alpha=np.diag([1.0, 2.0]), e0=0.5)
-    assert _lane_takes(problem, RECIPROCAL, KESTEN, 1, None)
-    assert not _lane_takes(problem, RECIPROCAL, KESTEN, 1, comparator)
+    assert _lane_takes(problem, 1, None)
+    assert not _lane_takes(problem, 1, comparator)
     init = InitialConditions(x0=np.array([1.0, -1.0]))
     ts = range(0, 301, 7)
     one = _simulate(problem, init, RECIPROCAL, KESTEN, 300,
@@ -758,8 +850,7 @@ def test_kernel_calls_each_layer_through_core_once_per_step(monkeypatch,
     counting(problems, "apply_rows")
     init = InitialConditions(x0=np.array([1.0, 1.0]))
     horizon = 50
-    assert _lane_takes(problem, RECIPROCAL, KESTEN, n_rep, None) == \
-        (n_rep == 1)
+    assert _lane_takes(problem, n_rep, None) == (n_rep == 1)
     rngs = [substream(0, TRAJECTORY_LANE, r) for r in range(n_rep)]
     _simulate(problem, init, RECIPROCAL, KESTEN, horizon, rngs, [0, horizon])
     assert counts == {"field_eval": horizon, "apply_rows": horizon,

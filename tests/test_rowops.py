@@ -391,7 +391,7 @@ def test_float_lane_is_the_matvec_route_lane(on_the_matvec):
                              noise=gaussian_noise([1.0, 1.0]))
     init = InitialConditions(x0=np.array([1.0, -1.0]))
     schedule, gate = reciprocal_schedule(2.0), kesten_gate()
-    assert _lane_takes(problem, schedule, gate, 1, None)
+    assert _lane_takes(problem, 1, None)
 
     def run():
         traj = run_trajectory(problem, init, schedule, gate,
@@ -588,7 +588,7 @@ def test_held_owners_keep_their_matrix_from_in_place_writes():
     linear = linear_problem(matrix=m)
     init = InitialConditions(x0=np.array([1.0, -1.0]))
     schedule, gate = reciprocal_schedule(2.0), kesten_gate()
-    assert _lane_takes(linear, schedule, gate, 1, None)
+    assert _lane_takes(linear, 1, None)
 
     def run():
         traj = run_trajectory(linear, init, schedule, gate, 50, 3)

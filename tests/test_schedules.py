@@ -323,6 +323,20 @@ def test_gate_parameter_validation():
         smooth_gate(-0.5, 1.0, beta=0.0)
     with pytest.raises(ConfigError):
         constant_gate(0.0)
+    # every comparison with NaN is False, so each check is written to fail
+    # on a NaN level or beta
+    for family, u_minus, u_plus, beta, message in [
+            ("kesten", 0.0, np.nan, None, "u_plus must be > 0, got nan"),
+            ("plakhov_almeida", -0.5, np.nan, None,
+             "u_plus must be > 0, got nan"),
+            ("smooth", np.nan, 1.0, 2.0,
+             "u_minus=nan must not exceed u_plus=1.0"),
+            ("smooth", -0.5, np.nan, 2.0, "u_plus must be > 0, got nan"),
+            ("smooth", -0.5, 1.0, np.nan,
+             "smooth gate needs beta > 0, got nan")]:
+        with pytest.raises(ConfigError, match=message) as exc:
+            SigmoidSpec(family, u_minus=u_minus, u_plus=u_plus, beta=beta)
+        assert exc.value.assumption == "B4.1"
 
 
 # ---------------------------------------------------------------------------
